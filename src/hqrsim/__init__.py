@@ -9,13 +9,12 @@ from .logic import (BellLabel, BellMeasurement, bell_measure, bell_state,
                     cshift_decomposition_check, cshift_matrix, gates,
                     phase_bell_state, purify_circuit_sim, purify_step,
                     swap_phase_mixture)
-from .numerics import (DensityMatrix, fidelity_with_pure, hermitian_eigenvalues,
-                       hermitian_eigensystem, negativity, partial_transpose,
-                       tensor, trace_norm)
+from .numerics import DensityMatrix, fidelity_with_pure, negativity, partial_transpose
 from .rates import (RateResult, RepeaterConfig, effective_probability,
                     monte_carlo_attempts, monte_carlo_waiting, predict,
-                    reproduce_table, z_attempts, z_attempts_series)
-from .states import (ChannelParams, DispersiveInteraction, HybridPureState,
+                    purification_chain, reproduce_table, z_attempts,
+                    z_attempts_series)
+from .states import (ChannelParams, HybridPureState,
                      MatterMatterMixture, PhaseMixtureWeights, loss_weights,
                      matter_light_mixture, matter_light_pure,
                      matter_matter_components, negativity_scan)

@@ -25,7 +25,7 @@ from .detection import homodyne_report, usd_bound
 from .logic import purify_step
 from .rates import (RepeaterConfig, monte_carlo_waiting, predict,
                     reproduce_table, z_attempts)
-from .states import (ChannelParams, PhaseMixtureWeights, WEIGHT_MODELS,
+from .states import (ChannelParams, PhaseMixtureWeights, WEIGHT_MODELS, WEIGHT_SUM_TOL,
                      matter_matter_components, negativity_scan)
 
 __all__ = ["Settings", "RunSpec", "load_config", "parse", "run", "main"]
@@ -204,13 +204,11 @@ def _validate(command: str, params: dict):
         raise UsageError("--L0: length must be nonnegative")
     if params.get("alpha") is not None and params["alpha"] < 0:
         raise UsageError("--alpha: amplitude must be nonnegative")
-    if command == "homodyne" and not 0 < params["delta_frac"] <= 1:
-        raise UsageError("--delta-frac: must lie in (0, 1]")
-    if command == "rate" and not 0 < params["delta_frac"] <= 1:
+    if command in ("homodyne", "rate") and not 0 < params["delta_frac"] <= 1:
         raise UsageError("--delta-frac: must lie in (0, 1]")
     if command == "purify":
         w = params["weights"]
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-8:
+        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
             raise UsageError("--weights: must be nonnegative and sum to 1")
         if params["rounds"] < 0:
             raise UsageError("--rounds: must be >= 0")
@@ -275,11 +273,11 @@ def _execute(spec: RunSpec) -> tuple[list, list]:
         return ["quantity", "value"], rows
     if spec.command == "usd":
         ch = ChannelParams(p["L0"], s.l_att_km)
+        # usd_bound is min_m N_{v_m} / d; both rows print that one value
         prob = usd_bound(p["d"], p["alpha"], ch.gamma)
-        check = float(np.min(norm_constants(RingSpec(p["d"], np.sqrt(ch.gamma) * p["alpha"]))) / p["d"])
         return (["quantity", "value"],
                 [["gamma", ch.gamma], ["usd_probability", prob],
-                 ["min_norm_constant_over_d", check]])
+                 ["min_norm_constant_over_d", prob]])
     if spec.command == "purify":
         w = PhaseMixtureWeights(len(p["weights"]), np.array(p["weights"]))
         cols = ["round", "success_probability", "leading_weight"] + \

@@ -13,6 +13,7 @@ ring states are nearly parallel).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,8 +43,8 @@ class RingSpec:
     def __post_init__(self):
         if self.d < 2:
             raise ValueError(f"ring dimension must be >= 2, got {self.d}")
-        if self.amplitude < 0:
-            raise ValueError(f"amplitude must be nonnegative, got {self.amplitude}")
+        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
 
     def phases(self) -> np.ndarray:
         return np.exp(2j * np.pi * np.arange(self.d) / self.d)
@@ -117,15 +118,14 @@ def gram_matrix(ring: RingSpec) -> np.ndarray:
     return np.array([[overlap(s[k], s[l]) for l in range(ring.d)] for k in range(ring.d)])
 
 
-def ring_to_orthonormal(ring: RingSpec, k: int) -> np.ndarray:
-    """Expansion coefficients of ring state k in the orthonormal basis.
+def ring_to_orthonormal(ring: RingSpec) -> np.ndarray:
+    """Expansion coefficients of every ring state in the orthonormal basis.
 
-    c_m = sqrt(N_{v_m}) / d * e^{-2 pi i k m / d}; directions with
-    N_{v_m} < NEGLIGIBLE_NORM are dropped (coefficient exactly zero).
+    Row k holds c_m = sqrt(N_{v_m}) / d * e^{-2 pi i k m / d}; directions
+    with N_{v_m} < NEGLIGIBLE_NORM are dropped (coefficient exactly zero).
     """
-    if not 0 <= k < ring.d:
-        raise ValueError(f"phase index {k} out of range for d={ring.d}")
     n = norm_constants(ring)
     n = np.where(n < NEGLIGIBLE_NORM, 0.0, n)
+    k = np.arange(ring.d)[:, None]
     m = np.arange(ring.d)
     return np.sqrt(n) / ring.d * np.exp(-2j * np.pi * k * m / ring.d)

@@ -234,21 +234,11 @@ def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
 
 def usd_bound(d: int, alpha: float, gamma: float) -> float:
     """Optimal success probability for unambiguously discriminating the
-    d symmetric coherent states at damped amplitude sqrt(gamma) alpha:
+    d symmetric coherent states at damped amplitude sqrt(gamma) alpha.
 
-        min_r sum_j e^{-2 pi i j r / d} exp(gamma alpha^2 (e^{2 pi i j / d} - 1)),
-
-    clamped to [0, 1].  Numerically identical to
-    min_m norm_constants(d, sqrt(gamma) alpha) / d.
+    For symmetric pure states this is the smallest Gram eigenvalue,
+    min_m N_{v_m} / d (Chefles & Barnett, Phys. Lett. A 250, 223 (1998)),
+    clamped to [0, 1].
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    j = np.arange(d)
-    g = np.exp(gamma * alpha ** 2 * (np.exp(2j * np.pi * j / d) - 1.0))
-    best = np.inf
-    for r in range(d):
-        val = (np.exp(-2j * np.pi * j * r / d) * g).sum()
-        if abs(val.imag) > 1e-10:
-            raise ArithmeticError("discrimination bound has a non-real residue")
-        best = min(best, val.real)
-    return float(min(max(best, 0.0), 1.0))
+    n = norm_constants(RingSpec(d, np.sqrt(gamma) * alpha))
+    return float(min(np.min(n) / d, 1.0))

@@ -11,13 +11,9 @@ import numpy as np
 
 __all__ = [
     "DensityMatrix",
-    "hermitian_eigensystem",
-    "hermitian_eigenvalues",
     "partial_transpose",
     "negativity",
-    "tensor",
     "fidelity_with_pure",
-    "trace_norm",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -68,23 +64,6 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim}, bipartition={self.bipartition})"
 
 
-def hermitian_eigensystem(m, tol: float = HERMITICITY_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors of a Hermitian matrix.
-
-    Raises if the input is not square or not Hermitian within `tol`.
-    """
-    a = _as_square_complex(m)
-    if np.max(np.abs(a - a.conj().T)) > tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(a)
-    return w, v
-
-
-def hermitian_eigenvalues(m, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    w, _ = hermitian_eigensystem(m, tol)
-    return w
-
-
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     """Transpose subsystem A of a bipartite density matrix.
 
@@ -98,21 +77,12 @@ def partial_transpose(rho: DensityMatrix) -> np.ndarray:
     return t.transpose(2, 1, 0, 3).reshape(da * db, da * db)
 
 
-def trace_norm(m) -> float:
-    """Trace norm of a Hermitian matrix: sum of |eigenvalues|."""
-    return float(np.sum(np.abs(hermitian_eigenvalues(m))))
-
-
 def negativity(rho: DensityMatrix) -> float:
     """Entanglement negativity: absolute sum of the negative eigenvalues
     of the partial transpose, equivalently (||rho^T_A||_1 - 1) / 2."""
     ev = np.linalg.eigvalsh(partial_transpose(rho))
     neg = -float(ev[ev < 0].sum())
     return max(neg, 0.0)
-
-
-def tensor(a, b) -> np.ndarray:
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def fidelity_with_pure(rho, psi, norm_tol: float = 1e-10) -> float:

@@ -41,6 +41,7 @@ __all__ = [
     "z_attempts_series",
     "effective_probability",
     "initial_segment_state",
+    "purification_chain",
     "predict",
     "monte_carlo_attempts",
     "monte_carlo_waiting",
@@ -69,14 +70,14 @@ class RepeaterConfig:
             raise ValueError("d must be >= 2")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
-        if self.fiber_speed_km_s <= 0:
-            raise ValueError("fiber speed must be positive")
+        if not (math.isfinite(self.fiber_speed_km_s) and self.fiber_speed_km_s > 0):
+            raise ValueError("fiber speed must be finite and positive")
         if self.purification_rounds < 0:
             raise ValueError("purification rounds must be >= 0")
-        if self.L0_km <= 0:
-            raise ValueError("segment length must be positive")
+        if not (math.isfinite(self.L0_km) and self.L0_km > 0):
+            raise ValueError("segment length must be finite and positive")
         ratio = self.span_km / self.L0_km
-        n = round(math.log2(ratio))
+        n = round(math.log2(ratio)) if math.isfinite(ratio) and ratio > 0 else -1
         if n < 0 or abs(ratio - 2 ** n) > 1e-9 * ratio:
             raise ValueError(f"span/L0 = {ratio} is not a power of two")
 
@@ -136,14 +137,11 @@ def z_attempts(n: int, p: float) -> float:
         t += chunk
 
 
-def z_attempts_series(n: int, p: float, alternating: bool = True) -> float:
-    """Literal binomial series for Z_n.
+def z_attempts_series(n: int, p: float) -> float:
+    """Literal inclusion-exclusion sum for Z_n; equals `z_attempts`.
 
-    With `alternating=True` this is the inclusion-exclusion sum and equals
-    `z_attempts` (use only for small n: the terms cancel catastrophically
-    once 2^n is large).  `alternating=False` evaluates the same series
-    without signs, kept purely for documentation: it gives 2^{2^n} - 1 at
-    p = 1 rather than 1.
+    Kept as the small-n oracle: the terms cancel catastrophically once
+    2^n is large.
     """
     if not 0 < p <= 1:
         raise ValueError(f"probability must lie in (0, 1], got {p}")
@@ -151,8 +149,7 @@ def z_attempts_series(n: int, p: float, alternating: bool = True) -> float:
     q = 1.0 - p
     total = 0.0
     for j in range(1, segments + 1):
-        sign = (-1.0) ** (j + 1) if alternating else 1.0
-        total += sign * math.comb(segments, j) / (1.0 - q ** j)
+        total += (-1.0) ** (j + 1) * math.comb(segments, j) / (1.0 - q ** j)
     return total
 
 
@@ -179,17 +176,27 @@ def initial_segment_state(config: RepeaterConfig) -> tuple[float, PhaseMixtureWe
     return report.p_succ, PhaseMixtureWeights(config.d, p)
 
 
+def purification_chain(p0: float, weights: PhaseMixtureWeights,
+                       rounds: int) -> list[RoundStats]:
+    """Round 0 (generation) plus `rounds` purification rounds.
+
+    Each round purifies the previous weights and updates the effective
+    per-segment probability with `effective_probability`.
+    """
+    stats = [RoundStats(0, float(weights.p[0]), p0, p0)]
+    for k in range(1, rounds + 1):
+        pk, weights = purify_step(weights)
+        q = effective_probability(stats[-1].effective_probability, pk)
+        stats.append(RoundStats(k, float(weights.p[0]), pk, q))
+    return stats
+
+
 def predict(config: RepeaterConfig) -> RateResult:
     p0, weights = initial_segment_state(config)
     if p0 <= 0:
         raise ArithmeticError("generation probability is zero for this configuration")
-    stats = [RoundStats(0, float(weights.p[0]), p0, p0)]
-    q = p0
-    for k in range(1, config.purification_rounds + 1):
-        pk, weights = purify_step(weights)
-        q = effective_probability(q, pk)
-        stats.append(RoundStats(k, float(weights.p[0]), pk, q))
-    z = z_attempts(config.n, q)
+    stats = purification_chain(p0, weights, config.purification_rounds)
+    z = z_attempts(config.n, stats[-1].effective_probability)
     t0 = 2.0 * config.L0_km / config.fiber_speed_km_s
     rate = 1.0 / (t0 * z)
     bound = stats[-1].fidelity ** (2 ** config.n)
@@ -255,11 +262,9 @@ def monte_carlo_attempts(config: RepeaterConfig, trials: int, seed: int,
                          shards: int = 1) -> tuple[float, float]:
     """Monte Carlo validation of the waiting-time model for a full config."""
     p0, weights = initial_segment_state(config)
-    round_probs = []
-    for _ in range(config.purification_rounds):
-        pk, weights = purify_step(weights)
-        round_probs.append(pk)
-    return monte_carlo_waiting(config.n, p0, tuple(round_probs), trials, seed, shards)
+    chain = purification_chain(p0, weights, config.purification_rounds)
+    round_probs = tuple(st.success_probability for st in chain[1:])
+    return monte_carlo_waiting(config.n, p0, round_probs, trials, seed, shards)
 
 
 # --- benchmark-table reproduction -------------------------------------------
@@ -302,13 +307,9 @@ def reproduce_table(table_id: str) -> list[CellComparison]:
                               alpha=alpha, scheme="usd")
         p0, weights = initial_segment_state(cfg0)
 
-    fidelities = [float(weights.p[0])]
-    qs = [p0]
-    w = weights
-    for _ in range(rounds - 1):
-        pk, w = purify_step(w)
-        qs.append(effective_probability(qs[-1], pk))
-        fidelities.append(float(w.p[0]))
+    chain = purification_chain(p0, weights, rounds - 1)
+    fidelities = [st.fidelity for st in chain]
+    qs = [st.effective_probability for st in chain]
 
     out = []
     for i, label in enumerate(labels):

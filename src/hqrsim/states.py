@@ -19,7 +19,8 @@ negativity scan, which probes the physical entanglement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,7 +29,6 @@ from .numerics import DensityMatrix, negativity
 
 __all__ = [
     "ChannelParams",
-    "DispersiveInteraction",
     "PhaseMixtureWeights",
     "WEIGHT_MODELS",
     "loss_weights",
@@ -42,6 +42,9 @@ __all__ = [
 
 WEIGHT_MODELS = ("closed-form", "gram")
 
+# largest |sum - 1| a phase-mixture weight vector may have
+WEIGHT_SUM_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class ChannelParams:
@@ -51,38 +54,15 @@ class ChannelParams:
     L_att_km: float = 22.0
 
     def __post_init__(self):
-        if self.L0_km < 0:
-            raise ValueError("segment length must be nonnegative")
-        if self.L_att_km <= 0:
-            raise ValueError("attenuation length must be positive")
+        if not (math.isfinite(self.L0_km) and self.L0_km >= 0):
+            raise ValueError("segment length must be finite and nonnegative")
+        if not (math.isfinite(self.L_att_km) and self.L_att_km > 0):
+            raise ValueError("attenuation length must be finite and positive")
 
     @property
     def gamma(self) -> float:
         """Intensity transmittance exp(-L0/L_att)."""
         return float(np.exp(-self.L0_km / self.L_att_km))
-
-
-@dataclass(frozen=True)
-class DispersiveInteraction:
-    """Controlled phase rotation of the pulse, angle theta per spin level.
-
-    The protocol uses |theta| = 2 pi / d; the spin eigenvalues are
-    (2k - d + 1)/2 for k = 0..d-1 (so -1/2, +1/2 for d=2 and -1, 0, 1
-    for d=3).
-    """
-
-    d: int
-    theta: float
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if abs(abs(self.theta) - 2 * np.pi / self.d) > 1e-12:
-            raise ValueError("protocol interaction requires |theta| = 2*pi/d")
-
-    @property
-    def spin_eigenvalues(self) -> np.ndarray:
-        return (2 * np.arange(self.d) - self.d + 1) / 2.0
 
 
 class PhaseMixtureWeights:
@@ -92,9 +72,11 @@ class PhaseMixtureWeights:
         p = np.asarray(p, dtype=float)
         if p.shape != (d,):
             raise ValueError(f"expected {d} weights, got shape {p.shape}")
+        if not np.all(np.isfinite(p)):
+            raise ValueError(f"weights must be finite, got {p}")
         if p.min() < -1e-12:
             raise ValueError(f"negative weight {p.min()}")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {p.sum()}, not 1")
         self.d = d
         self.p = np.clip(p, 0.0, None)
@@ -120,14 +102,10 @@ class HybridPureState:
 
     d: int
     alpha: float
-    # matter index k is paired with ring phase index k at amplitude 1/sqrt(d)
-    matter_amplitudes: np.ndarray = field(repr=False, default=None)
 
     def coefficient_matrix(self) -> np.ndarray:
         """C[k, m]: amplitude of |k> |v_m> in the orthonormal light basis."""
-        ring = RingSpec(self.d, self.alpha)
-        rows = [ring_to_orthonormal(ring, k) / np.sqrt(self.d) for k in range(self.d)]
-        return np.array(rows)
+        return ring_to_orthonormal(RingSpec(self.d, self.alpha)) / np.sqrt(self.d)
 
     def statevector(self) -> np.ndarray:
         """Flattened coefficients, matter index slow, light index fast."""
@@ -139,18 +117,7 @@ def matter_light_pure(d: int, alpha: float) -> HybridPureState:
         raise ValueError("d must be >= 2")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
-    return HybridPureState(d=d, alpha=alpha,
-                           matter_amplitudes=np.full(d, 1 / np.sqrt(d)))
-
-
-def _mixture_component(d: int, m: int, damped_ring: RingSpec) -> np.ndarray:
-    """|chi_m> = (1/sqrt(d)) sum_q e^{-2 pi i q m / d} |q>|damped ring q>,
-    expanded in matter computational (slow) x orthonormal light (fast)."""
-    chi = np.zeros(d * d, dtype=complex)
-    for q in range(d):
-        c = ring_to_orthonormal(damped_ring, q)
-        chi[q * d:(q + 1) * d] = np.exp(-2j * np.pi * q * m / d) / np.sqrt(d) * c
-    return chi
+    return HybridPureState(d=d, alpha=alpha)
 
 
 def matter_light_mixture(d: int, alpha: float, channel: ChannelParams,
@@ -165,10 +132,13 @@ def matter_light_mixture(d: int, alpha: float, channel: ChannelParams,
     form (1/d) sum_r sqrt(N_{v_r}) |(m+r) mod d ~> |v_r~>.
     """
     w = loss_weights(d, alpha, channel, model)
-    damped = RingSpec(d, np.sqrt(channel.gamma) * alpha)
+    damped = ring_to_orthonormal(RingSpec(d, np.sqrt(channel.gamma) * alpha))
+    q = np.arange(d)[:, None]
     rho = np.zeros((d * d, d * d), dtype=complex)
     for m in range(d):
-        chi = _mixture_component(d, m, damped)
+        # |chi_m> = (1/sqrt(d)) sum_q e^{-2 pi i q m / d} |q>|damped ring q>,
+        # matter computational index slow, orthonormal light index fast
+        chi = (np.exp(-2j * np.pi * q * m / d) / np.sqrt(d) * damped).ravel()
         rho += w.p[m] * np.outer(chi, chi.conj())
     dm = DensityMatrix(rho, bipartition=(d, d), positivity_tol=positivity_tol)
     return dm, w

@@ -13,7 +13,7 @@ Statuses:
               (e.g. Table V's no-purification fidelity column duplicates
               Table IV's homodyne column), never matched.
   unresolved  systematic discrepancy without an identified cause.  The
-              three-round rate column of Table I sits at exactly twice the
+              three-round rate column of Table I sits at exactly half the
               pipeline value, and Table V's 40 km rates correspond to an
               elementary time L0/c instead of the 2 L0/c used everywhere
               else; both are reported, not matched.

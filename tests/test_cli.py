@@ -50,6 +50,8 @@ class TestParse:
     def test_rejects_bad_weights(self):
         with pytest.raises(UsageError):
             parse(["purify", "--weights", "0.5,0.4"])
+        with pytest.raises(UsageError, match="--weights"):
+            parse(["purify", "--weights", "0.5,0.5000000005"])
 
 
 class TestConfig:
@@ -192,6 +194,19 @@ class TestMainProcess:
         assert lines[0] == "alpha,negativity"
         assert len(lines) == 6
         assert not list(tmp_path.glob(".hqrsim-*"))
+
+    @pytest.mark.parametrize("argv", [
+        "rate --scheme usd --d 3 --L0 5 --alpha nan --span 10",
+        "usd --d 3 --L0 5 --alpha nan",
+        "usd --d 3 --L0 5 --alpha inf",
+        "entangle --d 3 --L0 nan --alpha 1",
+        "constants --d 3 --alpha nan",
+    ])
+    def test_non_finite_input_is_two(self, argv):
+        cp = run_cli(*argv.split())
+        assert cp.returncode == 2
+        assert cp.stderr.startswith("hqrsim: invalid input:")
+        assert cp.stdout == ""
 
     def test_missing_config_is_two(self):
         cp = run_cli("--config", "/nonexistent/cfg", "usd", "--d", "3",

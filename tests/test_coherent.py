@@ -164,7 +164,7 @@ class TestRingToOrthonormal:
         for d, alpha in ((2, 0.5), (3, 1.1), (4, 0.2)):
             ring = RingSpec(d, alpha)
             for k in range(d):
-                c = ring_to_orthonormal(ring, k)
+                c = ring_to_orthonormal(ring)[k]
                 assert abs(np.vdot(c, c).real - 1.0) < 1e-10
 
     def test_inner_products_reproduce_overlaps(self):
@@ -172,8 +172,8 @@ class TestRingToOrthonormal:
         s = ring.states()
         for k in range(3):
             for kp in range(3):
-                ck = ring_to_orthonormal(ring, k)
-                ckp = ring_to_orthonormal(ring, kp)
+                ck = ring_to_orthonormal(ring)[k]
+                ckp = ring_to_orthonormal(ring)[kp]
                 assert abs(np.vdot(ck, ckp) - overlap(s[k], s[kp])) < 1e-10
 
     def test_d2_cat_expansion(self):
@@ -181,18 +181,14 @@ class TestRingToOrthonormal:
         alpha = 0.7
         ring = RingSpec(2, alpha)
         n = norm_constants(ring)
-        assert np.allclose(ring_to_orthonormal(ring, 0), np.sqrt(n) / 2, atol=1e-12)
-        assert np.allclose(ring_to_orthonormal(ring, 1),
+        assert np.allclose(ring_to_orthonormal(ring)[0], np.sqrt(n) / 2, atol=1e-12)
+        assert np.allclose(ring_to_orthonormal(ring)[1],
                            np.array([np.sqrt(n[0]), -np.sqrt(n[1])]) / 2, atol=1e-12)
 
     def test_zero_amplitude(self):
         ring = RingSpec(3, 0.0)
         for k in range(3):
-            assert np.allclose(ring_to_orthonormal(ring, k), [1, 0, 0], atol=1e-14)
-
-    def test_index_validation(self):
-        with pytest.raises(ValueError):
-            ring_to_orthonormal(RingSpec(3, 0.5), 3)
+            assert np.allclose(ring_to_orthonormal(ring)[k], [1, 0, 0], atol=1e-14)
 
 
 class TestRingSpec:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hqrsim.coherent import RingSpec, norm_constants, overlap
+from hqrsim.coherent import RingSpec, gram_matrix, norm_constants, overlap
 from hqrsim.detection import (homodyne_report, offdiag_weight, quadrature_pdf,
                               quadrature_wavefunction, usd_bound, window_geometry,
                               window_mass)
@@ -210,8 +210,11 @@ class TestUsdBound:
                 alpha = rng.uniform(0.1, 3.0)
                 gamma = rng.uniform(0.2, 1.0)
                 direct = usd_bound(d, alpha, gamma)
-                via_norms = np.min(norm_constants(RingSpec(d, np.sqrt(gamma) * alpha))) / d
+                ring = RingSpec(d, np.sqrt(gamma) * alpha)
+                via_norms = np.min(norm_constants(ring)) / d
                 assert abs(direct - via_norms) < 1e-12
+                # independent oracle: smallest Gram eigenvalue (Chefles-Barnett)
+                assert abs(direct - np.linalg.eigvalsh(gram_matrix(ring))[0]) < 1e-12
 
     def test_monotone_in_amplitude(self):
         for d in (2, 3, 4):

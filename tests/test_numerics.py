@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from hqrsim.numerics import (DensityMatrix, fidelity_with_pure,
-                             hermitian_eigensystem, hermitian_eigenvalues,
-                             negativity, partial_transpose, tensor, trace_norm)
-
-
-def random_hermitian(n, rng):
-    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    return (a + a.conj().T) / 2
+from hqrsim.numerics import DensityMatrix, fidelity_with_pure, negativity, partial_transpose
 
 
 def random_unitary(n, rng):
@@ -28,47 +21,6 @@ def qudit_bell(d, k=0, j=0):
     for y in range(d):
         v[y * d + (y - j) % d] = np.exp(2j * np.pi * k * y / d)
     return v / np.sqrt(d)
-
-
-def char_poly_roots(m):
-    """Characteristic polynomial roots via the Faddeev-LeVerrier recursion,
-    an oracle independent of the eigensolver."""
-    n = m.shape[0]
-    coeffs = [1.0 + 0j]
-    M = np.zeros_like(m)
-    for k in range(1, n + 1):
-        M = m @ M + coeffs[-1] * np.eye(n)
-        coeffs.append(-np.trace(m @ M) / k)
-    return np.sort(np.roots(coeffs).real)
-
-
-class TestEigensolver:
-    def test_identity(self):
-        assert np.allclose(hermitian_eigenvalues(np.eye(3)), [1, 1, 1])
-
-    def test_pauli_x_spectrum(self):
-        x = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.allclose(hermitian_eigenvalues(x), [-1, 1])
-
-    def test_matches_characteristic_polynomial(self):
-        rng = np.random.default_rng(11)
-        m = random_hermitian(5, rng)
-        w = hermitian_eigenvalues(m)
-        assert np.max(np.abs(w - char_poly_roots(m))) < 1e-8
-
-    def test_sum_equals_trace_and_reconstruction(self):
-        rng = np.random.default_rng(7)
-        m = random_hermitian(6, rng)
-        w, v = hermitian_eigensystem(m)
-        assert w[0] <= w[-1]
-        assert abs(w.sum() - np.trace(m).real) < 1e-8
-        assert np.max(np.abs((v * w) @ v.conj().T - m)) < 1e-8
-
-    def test_rejects_non_square_and_non_hermitian(self):
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            hermitian_eigenvalues(np.array([[0, 1], [0, 0]], dtype=complex))
 
 
 class TestDensityMatrix:
@@ -145,22 +97,6 @@ class TestNegativity:
 
 
 class TestTensorAndFidelity:
-    def test_identity_kron(self):
-        assert np.allclose(tensor(np.eye(2), np.eye(3)), np.eye(6))
-
-    def test_trace_multiplicativity(self):
-        rng = np.random.default_rng(5)
-        a = random_hermitian(3, rng)
-        b = random_hermitian(4, rng)
-        assert abs(np.trace(tensor(a, b)) - np.trace(a) * np.trace(b)) < 1e-12
-
-    def test_mixed_product_identity(self):
-        rng = np.random.default_rng(6)
-        a, b, c, d = (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)) for _ in range(4))
-        lhs = tensor(a, b) @ tensor(c, d)
-        rhs = tensor(a @ c, b @ d)
-        assert np.max(np.abs(lhs - rhs)) < 1e-12
-
     def test_fidelity_pure_and_mixed(self):
         v = qudit_bell(3)
         dm = DensityMatrix(np.outer(v, v.conj()), bipartition=(3, 3))
@@ -181,12 +117,3 @@ class TestTensorAndFidelity:
         with pytest.raises(ValueError):
             fidelity_with_pure(dm, np.array([1.0, 0]))  # dimension mismatch
 
-
-class TestTraceNorm:
-    def test_equals_abs_eigenvalue_sum_and_triangle(self):
-        rng = np.random.default_rng(8)
-        for _ in range(5):
-            a = random_hermitian(4, rng)
-            b = random_hermitian(4, rng)
-            assert abs(trace_norm(a) - np.sum(np.abs(np.linalg.eigvalsh(a)))) < 1e-10
-            assert trace_norm(a + b) <= trace_norm(a) + trace_norm(b) + 1e-10

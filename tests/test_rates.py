@@ -35,12 +35,6 @@ class TestZAttempts:
             assert all(a < b for a, b in zip(vals, vals[1:]))
             assert all(v >= 1 / p - 1e-9 for v in vals)
 
-    def test_unsigned_series_is_wrong_at_certainty(self):
-        # dropping the alternating sign inflates Z(n, 1) to 2^(2^n) - 1
-        for n in (0, 1, 2):
-            assert z_attempts_series(n, 1.0, alternating=False) == \
-                pytest.approx(2 ** (2 ** n) - 1)
-
     def test_validation(self):
         with pytest.raises(ValueError):
             z_attempts(1, 0.0)

@@ -3,8 +3,7 @@ import pytest
 
 from hqrsim.coherent import RingSpec, norm_constants
 from hqrsim.numerics import negativity
-from hqrsim.states import (ChannelParams, DispersiveInteraction,
-                           PhaseMixtureWeights, loss_weights,
+from hqrsim.states import (ChannelParams, PhaseMixtureWeights, loss_weights,
                            matter_light_mixture, matter_light_pure,
                            matter_matter_components, negativity_scan)
 
@@ -20,18 +19,6 @@ class TestChannelParams:
             ChannelParams(-1.0)
         with pytest.raises(ValueError):
             ChannelParams(5.0, L_att_km=0.0)
-
-
-class TestDispersiveInteraction:
-    def test_spin_eigenvalues(self):
-        assert np.allclose(DispersiveInteraction(2, np.pi).spin_eigenvalues, [-0.5, 0.5])
-        assert np.allclose(DispersiveInteraction(3, 2 * np.pi / 3).spin_eigenvalues, [-1, 0, 1])
-        assert np.allclose(DispersiveInteraction(4, -np.pi / 2).spin_eigenvalues,
-                           [-1.5, -0.5, 0.5, 1.5])
-
-    def test_angle_constraint(self):
-        with pytest.raises(ValueError):
-            DispersiveInteraction(3, np.pi)
 
 
 class TestPhaseMixtureWeights:
