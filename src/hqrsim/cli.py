@@ -71,6 +71,11 @@ def load_config(path: str) -> dict:
                 overrides[key] = float(value)
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: invalid number {value!r}") from None
+            # NaN fails both comparisons, so it is rejected with inf
+            if key == "positivity_tol" and not 0.0 <= overrides[key] < np.inf:
+                raise UsageError(f"{path}:{lineno}: positivity_tol must be finite and >= 0")
+            if key == "quadrature_tol" and not 0.0 < overrides[key] < np.inf:
+                raise UsageError(f"{path}:{lineno}: quadrature_tol must be finite and > 0")
     return overrides
 
 

@@ -15,15 +15,17 @@ Full complex wavefunctions (needed only for the off-diagonal bound) carry
 the phase factor exp(-2i Re(beta) p) for p and exp(+2i Im(beta) x) for x,
 plus a value-independent global phase fixed so that the whole-line
 integral of psi_beta psi*_beta' equals the coherent overlap <beta'|beta>.
+Window masses are erf differences; the windowed cross integrals are
+Gauss-Legendre sums whose order doubles until two successive orders agree.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erf
 
 from .coherent import RingSpec, norm_constants, overlap
 from .states import ChannelParams
@@ -41,6 +43,11 @@ __all__ = [
 ]
 
 HOMODYNE_DIMS = (2, 3, 4)
+# Gauss-Legendre orders tried by _window_cross_integral (n and 2n from the
+# first up to the cap) and its panel count cap; the two caps bound the work
+GL_FIRST_ORDER = 64
+GL_MAX_ORDER = 512
+GL_MAX_PANELS = 64
 
 
 @dataclass(frozen=True)
@@ -107,8 +114,9 @@ def quadrature_wavefunction(beta: complex, quadrature: str, value):
 def window_mass(bounds: tuple[float, float], center: float) -> float:
     """Integral of the quadrature pdf with the given mean over [lo, hi]."""
     lo, hi = bounds
-    f = lambda t: float(np.sign(t)) if np.isinf(t) else float(erf(np.sqrt(2.0) * (t - center)))
-    return 0.5 * (f(hi) - f(lo))
+    # math.erf(+-inf) is +-1, so half-line windows need no special case
+    return 0.5 * (math.erf(math.sqrt(2.0) * (hi - center))
+                  - math.erf(math.sqrt(2.0) * (lo - center)))
 
 
 def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> WindowSet:
@@ -118,6 +126,9 @@ def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> Wi
     if not 0.0 < delta_frac <= 1.0:
         raise ValueError("delta_frac must lie in (0, 1]")
     sa = float(np.sqrt(gamma) * alpha)
+    if not sa > 0.0:
+        # every ring state then sits at the origin and the windows collapse
+        raise ValueError("homodyne windows need sqrt(gamma) * alpha > 0")
     if d in (2, 4):
         delta_max = sa
         delta = delta_frac * delta_max
@@ -179,35 +190,51 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
     return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av, float(bound))
 
 
+@cache
+def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _window_cross_integral(beta_i: complex, beta_j: complex, quadrature: str,
                            bounds: tuple[float, float], tol: float) -> complex:
     """integral over the window of psi_{beta_i}(q) psi*_{beta_j}(q).
 
-    Adaptive quadrature on a clipped interval: the Gaussian magnitudes make
-    any contribution beyond |q| = 8 + |means| smaller than 1e-25.
+    Composite Gauss-Legendre sums of orders n and 2n on a clipped interval,
+    n doubling from GL_FIRST_ORDER until they differ by at most `tol`
+    (absolute); the Gaussian magnitudes make any contribution beyond
+    |q| = 8 + |means| smaller than 1e-25.  The integrand oscillates as
+    exp(i k q) with k twice the difference of the conjugate-quadrature
+    means, so the interval is cut into panels of k * width <= 64 (about ten
+    periods each); at the paper's amplitudes that is a single panel.
     """
     cut = 8.0 + max(abs(_mean(beta_i, quadrature)), abs(_mean(beta_j, quadrature)))
     lo = max(bounds[0], -cut)
     hi = min(bounds[1], cut)
     if lo >= hi:
         return 0.0 + 0.0j
+    conjugate = "x" if quadrature == "p" else "p"
+    k = 2.0 * abs(_mean(beta_i, conjugate) - _mean(beta_j, conjugate))
+    panels = min(GL_MAX_PANELS, max(1, math.ceil(k * (hi - lo) / 64.0)))
+    edges = np.linspace(lo, hi, panels + 1)
+    mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
 
-    def integrand(q, part):
+    def gauss_legendre(n):
+        nodes, weights = _legendre_rule(n)
+        q = mids[:, None] + halves[:, None] * nodes
         v = quadrature_wavefunction(beta_i, quadrature, q) * \
             np.conj(quadrature_wavefunction(beta_j, quadrature, q))
-        return v.real if part == "re" else v.imag
+        return complex(halves @ (v @ weights))
 
-    # anchor the subdivision at the two Gaussian peaks
-    marks = sorted({m for m in (_mean(beta_i, quadrature), _mean(beta_j, quadrature))
-                    if lo < m < hi})
-    re, re_err = quad(integrand, lo, hi, args=("re",), epsabs=tol, limit=300,
-                      points=marks or None)
-    im, im_err = quad(integrand, lo, hi, args=("im",), epsabs=tol, limit=300,
-                      points=marks or None)
-    if max(re_err, im_err) > 100 * tol:
-        raise ArithmeticError(
-            f"window quadrature did not converge to {tol} (error {max(re_err, im_err)})")
-    return complex(re, im)
+    n, coarse = GL_FIRST_ORDER, gauss_legendre(GL_FIRST_ORDER)
+    while True:
+        fine = gauss_legendre(2 * n)
+        diff = abs(fine - coarse)
+        if diff <= tol:
+            return fine
+        if 2 * n >= GL_MAX_ORDER:
+            raise ArithmeticError(
+                f"window quadrature did not converge to {tol} (difference {diff})")
+        n, coarse = 2 * n, fine
 
 
 def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
@@ -215,7 +242,9 @@ def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
     """Largest cross term |integral psi_beta psi*_beta'| over one window.
 
     Bounds the coherences the diagonal-mixture approximation drops; taking
-    the whole line as the window recovers |overlap(beta', beta)|.
+    the whole line as the window recovers |overlap(beta', beta)|.  The
+    (j, i) integral is the conjugate of the (i, j) one, so only i < j is
+    evaluated.
     """
     ws = window_geometry(d, alpha, channel.gamma, delta_frac)
     if not 0 <= window < len(ws.bounds):
@@ -223,9 +252,7 @@ def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
     ring = RingSpec(d, np.sqrt(channel.gamma) * alpha).states()
     best = 0.0
     for i in range(d):
-        for j in range(d):
-            if i == j:
-                continue
+        for j in range(i + 1, d):
             val = _window_cross_integral(ring[i], ring[j], ws.quadrature,
                                          ws.bounds[window], quadrature_tol)
             best = max(best, abs(val))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from hqrsim.cli import UsageError, load_config, parse, run
+from hqrsim.cli import UsageError, load_config, main, parse, run
 
 
 def run_cli(*args):
@@ -71,6 +71,28 @@ class TestConfig:
         cfg.write_text("l_att_km = twenty\n")
         with pytest.raises(UsageError, match=":1"):
             load_config(str(cfg))
+
+    @pytest.mark.parametrize("line", [
+        "positivity_tol = nan", "positivity_tol = inf", "positivity_tol = -1",
+        "quadrature_tol = nan", "quadrature_tol = inf", "quadrature_tol = -1",
+        "quadrature_tol = 0",
+    ])
+    def test_rejects_bad_tolerance(self, tmp_path, capsys, line):
+        # a NaN positivity_tol would disable the eigenvalue check and a NaN
+        # quadrature_tol would make the quadrature never converge
+        cfg = tmp_path / "cfg"
+        cfg.write_text(line + "\n")
+        key = line.split()[0]
+        with pytest.raises(UsageError, match=f"cfg:1: {key}"):
+            load_config(str(cfg))
+        assert main(["--config", str(cfg), "homodyne", "--d", "3", "--L0", "5",
+                     "--alpha", "1.0"]) == 2
+        assert capsys.readouterr().out == ""
+
+    def test_accepts_zero_positivity_tol(self, tmp_path):
+        cfg = tmp_path / "cfg"
+        cfg.write_text("positivity_tol = 0\nquadrature_tol = 1e-12\n")
+        assert load_config(str(cfg)) == {"positivity_tol": 0.0, "quadrature_tol": 1e-12}
 
     def test_config_keeps_benchmark_rates(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -207,6 +229,26 @@ class TestMainProcess:
         assert cp.returncode == 2
         assert cp.stderr.startswith("hqrsim: invalid input:")
         assert cp.stdout == ""
+
+    @pytest.mark.parametrize("argv", [
+        "homodyne --d 3 --L0 5 --alpha 0 --delta-frac 0.2",
+        "rate --scheme homodyne --d 3 --L0 5 --alpha 0 --span 10",
+    ])
+    def test_zero_amplitude_homodyne_is_two(self, capsys, argv):
+        # the windows collapse at alpha = 0; this used to print P_succ = 1
+        assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hqrsim: invalid input:")
+        assert captured.out == ""
+
+    def test_runtime_does_not_import_scipy(self):
+        code = ("import sys, hqrsim.cli; "
+                "hqrsim.cli.main(['homodyne', '--d', '3', '--L0', '5', '--alpha', '1.0']); "
+                "print(sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)")
+        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert cp.returncode == 0
+        assert "offdiag_bound," in cp.stdout
+        assert cp.stderr.strip() == "[]"
 
     def test_missing_config_is_two(self):
         cp = run_cli("--config", "/nonexistent/cfg", "usd", "--d", "3",

@@ -1,11 +1,12 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from hqrsim.coherent import RingSpec, gram_matrix, norm_constants, overlap
-from hqrsim.detection import (homodyne_report, offdiag_weight, quadrature_pdf,
-                              quadrature_wavefunction, usd_bound, window_geometry,
-                              window_mass)
+from hqrsim.detection import (_window_cross_integral, homodyne_report, offdiag_weight,
+                              quadrature_pdf, quadrature_wavefunction, usd_bound,
+                              window_geometry, window_mass)
 from hqrsim.states import ChannelParams
 
 
@@ -83,6 +84,10 @@ class TestWindowGeometry:
     def test_validation(self):
         with pytest.raises(ValueError):
             window_geometry(5, 1.0, 0.8, 0.5)
+        # a vanishing damped amplitude collapses every window onto the origin
+        for alpha, gamma in ((0.0, 0.8), (1.0, 0.0)):
+            with pytest.raises(ValueError, match="alpha > 0"):
+                window_geometry(3, alpha, gamma, 0.2)
         with pytest.raises(ValueError):
             window_geometry(3, 1.0, 0.8, 0.0)
         with pytest.raises(ValueError):
@@ -151,7 +156,6 @@ class TestOffdiagWeight:
         got = offdiag_weight(3, 1.0, ch, 1, 1.0 - 1e-12)
         # window w1 at full width starts at delta_max; compare against the
         # largest half-line cross integral computed directly
-        from hqrsim.detection import _window_cross_integral
         best = max(abs(_window_cross_integral(ring[i], ring[j], "p",
                                               (np.sqrt(3) / 4 * np.sqrt(ch.gamma), np.inf),
                                               1e-10))
@@ -159,7 +163,6 @@ class TestOffdiagWeight:
         assert got == pytest.approx(best, abs=1e-10)
 
     def test_equal_amplitudes_reduce_to_window_mass(self):
-        from hqrsim.detection import _window_cross_integral
         beta = 0.6 + 0.3j
         for bounds in ((-0.5, 0.5), (0.2, np.inf)):
             val = _window_cross_integral(beta, beta, "p", bounds, 1e-10)
@@ -167,7 +170,6 @@ class TestOffdiagWeight:
             assert val.real == pytest.approx(window_mass(bounds, beta.imag), abs=1e-10)
 
     def test_whole_line_overlap_identity(self):
-        from hqrsim.detection import _window_cross_integral
         rng = np.random.default_rng(5)
         for _ in range(5):
             a, b = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(2))
@@ -188,9 +190,71 @@ class TestOffdiagWeight:
                             0.2 * np.sqrt(3) / 4 * np.sqrt(ch.gamma)), 0.0)
         assert val / diag == pytest.approx(0.5476, abs=1e-3)
 
+    def test_halved_pairs_match_all_ordered_pairs(self):
+        # |integral psi_i psi_j*| is symmetric in (i, j); the i < j loop must
+        # still find the maximum over every ordered pair
+        for d, alpha in ((2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0)):
+            ch = ChannelParams(5.0)
+            ws = window_geometry(d, alpha, ch.gamma, 0.2)
+            ring = RingSpec(d, np.sqrt(ch.gamma) * alpha).states()
+            for w, bounds in enumerate(ws.bounds):
+                direct = max(abs(_window_cross_integral(ring[i], ring[j], ws.quadrature,
+                                                        bounds, 1e-10))
+                             for i in range(d) for j in range(d) if i != j)
+                assert offdiag_weight(d, alpha, ch, w, 0.2) == pytest.approx(direct, abs=1e-14)
+
+    def test_unconverged_quadrature_raises(self):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            _window_cross_integral(1.0 + 0.5j, -1.0 + 0.5j, "p", (-1.0, 1.0), -1.0)
+
     def test_window_index_validation(self):
         with pytest.raises(ValueError):
             offdiag_weight(3, 1.0, ChannelParams(5.0), 4, 0.2)
+
+
+def _mp_cross_integral(beta_i, beta_j, quadrature, bounds):
+    """The window cross integral by mpmath tanh-sinh quadrature at 30 digits,
+    from the closed-form wavefunctions in the detection module docstring."""
+    with mpmath.workdps(30):
+        bi, bj = mpmath.mpc(beta_i), mpmath.mpc(beta_j)
+        if quadrature == "p":
+            phase = 1j * (bi.real * bi.imag - bj.real * bj.imag)
+            mi, mj, k = bi.imag, bj.imag, -2j * (bi.real - bj.real)
+        else:
+            phase = -1j * (bi.real * bi.imag - bj.real * bj.imag)
+            mi, mj, k = bi.real, bj.real, 2j * (bi.imag - bj.imag)
+        f = lambda q: mpmath.exp(phase - (q - mi) ** 2 - (q - mj) ** 2 + k * q)
+        lo, hi = (mpmath.mpf(x) for x in bounds)
+        c = (mi + mj) / 2
+        points = [lo] + [c + s for s in (-3, 0, 3) if lo < c + s < hi] + [hi]
+        return complex(mpmath.sqrt(2 / mpmath.pi) * mpmath.quad(f, points))
+
+
+class TestCrossIntegralOracle:
+    @pytest.mark.parametrize("alpha", [1.1, 5.0])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_matches_mpmath(self, d, alpha):
+        ch = ChannelParams(5.0)
+        ws = window_geometry(d, alpha, ch.gamma, 0.2)
+        ring = RingSpec(d, np.sqrt(ch.gamma) * alpha).states()
+        for bounds in ws.bounds:
+            for i in range(d):
+                for j in range(i + 1, d):
+                    got = _window_cross_integral(ring[i], ring[j], ws.quadrature, bounds, 1e-10)
+                    ref = _mp_cross_integral(ring[i], ring[j], ws.quadrature, bounds)
+                    assert abs(got - ref) < 1e-12
+
+    @pytest.mark.parametrize("sa", [10.0, 35.0, 90.0])
+    def test_fast_oscillation_matches_dawson(self, sa):
+        # the +-i sa pair of d = 4 shares x-mean 0 and oscillates as
+        # exp(4i sa x); over x >= 0 the integral is
+        # exp(-k^2/8)/2 + i D(k/(2 sqrt 2))/sqrt(pi), k = 4 sa, D = Dawson
+        got = _window_cross_integral(1j * sa, -1j * sa, "x", (0.0, np.inf), 1e-10)
+        with mpmath.workdps(30):
+            x = 4 * mpmath.mpf(sa) / (2 * mpmath.sqrt(2))
+            dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x ** 2) * mpmath.erfi(x)
+            ref = complex(mpmath.exp(-x ** 2) / 2 + 1j * dawson / mpmath.sqrt(mpmath.pi))
+        assert abs(got - ref) < 1e-12
 
 
 class TestUsdBound:
