@@ -1,4 +1,5 @@
-"""Golden CLI outputs: the README command lines and tables II-V, run in-process.
+"""Golden CLI outputs: the README command lines, tables I-V and high-d
+negativity scans, run in-process.
 
 Each case's stdout must match its file under `tests/golden/` cell by cell.
 Cells compare as strings, except that two numbers both below 1e-12 in
@@ -22,6 +23,12 @@ CASES = {
     "constants": "constants --d 3 --alpha 0.8",
     "entangle": "entangle --d 3 --L0 20 --alpha 0.5",
     "negativity_scan": "negativity-scan --d 3 --L0 5 --alpha-range 0:2.5:100",
+    "negativity_scan_d8_gram":
+        "negativity-scan --d 8 --L0 10 --alpha-range 0.1:2.9:100 --model gram",
+    "negativity_scan_d8_closed_form":
+        "negativity-scan --d 8 --L0 10 --alpha-range 0.1:2.9:100 --model closed-form",
+    "negativity_scan_d4_closed_form":
+        "negativity-scan --d 4 --L0 5 --alpha-range 0:2.5:50 --model closed-form",
     "homodyne": "homodyne --d 3 --L0 5 --alpha 1.0 --delta-frac 0.2",
     "usd": "usd --d 3 --L0 20 --alpha 0.5",
     "purify": "purify --weights 0.7494,0.0942,0.1564 --rounds 3",
