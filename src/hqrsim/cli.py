@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 import tempfile
@@ -87,6 +88,8 @@ def _alpha_range(text: str):
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise argparse.ArgumentTypeError("expected numeric START:STOP:COUNT") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise argparse.ArgumentTypeError("START and STOP must be finite")
     if count < 2:
         raise argparse.ArgumentTypeError("COUNT must be >= 2")
     return np.linspace(start, stop, count)

@@ -13,7 +13,6 @@ ring states are nearly parallel).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +24,27 @@ __all__ = [
     "norm_constants_closed_form",
     "gram_matrix",
     "ring_to_orthonormal",
+    "ring_amplitudes",
+    "ring_norm_constants",
+    "ring_norm_constants_closed_form",
+    "basis_amplitudes",
     "NEGLIGIBLE_NORM",
 ]
 
 # Below this, a basis direction carries no meaningful population and is
 # treated as absent (its expansion coefficient is set to exactly zero).
 NEGLIGIBLE_NORM = 1e-12
+
+
+def ring_amplitudes(d: int, amplitudes) -> np.ndarray:
+    """Amplitudes as a float array, after RingSpec's checks on d and on each value."""
+    if d < 2:
+        raise ValueError(f"ring dimension must be >= 2, got {d}")
+    a = np.asarray(amplitudes, dtype=float)
+    bad = ~(np.isfinite(a) & (a >= 0))
+    if bad.any():
+        raise ValueError(f"amplitude must be finite and nonnegative, got {a[bad][0]}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -41,10 +55,7 @@ class RingSpec:
     amplitude: float
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError(f"ring dimension must be >= 2, got {self.d}")
-        if not (math.isfinite(self.amplitude) and self.amplitude >= 0):
-            raise ValueError(f"amplitude must be finite and nonnegative, got {self.amplitude}")
+        ring_amplitudes(self.d, self.amplitude)
 
     def phases(self) -> np.ndarray:
         return np.exp(2j * np.pi * np.arange(self.d) / self.d)
@@ -71,12 +82,17 @@ def norm_constants(ring: RingSpec) -> np.ndarray:
     which equals the Gram double sum and the eigenvalues of d * Gram.
     Tiny negative rounding noise is clipped to zero; the values sum to d^2.
     """
-    d = ring.d
+    return ring_norm_constants(ring.d, ring.amplitude)
+
+
+def ring_norm_constants(d: int, amplitudes) -> np.ndarray:
+    """`norm_constants` for every amplitude at once: shape amplitudes.shape + (d,)."""
+    a = ring_amplitudes(d, amplitudes)
     j = np.arange(d)
-    g = np.exp(ring.amplitude ** 2 * (np.exp(2j * np.pi * j / d) - 1.0))
+    g = np.exp(a[..., None] ** 2 * (np.exp(2j * np.pi * j / d) - 1.0))
     m = np.arange(d)[:, None]
-    vals = d * (np.exp(2j * np.pi * j[None, :] * m / d) * g[None, :]).sum(axis=1)
-    if np.max(np.abs(vals.imag)) > 1e-9:
+    vals = d * (np.exp(2j * np.pi * j[None, :] * m / d) * g[..., None, :]).sum(axis=-1)
+    if np.abs(vals.imag).max(initial=0.0) > 1e-9:
         raise ArithmeticError("norm constants have a non-real residue")
     return np.clip(vals.real, 0.0, None)
 
@@ -97,19 +113,24 @@ def norm_constants_closed_form(ring: RingSpec) -> np.ndarray:
     For d not in {2, 3} there is no closed-form variant and this delegates
     to `norm_constants`.
     """
-    a2 = ring.amplitude ** 2
-    if ring.d == 2:
+    return ring_norm_constants_closed_form(ring.d, ring.amplitude)
+
+
+def ring_norm_constants_closed_form(d: int, amplitudes) -> np.ndarray:
+    """`norm_constants_closed_form` for every amplitude at once."""
+    a2 = ring_amplitudes(d, amplitudes) ** 2
+    if d == 2:
         e = np.exp(-2.0 * a2)
-        return np.array([2.0 * (1.0 + e), 2.0 * (1.0 - e)])
-    if ring.d == 3:
+        return np.stack([2.0 * (1.0 + e), 2.0 * (1.0 - e)], axis=-1)
+    if d == 3:
         e = np.exp(-1.5 * a2)
         th = np.sqrt(0.75) * a2
-        return np.array([
+        return np.stack([
             3.0 + 6.0 * e * np.cos(th),
             3.0 - e * (3.0 * np.cos(th) + np.sqrt(3.0) * np.sin(th)),
             3.0 - e * (3.0 * np.cos(th) - np.sqrt(3.0) * np.sin(th)),
-        ])
-    return norm_constants(ring)
+        ], axis=-1)
+    return ring_norm_constants(d, amplitudes)
 
 
 def gram_matrix(ring: RingSpec) -> np.ndarray:
@@ -121,11 +142,18 @@ def gram_matrix(ring: RingSpec) -> np.ndarray:
 def ring_to_orthonormal(ring: RingSpec) -> np.ndarray:
     """Expansion coefficients of every ring state in the orthonormal basis.
 
-    Row k holds c_m = sqrt(N_{v_m}) / d * e^{-2 pi i k m / d}; directions
-    with N_{v_m} < NEGLIGIBLE_NORM are dropped (coefficient exactly zero).
+    Row k holds c_m e^{-2 pi i k m / d} with c = `basis_amplitudes`.
     """
-    n = norm_constants(ring)
-    n = np.where(n < NEGLIGIBLE_NORM, 0.0, n)
     k = np.arange(ring.d)[:, None]
     m = np.arange(ring.d)
-    return np.sqrt(n) / ring.d * np.exp(-2j * np.pi * k * m / ring.d)
+    return basis_amplitudes(ring.d, ring.amplitude) * np.exp(-2j * np.pi * k * m / ring.d)
+
+
+def basis_amplitudes(d: int, amplitudes) -> np.ndarray:
+    """c_m = sqrt(N_{v_m}) / d for every amplitude: shape amplitudes.shape + (d,).
+
+    Directions with N_{v_m} < NEGLIGIBLE_NORM are dropped (c_m exactly zero).
+    """
+    n = ring_norm_constants(d, amplitudes)
+    n = np.where(n < NEGLIGIBLE_NORM, 0.0, n)
+    return np.sqrt(n) / d

@@ -2,7 +2,10 @@
 
 Everything here operates on plain complex ndarrays (row-major, square).
 Matrices never exceed a few thousand rows at desk scale, so clarity and
-robust validation win over asymptotics.
+robust validation win over asymptotics.  `states.negativity_scan` does
+not build these matrices; it applies the same tolerances to the symmetry
+blocks of its states, and `negativity` of the full matrix is its test
+oracle.
 """
 
 from __future__ import annotations

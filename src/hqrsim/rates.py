@@ -10,7 +10,8 @@ the mean of the maximum of 2^n geometric variables.  The alternating sign
 is essential: without it Z_n(1) would be 2^{2^n} - 1 instead of 1.  The
 engine evaluates the numerically stable positive tail series
 sum_{t>=0} [1 - (1 - q^t)^{2^n}] instead of the alternating binomial sum,
-which cancels catastrophically for many segments.
+which cancels catastrophically for many segments, and replaces the series
+by its Euler-Maclaurin sum at small P (see `z_attempts`).
 
 Each purification round multiplies the effective per-segment probability by
 P_round * (2 - Q)/(3 - 2Q): a round consumes two pairs (mean waiting is the
@@ -49,6 +50,9 @@ __all__ = [
 ]
 
 FIBER_SPEED_KM_S = 2.0e5
+
+# largest p at which z_attempts uses the Euler-Maclaurin closed form
+EM_MAX_P = 1e-4
 
 SCHEMES = ("usd", "homodyne")
 
@@ -116,14 +120,26 @@ class RateResult:
 
 
 def z_attempts(n: int, p: float) -> float:
-    """Expected attempt rounds until all 2^n segments hold a pair."""
+    """Expected attempt rounds until all 2^n segments hold a pair.
+
+    n = 0 is the geometric mean 1/p.  For S = 2^n >= 2 segments and
+    p <= EM_MAX_P the tail series sum_t f(t), f(t) = 1 - (1 - e^{-lam t})^S
+    with lam = -log(1-p), is summed by Euler-Maclaurin: f(0) = 1 and
+    f^(k)(0) = 0 for 0 < k < S, so it equals H_S / lam + 1/2 up to a
+    relative O(lam^4) <= 1e-16.  Otherwise the series is summed directly,
+    which needs at most about (40 + log S) / p terms.
+    """
     if not 0 < p <= 1:
         raise ValueError(f"probability must lie in (0, 1], got {p}")
     if int(n) != n or n < 0:
         raise ValueError("n must be a nonnegative integer")
     if p == 1.0:
         return 1.0
+    if n == 0:
+        return 1.0 / p
     segments = 2 ** int(n)
+    if p <= EM_MAX_P:
+        return _harmonic(segments) / -math.log1p(-p) + 0.5
     q = 1.0 - p
     total = 1.0  # t = 0 term: P(T > 0) = 1
     t = 1
@@ -135,6 +151,16 @@ def z_attempts(n: int, p: float) -> float:
         if terms[-1] < 1e-18:
             return total
         t += chunk
+
+
+def _harmonic(s: int) -> float:
+    """H_s = sum_{k<=s} 1/k, summed up to s = 1024 and from its asymptotic
+    series above (first omitted term below 1e-20)."""
+    if s <= 1024:
+        return math.fsum(1.0 / k for k in range(1, s + 1))
+    euler_gamma = 0.5772156649015329
+    return (math.log(s) + euler_gamma + 1.0 / (2 * s) - 1.0 / (12 * s ** 2)
+            + 1.0 / (120 * s ** 4))
 
 
 def z_attempts_series(n: int, p: float) -> float:

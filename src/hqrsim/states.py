@@ -8,7 +8,9 @@ normalization constants evaluated at the loss amplitude sqrt(1-gamma)*alpha.
 
 The light mode always lives in the <= d dimensional span of the damped ring
 states and is represented in the orthonormal superposition basis, so no
-Fock-space truncation is involved anywhere.
+Fock-space truncation is involved anywhere.  `matter_light_mixture` builds
+the full d^2 x d^2 density matrix; `negativity_scan` uses the Z_d symmetry
+blocks of the same state instead, for the whole amplitude grid at once.
 
 Two weight models are available for the d=3 mixture (see
 `coherent.norm_constants_closed_form`): "closed-form" keeps the benchmark
@@ -24,8 +26,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import RingSpec, norm_constants, norm_constants_closed_form, ring_to_orthonormal
-from .numerics import DensityMatrix, negativity
+from .coherent import (RingSpec, basis_amplitudes, ring_amplitudes, ring_norm_constants,
+                       ring_norm_constants_closed_form, ring_to_orthonormal)
+from .numerics import HERMITICITY_TOL, TRACE_TOL, DensityMatrix
 
 __all__ = [
     "ChannelParams",
@@ -44,6 +47,10 @@ WEIGHT_MODELS = ("closed-form", "gram")
 
 # largest |sum - 1| a phase-mixture weight vector may have
 WEIGHT_SUM_TOL = 1e-10
+
+# grid points per batch of negativity_scan: bounds its d^3 floats per point
+# (about 1 MB at d = 8) for any grid length
+SCAN_CHUNK = 256
 
 
 @dataclass(frozen=True)
@@ -72,28 +79,39 @@ class PhaseMixtureWeights:
         p = np.asarray(p, dtype=float)
         if p.shape != (d,):
             raise ValueError(f"expected {d} weights, got shape {p.shape}")
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"weights must be finite, got {p}")
-        if p.min() < -1e-12:
-            raise ValueError(f"negative weight {p.min()}")
-        if abs(p.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"weights sum to {p.sum()}, not 1")
         self.d = d
-        self.p = np.clip(p, 0.0, None)
+        self.p = _checked_weights(p)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PhaseMixtureWeights(d={self.d}, p={np.array2string(self.p, precision=6)})"
 
 
+def _checked_weights(p: np.ndarray) -> np.ndarray:
+    """PhaseMixtureWeights' conditions on every weight vector p[..., :].
+
+    Returns p clipped at zero; raises ValueError naming the first bad vector.
+    """
+    for bad, msg in ((~np.isfinite(p).all(axis=-1), "weights must be finite, got {}"),
+                     (p.min(axis=-1) < -1e-12, "negative weight in {}"),
+                     (abs(p.sum(axis=-1) - 1.0) > WEIGHT_SUM_TOL, "weights {} do not sum to 1")):
+        if bad.any():
+            raise ValueError(msg.format(p[bad][0]))
+    return np.clip(p, 0.0, None)
+
+
+def _loss_probabilities(d: int, alphas, channel: ChannelParams, model: str) -> np.ndarray:
+    """Unchecked weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2, shape alphas.shape + (d,)."""
+    if model not in WEIGHT_MODELS:
+        raise ValueError(f"unknown weight model {model!r}")
+    a_loss = np.sqrt(max(1.0 - channel.gamma, 0.0)) * np.asarray(alphas, dtype=float)
+    constants = ring_norm_constants_closed_form if model == "closed-form" else ring_norm_constants
+    return constants(d, a_loss) / d ** 2
+
+
 def loss_weights(d: int, alpha: float, channel: ChannelParams,
                  model: str = "closed-form") -> PhaseMixtureWeights:
     """Mixture weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2 after the loss trace."""
-    if model not in WEIGHT_MODELS:
-        raise ValueError(f"unknown weight model {model!r}")
-    a_loss = np.sqrt(max(1.0 - channel.gamma, 0.0)) * alpha
-    ring = RingSpec(d, a_loss)
-    n = norm_constants_closed_form(ring) if model == "closed-form" else norm_constants(ring)
-    return PhaseMixtureWeights(d, n / d ** 2)
+    return PhaseMixtureWeights(d, _loss_probabilities(d, alpha, channel, model))
 
 
 @dataclass(frozen=True)
@@ -183,11 +201,57 @@ def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
     Defaults to the Gram-exact weight model: the scan quantifies physical
     channel entanglement, for which the closed-form d=3 variant slightly
     underestimates the 10 km curve.
+
+    The state of `matter_light_mixture` is never built.  With the matter
+    qudit in the Fourier basis |f_s> = d^{-1/2} sum_q e^{-2 pi i q s / d}|q>
+    and c = `basis_amplitudes` at the damped amplitude, component m is
+    |chi_m> = sum_r c_r |f_{m+r}>|v_r>, so rho is the direct sum of the
+    rank-one blocks w_m c c^T.  Its partial transpose on matter, taken in
+    the f basis, is the direct sum over k of the real symmetric d x d
+    blocks P_k[r, r'] = w_{(k-r-r') mod d} c_r c_r'.  A transpose in another
+    local basis is unitarily equivalent, so these blocks carry the
+    negativity of `numerics.negativity`, which stays the full-matrix oracle.
+    Every grid point passes RingSpec's amplitude check, the
+    PhaseMixtureWeights conditions and DensityMatrix's Hermiticity, trace
+    and positivity tests (on the blocks w_m c c^T, same tolerances).
     """
     ch = ChannelParams(L0_km, L_att_km)
-    out = []
-    for a in np.asarray(alphas, dtype=float):
-        dm, _ = matter_light_mixture(d, float(a), ch, model=model,
-                                     positivity_tol=positivity_tol)
-        out.append((float(a), negativity(dm)))
-    return out
+    a = ring_amplitudes(d, alphas)
+    neg = np.empty(len(a))
+    for s in range(0, len(a), SCAN_CHUNK):
+        neg[s:s + SCAN_CHUNK] = _block_negativities(d, a[s:s + SCAN_CHUNK], ch, model,
+                                                    positivity_tol)
+    return [(float(x), float(n)) for x, n in zip(a, neg)]
+
+
+def _block_negativities(d: int, a: np.ndarray, ch: ChannelParams, model: str,
+                        positivity_tol: float) -> np.ndarray:
+    """Negativity at every amplitude of a, from one batched eigvalsh of all P_k blocks."""
+    w = _checked_weights(_loss_probabilities(d, a, ch, model))
+    c = basis_amplitudes(d, np.sqrt(ch.gamma) * a)
+    _check_rank_one_blocks(w, c, positivity_tol)
+    idx = (np.arange(d)[:, None, None] - np.arange(d)[:, None] - np.arange(d)) % d
+    blocks = w[:, idx]
+    blocks *= c[:, None, :, None] * c[:, None, None, :]
+    ev = np.linalg.eigvalsh(blocks)
+    return np.where(ev < 0, -ev, 0.0).sum(axis=(1, 2))
+
+
+def _check_rank_one_blocks(w: np.ndarray, c: np.ndarray, positivity_tol: float) -> None:
+    """DensityMatrix's tests on rho = (+)_m w_m c c^T at every grid point.
+
+    With w_m >= 0, block w_m c c^T is Hermitian if c c^T is, and its spectrum
+    is w_m times that of c c^T, so one d x d eigvalsh per point covers all d
+    blocks.
+    """
+    cc = c[:, :, None] * c[:, None, :]
+    asym = np.abs(cc - cc.swapaxes(1, 2)).max(axis=(1, 2)) * w.max(axis=1)
+    if np.any(asym > HERMITICITY_TOL):
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    tr = w.sum(axis=1) * np.trace(cc, axis1=1, axis2=2)
+    if np.any(abs(tr - 1.0) > TRACE_TOL):
+        bad = tr[abs(tr - 1.0) > TRACE_TOL][0]
+        raise ValueError(f"density matrix trace {bad} is not 1 within tolerance")
+    low = (np.linalg.eigvalsh(cc)[:, :1] * w).min(axis=1)
+    if np.any(low < -positivity_tol):
+        raise ValueError(f"density matrix has eigenvalue {low.min()} below -{positivity_tol}")

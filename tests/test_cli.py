@@ -241,6 +241,13 @@ class TestMainProcess:
         assert captured.err.startswith("hqrsim: invalid input:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("grid", ["-1:2:10", "nan:1:5", "0:inf:5"])
+    def test_bad_alpha_range_is_two(self, grid):
+        cp = run_cli("negativity-scan", "--d", "3", "--L0", "5", f"--alpha-range={grid}")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert "Warning" not in cp.stderr
+
     def test_runtime_does_not_import_scipy(self):
         code = ("import sys, hqrsim.cli; "
                 "hqrsim.cli.main(['homodyne', '--d', '3', '--L0', '5', '--alpha', '1.0']); "

@@ -1,3 +1,6 @@
+import time
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -34,6 +37,23 @@ class TestZAttempts:
             assert vals[0] == pytest.approx(1 / p, abs=1e-9)
             assert all(a < b for a, b in zip(vals, vals[1:]))
             assert all(v >= 1 / p - 1e-9 for v in vals)
+
+    @pytest.mark.parametrize("p", [1e-4, 1e-5, 1e-7, 1e-9])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    def test_small_p_matches_mpmath(self, n, p):
+        # inclusion-exclusion at 50 digits, exact in the binary value of p
+        with mpmath.workdps(50):
+            q = 1 - mpmath.mpf(p)
+            s = 2 ** n
+            want = float(mpmath.fsum((-1) ** (j + 1) * mpmath.binomial(s, j) / (1 - q ** j)
+                                     for j in range(1, s + 1)))
+        assert z_attempts(n, p) == pytest.approx(want, rel=1e-13)
+
+    def test_small_p_work_is_bounded(self):
+        start = time.perf_counter()
+        z = z_attempts(10, 1e-9)
+        assert time.perf_counter() - start < 0.05
+        assert z == pytest.approx(sum(1 / k for k in range(1, 1025)) / 1e-9, rel=1e-9)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hqrsim.coherent import RingSpec, norm_constants
+import hqrsim.states as states
+from hqrsim.coherent import RingSpec, basis_amplitudes, norm_constants
 from hqrsim.numerics import negativity
 from hqrsim.states import (ChannelParams, PhaseMixtureWeights, loss_weights,
                            matter_light_mixture, matter_light_pure,
@@ -169,3 +172,62 @@ class TestNegativityScan:
         dm, _ = matter_light_mixture(3, 1.0, ch, model="gram")
         (_, n), = negativity_scan(3, 5.0, [1.0])
         assert abs(n - negativity(dm)) < 1e-12
+
+    @pytest.mark.parametrize("model", ["gram", "closed-form"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_matches_full_matrix_oracle(self, d, model):
+        alphas = np.linspace(0.0, 3.0, 13)
+        for L0 in (0.0, 1.0, 5.0, 10.0, 25.0):
+            ch = ChannelParams(L0)
+            pts = negativity_scan(d, L0, alphas, model=model)
+            assert [a for a, _ in pts] == list(alphas)
+            for a, n in pts:
+                dm, _ = matter_light_mixture(d, a, ch, model=model)
+                assert abs(n - negativity(dm)) < 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.integers(2, 8), alpha=st.floats(0.0, 4.0), L0=st.floats(0.0, 60.0),
+           model=st.sampled_from(["gram", "closed-form"]))
+    def test_random_points_match_oracle(self, d, alpha, L0, model):
+        (a, n), = negativity_scan(d, L0, [alpha], model=model)
+        dm, _ = matter_light_mixture(d, alpha, ChannelParams(L0), model=model)
+        assert a == alpha
+        assert n >= 0.0
+        assert abs(n - negativity(dm)) < 1e-12
+
+    def test_empty_grid(self):
+        assert negativity_scan(4, 5.0, []) == []
+
+    def test_batches_do_not_change_results(self, monkeypatch):
+        alphas = np.linspace(0.0, 3.0, 30)
+        whole = negativity_scan(6, 10.0, alphas)
+        monkeypatch.setattr(states, "SCAN_CHUNK", 7)
+        assert negativity_scan(6, 10.0, alphas) == whole
+
+    @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
+    def test_rejects_bad_amplitude(self, bad):
+        for L0 in (0.0, 5.0):
+            with pytest.raises(ValueError, match="amplitude"):
+                negativity_scan(3, L0, [0.5, bad, 1.0])
+
+    def test_rejects_unknown_model(self):
+        with pytest.raises(ValueError, match="model"):
+            negativity_scan(3, 5.0, [1.0], model="bogus")
+
+    def test_keeps_density_matrix_trace_test(self, monkeypatch):
+        def inflated(d, amplitudes):
+            return 1.01 * basis_amplitudes(d, amplitudes)
+        monkeypatch.setattr(states, "basis_amplitudes", inflated)
+        with pytest.raises(ValueError, match="trace"):
+            negativity_scan(3, 5.0, [0.5, 1.0])
+
+    def test_keeps_weight_conditions(self, monkeypatch):
+        real = states._loss_probabilities
+
+        def shifted(*args):
+            p = real(*args)
+            p[..., 0] += 1e-6
+            return p
+        monkeypatch.setattr(states, "_loss_probabilities", shifted)
+        with pytest.raises(ValueError, match="sum to 1"):
+            negativity_scan(3, 5.0, [0.5, 1.0])
