@@ -10,7 +10,7 @@ The light mode always lives in the <= d dimensional span of the damped ring
 states and is represented in the orthonormal superposition basis, so no
 Fock-space truncation is involved anywhere.  `matter_light_mixture` builds
 the full d^2 x d^2 density matrix; `negativity_scan` uses the Z_d symmetry
-blocks of the same state instead, for the whole amplitude grid at once.
+blocks of the same state instead, for many amplitudes at once.
 
 Two weight models are available for the d=3 mixture (see
 `coherent.norm_constants_closed_form`): "closed-form" keeps the benchmark
@@ -211,6 +211,7 @@ def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
     blocks P_k[r, r'] = w_{(k-r-r') mod d} c_r c_r'.  A transpose in another
     local basis is unitarily equivalent, so these blocks carry the
     negativity of `numerics.negativity`, which stays the full-matrix oracle.
+    The grid goes through one batched eigvalsh per SCAN_CHUNK points.
     Every grid point passes RingSpec's amplitude check, the
     PhaseMixtureWeights conditions and DensityMatrix's Hermiticity, trace
     and positivity tests (on the blocks w_m c c^T, same tolerances).
