@@ -24,6 +24,12 @@ TRACE_TOL = 1e-10
 POSITIVITY_TOL = 1e-9
 
 
+def positivity_floor(positivity_tol, trace):
+    """Lowest eigenvalue allowed: -positivity_tol, but at least eigvalsh
+    rounding noise (8 ulps of the trace) below 0, so a tolerance of 0 works."""
+    return -np.maximum(positivity_tol, 8 * np.finfo(float).eps * np.abs(trace))
+
+
 def _as_square_complex(m) -> np.ndarray:
     a = np.asarray(m, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -50,8 +56,9 @@ class DensityMatrix:
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr} is not 1 within tolerance")
         evals = np.linalg.eigvalsh(m)
-        if evals[0] < -positivity_tol:
-            raise ValueError(f"density matrix has eigenvalue {evals[0]} below -{positivity_tol}")
+        floor = positivity_floor(positivity_tol, tr)
+        if evals[0] < floor:
+            raise ValueError(f"density matrix has eigenvalue {evals[0]} below {floor}")
         if bipartition is not None:
             da, db = bipartition
             if da * db != m.shape[0]:

@@ -19,6 +19,9 @@ max of two geometrics) and succeeds with probability P_round.
 
 The rate over span 2^n L0 is 1 / (T0 Z_n(Q)) with T0 = 2 L0 / c and
 c = 2e5 km/s in fiber.
+
+`monte_carlo_waiting` checks this model with a flat, chunked sampler; its
+docstring says which seeded results it keeps.
 """
 
 from __future__ import annotations
@@ -53,6 +56,10 @@ FIBER_SPEED_KM_S = 2.0e5
 
 # largest p at which z_attempts uses the Euler-Maclaurin closed form
 EM_MAX_P = 1e-4
+
+# elements per monte_carlo_waiting chunk: bounds its memory for any trial
+# count; with rounds, 2^14 ran about 20% faster than 2^15 or 2^16
+MC_CHUNK = 2 ** 14
 
 SCHEMES = ("usd", "homodyne")
 
@@ -126,8 +133,9 @@ def z_attempts(n: int, p: float) -> float:
     p <= EM_MAX_P the tail series sum_t f(t), f(t) = 1 - (1 - e^{-lam t})^S
     with lam = -log(1-p), is summed by Euler-Maclaurin: f(0) = 1 and
     f^(k)(0) = 0 for 0 < k < S, so it equals H_S / lam + 1/2 up to a
-    relative O(lam^4) <= 1e-16.  Otherwise the series is summed directly,
-    which needs at most about (40 + log S) / p terms.
+    relative O(lam^4) <= 1e-16.  Otherwise the series is summed until a term
+    is below 1e-18, which f(t) <= S e^{-lam t} bounds by (42 + ln S) / lam
+    terms: the first chunk has that many, capped at 4096 like later chunks.
     """
     if not 0 < p <= 1:
         raise ValueError(f"probability must lie in (0, 1], got {p}")
@@ -143,7 +151,7 @@ def z_attempts(n: int, p: float) -> float:
     q = 1.0 - p
     total = 1.0  # t = 0 term: P(T > 0) = 1
     t = 1
-    chunk = 4096
+    chunk = min(4096, math.ceil((42 + math.log(segments)) / -math.log1p(-p)))
     while True:
         ts = np.arange(t, t + chunk, dtype=float)
         terms = -np.expm1(segments * np.log1p(-(q ** ts)))
@@ -151,6 +159,7 @@ def z_attempts(n: int, p: float) -> float:
         if terms[-1] < 1e-18:
             return total
         t += chunk
+        chunk = 4096
 
 
 def _harmonic(s: int) -> float:
@@ -239,46 +248,59 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     failure (probability 1 - p_round).  Trials are split into `shards`
     independently seeded batches; results are identical for a fixed
     (seed, shards) pair.
+
+    Flat sampler, MC_CHUNK // 2^n trials (at least one) per chunk: draw the
+    attempt counts K ~ geometric(p_round) of rounds R..1 top-down (depth
+    d - 1 has 2 K.sum() elements), draw each depth-1 attempt, the maximum
+    of two geometric(p0) waits with P(M <= t) = (1 - q^t)^2, by inversion,
+    M = max(1, ceil(log(1 - sqrt(u)) / log q)) for one uniform u, then sum
+    bottom-up with `np.add.reduceat` and pair maxima.  Without rounds the
+    draws are one geometric(p0) stream for any chunking, so seeded results
+    equal those of the recursive per-retry sampler this replaced; with
+    rounds (`mc --round-p`) they have its distribution but other values.
     """
-    if trials <= 0:
-        raise ValueError("trials must be positive")
+    for name, value, low in (("n", n, 0), ("trials", trials, 1), ("shards", shards, 1)):
+        if int(value) != value or value < low:
+            raise ValueError(f"{name} must be an integer >= {low}")
+    n, trials, shards = int(n), int(trials), int(shards)
     if not 0 < p0 <= 1:
         raise ValueError("p0 must lie in (0, 1]")
     for p in round_probs:
         if not 0 < p <= 1:
             raise ValueError("round probabilities must lie in (0, 1]")
-    segments = 2 ** int(n)
-    per_shard = [trials // shards + (1 if s < trials % shards else 0) for s in range(shards)]
+    segments = 2 ** n
+    log_q = math.log1p(-p0) if p0 < 1 else -math.inf
 
-    def sample_round(rng, count, depth):
-        if depth == 0:
-            return rng.geometric(p0, size=count).astype(np.int64)
-        p_round = round_probs[depth - 1]
-        total = np.zeros(count, dtype=np.int64)
-        idx = np.arange(count)
-        while idx.size:
-            pair = np.maximum(sample_round(rng, idx.size, depth - 1),
-                              sample_round(rng, idx.size, depth - 1))
-            total[idx] += pair
-            idx = idx[rng.random(idx.size) >= p_round]
-        return total
+    def sample(rng, count):
+        if not round_probs:
+            return rng.geometric(p0, size=count)
+        attempts = []  # attempt counts of every element, top depth first
+        for p_round in reversed(round_probs):
+            attempts.append(rng.geometric(p_round, size=count))
+            count = 2 * int(attempts[-1].sum())
+        u = rng.random(count // 2)
+        # depth-1 attempts: 1 - sqrt(u) = (1 - u) / (1 + sqrt(u)), and 1 - u > 0
+        waits = np.maximum(np.ceil(np.log((1.0 - u) / (1.0 + np.sqrt(u))) / log_q), 1.0)
+        for depth, k in enumerate(reversed(attempts)):
+            if depth:
+                waits = np.maximum(waits[0::2], waits[1::2])
+            waits = np.add.reduceat(waits, np.cumsum(k) - k)
+        return waits
 
-    count_total = 0
-    sum_x = 0.0
-    sum_x2 = 0.0
-    for s, batch in enumerate(per_shard):
-        if batch == 0:
-            continue
+    per_chunk = max(1, MC_CHUNK // segments)
+    sum_x = sum_x2 = 0.0
+    for s in range(shards):
         rng = np.random.default_rng([int(seed), s])
-        waits = sample_round(rng, batch * segments, len(round_probs))
-        waits = waits.reshape(batch, segments).max(axis=1).astype(float)
-        count_total += batch
-        sum_x += float(waits.sum())
-        sum_x2 += float((waits ** 2).sum())
-    mean = sum_x / count_total
-    if count_total > 1:
-        var = max(sum_x2 - count_total * mean ** 2, 0.0) / (count_total - 1)
-        stderr = math.sqrt(var / count_total)
+        batch = trials // shards + (s < trials % shards)
+        for done in range(0, batch, per_chunk):
+            waits = sample(rng, min(per_chunk, batch - done) * segments)
+            waits = waits.reshape(-1, segments).max(axis=1).astype(float)
+            sum_x += float(waits.sum())
+            sum_x2 += float((waits ** 2).sum())
+    mean = sum_x / trials
+    if trials > 1:
+        var = max(sum_x2 - trials * mean ** 2, 0.0) / (trials - 1)
+        stderr = math.sqrt(var / trials)
     else:  # pragma: no cover
         stderr = float("nan")
     return mean, stderr

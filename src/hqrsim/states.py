@@ -28,7 +28,7 @@ import numpy as np
 
 from .coherent import (RingSpec, basis_amplitudes, ring_amplitudes, ring_norm_constants,
                        ring_norm_constants_closed_form, ring_to_orthonormal)
-from .numerics import HERMITICITY_TOL, TRACE_TOL, DensityMatrix
+from .numerics import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, positivity_floor
 
 __all__ = [
     "ChannelParams",
@@ -254,5 +254,7 @@ def _check_rank_one_blocks(w: np.ndarray, c: np.ndarray, positivity_tol: float) 
         bad = tr[abs(tr - 1.0) > TRACE_TOL][0]
         raise ValueError(f"density matrix trace {bad} is not 1 within tolerance")
     low = (np.linalg.eigvalsh(cc)[:, :1] * w).min(axis=1)
-    if np.any(low < -positivity_tol):
-        raise ValueError(f"density matrix has eigenvalue {low.min()} below -{positivity_tol}")
+    floor = positivity_floor(positivity_tol, tr)
+    if np.any(low < floor):
+        i = np.argmax(low < floor)
+        raise ValueError(f"density matrix has eigenvalue {low[i]} below {floor[i]}")

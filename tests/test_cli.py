@@ -94,6 +94,14 @@ class TestConfig:
         cfg.write_text("positivity_tol = 0\nquadrature_tol = 1e-12\n")
         assert load_config(str(cfg)) == {"positivity_tol": 0.0, "quadrature_tol": 1e-12}
 
+    def test_zero_positivity_tol_scan_passes(self, tmp_path, capsys):
+        # eigenvalue rounding noise (about -1e-16 here) is not a negative eigenvalue
+        cfg = tmp_path / "cfg"
+        cfg.write_text("positivity_tol = 0\n")
+        assert main(["--config", str(cfg), "negativity-scan", "--d", "3", "--L0", "5",
+                     "--alpha-range", "0:2.5:5"]) == 0
+        assert capsys.readouterr().out.startswith("alpha,negativity\n")
+
     def test_config_keeps_benchmark_rates(self, tmp_path):
         cfg = tmp_path / "cfg"
         cfg.write_text("fiber_speed_km_s = 2.0e5\n")

@@ -38,6 +38,18 @@ class TestDensityMatrix:
         dm = DensityMatrix(np.eye(4) / 4, bipartition=(2, 2))
         assert dm.dim == 4
 
+    @pytest.mark.parametrize("dim", [4, 9, 16, 64])
+    def test_zero_positivity_tol_floor(self, dim):
+        # pure states carry eigvalsh noise of a few ulps below zero; the floor
+        # of 8 ulps of the trace accepts them, a real -1e-12 is still rejected
+        rng = np.random.default_rng(dim)
+        for _ in range(20):
+            v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+            DensityMatrix(np.outer(v, v.conj()) / np.vdot(v, v), positivity_tol=0.0)
+        with pytest.raises(ValueError, match="below"):
+            DensityMatrix(np.diag([1.0 + 1e-12, -1e-12] + [0.0] * (dim - 2)),
+                          positivity_tol=0.0)
+
 
 class TestPartialTranspose:
     def test_requires_bipartition(self):

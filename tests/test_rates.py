@@ -1,10 +1,14 @@
+import math
 import time
+import tracemalloc
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from hqrsim.rates import (RepeaterConfig, effective_probability,
+from hqrsim.rates import (EM_MAX_P, RepeaterConfig, effective_probability,
                           initial_segment_state, monte_carlo_attempts,
                           monte_carlo_waiting, predict, reproduce_table,
                           z_attempts, z_attempts_series)
@@ -60,6 +64,32 @@ class TestZAttempts:
             z_attempts(1, 0.0)
         with pytest.raises(ValueError):
             z_attempts(-1, 0.5)
+
+
+class TestZAttemptsProperties:
+    # p straddles EM_MAX_P, where z_attempts switches from the summed series
+    # to its Euler-Maclaurin closed form
+    probabilities = st.one_of(st.floats(1e-7, 1.0), st.floats(EM_MAX_P / 4, 4 * EM_MAX_P))
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 8), p=probabilities, ratio=st.floats(1 + 1e-9, 4.0))
+    @example(n=3, p=EM_MAX_P, ratio=1 + 1e-9)
+    @example(n=3, p=EM_MAX_P / (1 + 1e-9), ratio=1 + 1e-9)
+    def test_non_increasing_in_p(self, n, p, ratio):
+        # a relative step of 1e-9 in p moves Z far more than the sums' rounding
+        assert z_attempts(n, min(1.0, p * ratio)) <= z_attempts(n, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 8), p=probabilities)
+    @example(n=0, p=EM_MAX_P)
+    def test_non_decreasing_in_n(self, n, p):
+        assert z_attempts(n + 1, p) >= z_attempts(n, p)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(0, 3), p=st.floats(0.01, 1.0))
+    def test_matches_series(self, n, p):
+        # below p ~ 0.01 the series' 1 - q^j loses digits, not z_attempts
+        assert z_attempts(n, p) == pytest.approx(z_attempts_series(n, p), rel=1e-12)
 
 
 class TestEffectiveProbability:
@@ -202,6 +232,83 @@ class TestMonteCarlo:
             monte_carlo_waiting(0, 0.5, trials=0, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_waiting(0, 0.0, trials=10, seed=0)
+        for bad in ({"n": -1}, {"n": 1.5}, {"shards": 0}, {"shards": -2},
+                    {"trials": 2.5}, {"trials": -3}):
+            kwargs = {"n": 1, "p0": 0.5, "trials": 10, "seed": 0, **bad}
+            with pytest.raises(ValueError):
+                monte_carlo_waiting(**kwargs)
+
+    def test_more_shards_than_trials(self):
+        mean, _ = monte_carlo_waiting(1, 1.0, (1.0,), trials=3, seed=0, shards=5)
+        assert mean == 1.0
+
+    @pytest.mark.parametrize("p0, round_probs", [
+        (0.3, (0.7,)),
+        (0.05, (0.8,)),
+        (0.05, (0.8, 0.6)),
+        (0.4, (0.9, 0.75)),
+        (0.5, (0.9, 0.75, 0.6)),
+        (0.05, (0.85, 0.8, 0.9)),
+    ])
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_matches_recursive_oracle(self, n, p0, round_probs):
+        trials = 100_000 if len(round_probs) < 3 or n < 3 else 20_000
+        seed = hash((n, p0, round_probs)) % 2 ** 32  # independent streams per case
+        mean, se = monte_carlo_waiting(n, p0, round_probs, trials=trials, seed=seed)
+        want, want_se = recursive_waiting(n, p0, round_probs, trials, seed=seed + 1)
+        assert abs(mean - want) <= 4 * math.hypot(se, want_se), (mean, want, se, want_se)
+
+    @pytest.mark.parametrize("p0", [0.05, 0.3, 0.8])
+    def test_max_of_two_variance(self, p0):
+        # at p_round = 1 a wait is one maximum M of two geometric(p0) waits:
+        # P(M > t) = 2 q^t - q^{2t}, so E[M] = 2/p - 1/(1 - q^2) and
+        # E[M^2] = sum_t (2t + 1) P(M > t) = 2(1 + q)/p^2 - (1 + q^2)/(1 - q^2)^2
+        q = 1 - p0
+        mean_m = 2 / p0 - 1 / (1 - q * q)
+        var_m = 2 * (1 + q) / p0 ** 2 - (1 + q * q) / (1 - q * q) ** 2 - mean_m ** 2
+        trials = 400_000
+        mean, se = monte_carlo_waiting(0, p0, (1.0,), trials=trials, seed=9)
+        assert abs(mean - mean_m) <= 4 * se
+        assert se ** 2 * trials == pytest.approx(var_m, rel=0.03)
+
+    @pytest.mark.parametrize("n", [0, 2])
+    def test_certain_generation_with_rounds(self, n):
+        assert monte_carlo_waiting(n, 1.0, (1.0, 1.0, 1.0), trials=5000, seed=1) == (1.0, 0.0)
+
+    def test_chunking_bounds_memory(self):
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                monte_carlo_waiting(1, 0.4, (0.8, 0.85), trials=trials, seed=2)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak(200_000) <= 1.5 * peak(20_000)
+
+
+def recursive_waiting(n, p0, round_probs, trials, seed):
+    """Per-retry recursive sampler: the oracle for `monte_carlo_waiting`.
+
+    Every round of every element is retried with one uniform draw per
+    attempt; each attempt pairs two fresh waits from the round below.
+    """
+    rng = np.random.default_rng(seed)
+    segments = 2 ** n
+
+    def sample_round(count, depth):
+        if depth == 0:
+            return rng.geometric(p0, size=count).astype(np.int64)
+        total = np.zeros(count, dtype=np.int64)
+        idx = np.arange(count)
+        while idx.size:
+            total[idx] += np.maximum(sample_round(idx.size, depth - 1),
+                                     sample_round(idx.size, depth - 1))
+            idx = idx[rng.random(idx.size) >= round_probs[depth - 1]]
+        return total
+
+    waits = sample_round(trials * segments, len(round_probs))
+    waits = waits.reshape(trials, segments).max(axis=1).astype(float)
+    return waits.mean(), waits.std(ddof=1) / math.sqrt(trials)
 
 
 class TestReproduceTable:
