@@ -5,6 +5,10 @@ with all floating-point values at six significant digits.  Output is
 buffered and written atomically (temp file + rename for --out, single
 print for stdout), so error paths never leave partial documents behind.
 
+The argparse tree is built once per process (`_build_parser` is cached) and
+reused by every `parse`/`main` call, so it must hold no per-call state: no
+mutable defaults, and a failed parse or `--help` leaves it as it was.
+
 Exit status: 0 success, 1 numerical failure, 2 malformed input.
 """
 
@@ -18,6 +22,7 @@ import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
@@ -124,6 +129,7 @@ def _make_subparser(**kwargs) -> "_Parser":
     return p
 
 
+@cache
 def _build_parser() -> _Parser:
     # global flags are accepted both before and after the subcommand
     parser = _Parser(prog="hqrsim", description="Qudit hybrid-repeater analysis")
@@ -178,7 +184,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("mc", help="Monte Carlo waiting-time validation")
     p.add_argument("--n", type=int, required=True, help="log2 of the segment count")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--round-p", type=_weights_list, default=[], metavar="P1,P2,...")
+    p.add_argument("--round-p", type=_weights_list, default=(), metavar="P1,P2,...")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--shards", type=int, default=1)

@@ -27,7 +27,7 @@ from functools import cache
 
 import numpy as np
 
-from .coherent import RingSpec, norm_constants, overlap
+from .coherent import RingSpec, norm_constants
 from .states import ChannelParams
 
 __all__ = [

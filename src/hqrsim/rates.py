@@ -61,6 +61,10 @@ EM_MAX_P = 1e-4
 # count; with rounds, 2^14 ran about 20% faster than 2^15 or 2^16
 MC_CHUNK = 2 ** 14
 
+# largest expected number of geometric(p0) waits one monte_carlo_waiting
+# chunk may stand for (2^24 depth-1 attempts with rounds); about 400 MB
+MC_MAX_WAITS = 2 ** 25
+
 SCHEMES = ("usd", "homodyne")
 
 
@@ -254,7 +258,9 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     d - 1 has 2 K.sum() elements), draw each depth-1 attempt, the maximum
     of two geometric(p0) waits with P(M <= t) = (1 - q^t)^2, by inversion,
     M = max(1, ceil(log(1 - sqrt(u)) / log q)) for one uniform u, then sum
-    bottom-up with `np.add.reduceat` and pair maxima.  Without rounds the
+    bottom-up with `np.add.reduceat` and pair maxima.  A chunk of c trials
+    stands for c 2^n prod_r(2/p_r) expected waits; above MC_MAX_WAITS = 2^25
+    this raises ValueError before drawing anything.  Without rounds the
     draws are one geometric(p0) stream for any chunking, so seeded results
     equal those of the recursive per-retry sampler this replaced; with
     rounds (`mc --round-p`) they have its distribution but other values.
@@ -269,6 +275,13 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
         if not 0 < p <= 1:
             raise ValueError("round probabilities must lie in (0, 1]")
     segments = 2 ** n
+    per_chunk = min(max(1, MC_CHUNK // segments), -(-trials // shards))
+    # expected waits per chunk, in log2 so that a huge n cannot overflow
+    waits_log2 = math.log2(per_chunk * segments) + sum(math.log2(2 / p) for p in round_probs)
+    if waits_log2 > math.log2(MC_MAX_WAITS):
+        raise ValueError(f"one chunk would draw about 2^{waits_log2:.1f} waits, above "
+                         f"MC_MAX_WAITS = {MC_MAX_WAITS}: lower n or raise the round "
+                         "probabilities")
     log_q = math.log1p(-p0) if p0 < 1 else -math.inf
 
     def sample(rng, count):
@@ -287,7 +300,6 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
             waits = np.add.reduceat(waits, np.cumsum(k) - k)
         return waits
 
-    per_chunk = max(1, MC_CHUNK // segments)
     sum_x = sum_x2 = 0.0
     for s in range(shards):
         rng = np.random.default_rng([int(seed), s])

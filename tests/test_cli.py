@@ -1,10 +1,12 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
-from hqrsim.cli import UsageError, load_config, main, parse, run
+from hqrsim.cli import UsageError, _build_parser, load_config, main, parse, run
+from test_cli_golden import CASES, golden_path
 
 
 def run_cli(*args):
@@ -52,6 +54,33 @@ class TestParse:
             parse(["purify", "--weights", "0.5,0.4"])
         with pytest.raises(UsageError, match="--weights"):
             parse(["purify", "--weights", "0.5,0.5000000005"])
+
+    def test_round_p_default_is_not_shared(self):
+        # the parser outlives each call, so a mutable default would be shared
+        argv = ["mc", "--n", "1", "--p", "0.5", "--trials", "10", "--seed", "1"]
+        assert parse(argv).params["round_p"] == ()
+        assert parse([*argv, "--round-p", "0.9,0.8"]).params["round_p"] == [0.9, 0.8]
+        assert parse(argv).params["round_p"] == ()
+
+
+class TestParserReuse:
+    # one golden argv per subcommand
+    SUBCOMMAND_CASES = ("constants", "entangle", "negativity_scan_d8_gram", "homodyne",
+                        "usd", "purify", "rate", "mc", "table_I")
+
+    def test_parser_built_once_per_process(self, capsys):
+        _build_parser.cache_clear()
+        assert main(["usd", "--d", "3", "--L0", "20", "--alpha", "0.5", "--nope"]) == 2
+        assert main(["mc", "--n", "1", "--p", "0.5", "--round-p", "x"]) == 2
+        assert capsys.readouterr().out == ""
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: hqrsim")
+        for name in self.SUBCOMMAND_CASES:
+            assert main(CASES[name].split()) == 0, name
+            assert capsys.readouterr().out == golden_path(name).read_text(encoding="utf-8"), name
+        assert _build_parser.cache_info().misses == 1
 
 
 class TestConfig:
@@ -255,6 +284,17 @@ class TestMainProcess:
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert "Warning" not in cp.stderr
+
+    def test_mc_work_cap_is_two(self, capsys):
+        # one chunk would stand for about 6.6e10 depth-1 attempts
+        start = time.perf_counter()
+        assert main(["mc", "--n", "1", "--p", "0.5", "--round-p", "0.01,0.01,0.01",
+                     "--trials", "100000", "--seed", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hqrsim: invalid input:")
+        assert "MC_MAX_WAITS" in captured.err
+        assert captured.out == ""
 
     def test_runtime_does_not_import_scipy(self):
         code = ("import sys, hqrsim.cli; "

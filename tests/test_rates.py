@@ -238,6 +238,16 @@ class TestMonteCarlo:
             with pytest.raises(ValueError):
                 monte_carlo_waiting(**kwargs)
 
+    def test_work_cap(self):
+        # 2^14 trials per chunk at round p 0.01, 0.01: about 6.6e8 waits
+        for n, round_probs, trials in ((0, (0.01, 0.01), 2 ** 14), (26, (), 1),
+                                       (2000, (), 1)):
+            with pytest.raises(ValueError, match="MC_MAX_WAITS"):
+                monte_carlo_waiting(n, 0.5, round_probs, trials=trials, seed=0)
+        # the cap counts the chunk actually drawn: one trial is about 4e4 waits
+        mean, _ = monte_carlo_waiting(0, 1.0, (0.01, 0.01), trials=1, seed=0)
+        assert mean >= 1.0
+
     def test_more_shards_than_trials(self):
         mean, _ = monte_carlo_waiting(1, 1.0, (1.0,), trials=3, seed=0, shards=5)
         assert mean == 1.0
