@@ -231,8 +231,8 @@ def _validate(command: str, params: dict):
             raise UsageError("--n: must be >= 0")
         if not 0 < params["p"] <= 1:
             raise UsageError("--p: must lie in (0, 1]")
-        if params["trials"] <= 0:
-            raise UsageError("--trials: must be positive")
+        if params["trials"] < 2:
+            raise UsageError("--trials: must be >= 2")
         if params["shards"] <= 0:
             raise UsageError("--shards: must be positive")
         for p in params["round_p"]:

@@ -146,8 +146,8 @@ def purify_step(w: PhaseMixtureWeights) -> tuple[float, PhaseMixtureWeights]:
     """Two-copy purification on equal-spin postselection.
 
     Success probability sum_j p_j^2; surviving weights p_j^2 / sum p_j^2.
-    The leading weight strictly increases whenever p_0 > 1/d and every
-    other p_i < p_0.
+    The leading weight strictly increases whenever 1/d < p_0 < 1 and
+    every other p_i < p_0.
     """
     success = float(np.sum(w.p ** 2))
     return success, PhaseMixtureWeights(w.d, w.p ** 2 / success)

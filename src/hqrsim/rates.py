@@ -57,13 +57,18 @@ FIBER_SPEED_KM_S = 2.0e5
 # largest p at which z_attempts uses the Euler-Maclaurin closed form
 EM_MAX_P = 1e-4
 
-# elements per monte_carlo_waiting chunk: bounds its memory for any trial
-# count; with rounds, 2^14 ran about 20% faster than 2^15 or 2^16
-MC_CHUNK = 2 ** 14
+# expected geometric(p0) waits per monte_carlo_waiting chunk, whatever the
+# rounds and trials; with rounds, 2^15 ran 5% faster than 2^14 and 20-30%
+# faster than 2^16 or 2^17, whose temporaries page-fault
+MC_CHUNK = 2 ** 15
 
-# largest expected number of geometric(p0) waits one monte_carlo_waiting
-# chunk may stand for (2^24 depth-1 attempts with rounds); about 400 MB
+# largest expected number of geometric(p0) waits monte_carlo_waiting accepts
+# for min(trials per shard, max(1, 2^14 / 2^n)) trials; about 400 MB drawn at once
 MC_MAX_WAITS = 2 ** 25
+
+# smallest p0 monte_carlo_waiting accepts: a wait, at most about 37 / p0,
+# stays below 2^53, so no sum loses integers and int64 draws cannot saturate
+MC_MIN_P0 = 1e-13
 
 SCHEMES = ("usd", "homodyne")
 
@@ -253,51 +258,60 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     independently seeded batches; results are identical for a fixed
     (seed, shards) pair.
 
-    Flat sampler, MC_CHUNK // 2^n trials (at least one) per chunk: draw the
-    attempt counts K ~ geometric(p_round) of rounds R..1 top-down (depth
-    d - 1 has 2 K.sum() elements), draw each depth-1 attempt, the maximum
-    of two geometric(p0) waits with P(M <= t) = (1 - q^t)^2, by inversion,
-    M = max(1, ceil(log(1 - sqrt(u)) / log q)) for one uniform u, then sum
-    bottom-up with `np.add.reduceat` and pair maxima.  A chunk of c trials
-    stands for c 2^n prod_r(2/p_r) expected waits; above MC_MAX_WAITS = 2^25
-    this raises ValueError before drawing anything.  Without rounds the
-    draws are one geometric(p0) stream for any chunking, so seeded results
-    equal those of the recursive per-retry sampler this replaced; with
-    rounds (`mc --round-p`) they have its distribution but other values.
+    Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected
+    geometric(p0) waits, and a chunk holds max(1, MC_CHUNK // w) trials.
+    Draw the attempt counts K ~ geometric(p_round) of rounds R..1 top-down
+    (depth d - 1 has 2 K.sum() elements), then each depth-1 attempt, the
+    maximum of two geometric(p0) waits, by inversion from one uniform u:
+    M = max(1, ceil(log(1 - sqrt(u)) / log q)).  Sum bottom-up with
+    `np.add.reduceat` and pair maxima, up to each trial's maximum.  Raises
+    ValueError before any draw for p0 < MC_MIN_P0 or work above MC_MAX_WAITS.
+    Without rounds the draws are one geometric(p0) stream for any chunking
+    and the sums exact integers below 2^53, so seeded results equal those of
+    the recursive sampler this replaced; with rounds (`mc --round-p`) they
+    have its distribution but other values.
     """
     for name, value, low in (("n", n, 0), ("trials", trials, 1), ("shards", shards, 1)):
         if int(value) != value or value < low:
             raise ValueError(f"{name} must be an integer >= {low}")
     n, trials, shards = int(n), int(trials), int(shards)
-    if not 0 < p0 <= 1:
-        raise ValueError("p0 must lie in (0, 1]")
+    if not MC_MIN_P0 <= p0 <= 1:
+        raise ValueError(f"p0 must lie in [{MC_MIN_P0:g}, 1]")
     for p in round_probs:
         if not 0 < p <= 1:
             raise ValueError("round probabilities must lie in (0, 1]")
     segments = 2 ** n
-    per_chunk = min(max(1, MC_CHUNK // segments), -(-trials // shards))
-    # expected waits per chunk, in log2 so that a huge n cannot overflow
-    waits_log2 = math.log2(per_chunk * segments) + sum(math.log2(2 / p) for p in round_probs)
+    per_shard = -(-trials // shards)
+    round_log2 = sum(math.log2(2 / p) for p in round_probs)  # log2 waits per segment
+    # work cap, in log2 so that a huge n cannot overflow
+    waits_log2 = math.log2(min(max(segments, 2 ** 14), per_shard * segments)) + round_log2
     if waits_log2 > math.log2(MC_MAX_WAITS):
         raise ValueError(f"one chunk would draw about 2^{waits_log2:.1f} waits, above "
                          f"MC_MAX_WAITS = {MC_MAX_WAITS}: lower n or raise the round "
                          "probabilities")
+    per_chunk = min(max(1, int(MC_CHUNK / 2 ** (n + round_log2))), per_shard)
     log_q = math.log1p(-p0) if p0 < 1 else -math.inf
 
     def sample(rng, count):
         if not round_probs:
             return rng.geometric(p0, size=count)
-        attempts = []  # attempt counts of every element, top depth first
+        starts = []  # first attempt of every element, top depth first
         for p_round in reversed(round_probs):
-            attempts.append(rng.geometric(p_round, size=count))
-            count = 2 * int(attempts[-1].sum())
-        u = rng.random(count // 2)
+            k = rng.geometric(p_round, size=count)
+            starts.append(np.cumsum(k))
+            count = 2 * int(starts[-1][-1])
+            starts[-1] -= k
         # depth-1 attempts: 1 - sqrt(u) = (1 - u) / (1 + sqrt(u)), and 1 - u > 0
-        waits = np.maximum(np.ceil(np.log((1.0 - u) / (1.0 + np.sqrt(u))) / log_q), 1.0)
-        for depth, k in enumerate(reversed(attempts)):
+        u = rng.random(count // 2)
+        root = np.sqrt(u)
+        root += 1.0
+        waits = np.log(np.divide(np.subtract(1.0, u, out=u), root, out=u), out=u)
+        waits /= log_q
+        np.maximum(np.ceil(waits, out=waits), 1.0, out=waits)
+        for depth, first in enumerate(reversed(starts)):
             if depth:
                 waits = np.maximum(waits[0::2], waits[1::2])
-            waits = np.add.reduceat(waits, np.cumsum(k) - k)
+            waits = np.add.reduceat(waits, first)
         return waits
 
     sum_x = sum_x2 = 0.0
@@ -306,16 +320,15 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
         batch = trials // shards + (s < trials % shards)
         for done in range(0, batch, per_chunk):
             waits = sample(rng, min(per_chunk, batch - done) * segments)
-            waits = waits.reshape(-1, segments).max(axis=1).astype(float)
+            for _ in range(n):
+                waits = np.maximum(waits[0::2], waits[1::2])
+            waits = waits.astype(float, copy=False)
             sum_x += float(waits.sum())
-            sum_x2 += float((waits ** 2).sum())
+            # einsum, not waits @ waits: BLAS may thread a long dot product
+            sum_x2 += float(np.einsum("i,i->", waits, waits))
     mean = sum_x / trials
-    if trials > 1:
-        var = max(sum_x2 - trials * mean ** 2, 0.0) / (trials - 1)
-        stderr = math.sqrt(var / trials)
-    else:  # pragma: no cover
-        stderr = float("nan")
-    return mean, stderr
+    var = max(sum_x2 - trials * mean ** 2, 0.0) / (trials - 1) if trials > 1 else math.nan
+    return mean, math.sqrt(var / trials)
 
 
 def monte_carlo_attempts(config: RepeaterConfig, trials: int, seed: int,

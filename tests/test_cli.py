@@ -62,6 +62,13 @@ class TestParse:
         assert parse([*argv, "--round-p", "0.9,0.8"]).params["round_p"] == [0.9, 0.8]
         assert parse(argv).params["round_p"] == ()
 
+    @pytest.mark.parametrize("trials", ["1", "0", "-5"])
+    def test_mc_needs_two_trials(self, trials):
+        # one trial has no standard error, and NaN is not valid JSON
+        with pytest.raises(UsageError, match="--trials"):
+            parse(["--format", "json", "mc", "--n", "1", "--p", "0.5",
+                   "--trials", trials, "--seed", "1"])
+
 
 class TestParserReuse:
     # one golden argv per subcommand
@@ -208,6 +215,15 @@ class TestRun:
         assert {row["quantity"]: row["value"] for row in doc} == \
             {k: float(v) for k, v in csv_map.items()}
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_golden_argv_json_is_strict(self, name, capsys):
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        assert main(["--format", "json", *CASES[name].split()]) == 0
+        doc = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert doc and all(isinstance(row, dict) for row in doc)
+
     def test_negativity_scan_roundtrip_six_digits(self):
         spec = parse(["negativity-scan", "--d", "3", "--L0", "5",
                       "--alpha-range", "0:2.5:20"])
@@ -286,7 +302,7 @@ class TestMainProcess:
         assert "Warning" not in cp.stderr
 
     def test_mc_work_cap_is_two(self, capsys):
-        # one chunk would stand for about 6.6e10 depth-1 attempts
+        # the cap counts 2^13 trials here: about 6.6e10 depth-1 attempts
         start = time.perf_counter()
         assert main(["mc", "--n", "1", "--p", "0.5", "--round-p", "0.01,0.01,0.01",
                      "--trials", "100000", "--seed", "1"]) == 2
@@ -294,6 +310,16 @@ class TestMainProcess:
         captured = capsys.readouterr()
         assert captured.err.startswith("hqrsim: invalid input:")
         assert "MC_MAX_WAITS" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("round_p", [[], ["--round-p", "0.5"]])
+    def test_mc_vanishing_p_is_two(self, capsys, round_p):
+        # a geometric(1e-300) draw saturates at int64 (mean 9.22e18, se 0)
+        assert main(["mc", "--n", "0", "--p", "1e-300", *round_p,
+                     "--trials", "10", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hqrsim: invalid input: p0")
         assert captured.out == ""
 
     def test_runtime_does_not_import_scipy(self):

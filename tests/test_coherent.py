@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hqrsim.coherent import (RingSpec, gram_matrix, norm_constants,
                              norm_constants_closed_form, overlap,
-                             ring_to_orthonormal)
+                             ring_norm_constants, ring_to_orthonormal)
 from hqrsim.detection import quadrature_wavefunction
 
 
@@ -105,6 +107,16 @@ class TestNormConstants:
             v = sum(np.exp(2j * np.pi * k * m / dim) * coh(alpha * np.exp(2j * np.pi * k / dim))
                     for k in range(dim))
             assert abs(np.vdot(v, v).real - expected[m]) < 1e-10
+
+
+class TestNormConstantProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 12), alphas=st.lists(st.floats(0.0, 6.0), min_size=1, max_size=4))
+    def test_sum_rule_and_nonnegative(self, d, alphas):
+        n = ring_norm_constants(d, alphas)
+        assert n.shape == (len(alphas), d)
+        assert np.abs(n.sum(axis=-1) - d ** 2).max() <= 1e-10 * d ** 2
+        assert n.min() >= 0.0
 
 
 class TestClosedFormVariant:

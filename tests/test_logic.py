@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hqrsim.logic import (BellLabel, bell_measure, bell_state,
                           cshift_decomposition_check, cshift_matrix, gates,
@@ -8,6 +10,11 @@ from hqrsim.logic import (BellLabel, bell_measure, bell_state,
                           swap_phase_mixture)
 from hqrsim.numerics import DensityMatrix
 from hqrsim.states import PhaseMixtureWeights
+
+
+def mixture(raw):
+    raw = np.asarray(raw, dtype=float)
+    return PhaseMixtureWeights(len(raw), raw / raw.sum())
 
 
 def is_unitary(u):
@@ -188,8 +195,27 @@ class TestPurification:
         with pytest.raises(ValueError):
             purify_circuit_sim(4, PhaseMixtureWeights(4, [0.7, 0.1, 0.1, 0.1]))
 
+    @settings(max_examples=200, deadline=None)
+    @given(rest=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=11)
+           .filter(lambda w: sum(w) > 1e-3), gap=st.floats(1e-3, 2.0))
+    def test_raises_leading_weight(self, rest, gap):
+        # p_0 above every other weight, hence above 1/d, and below 1
+        w = mixture([max(rest) + gap, *rest])
+        succ, out = purify_step(w)
+        assert 0 < succ <= 1
+        assert out.p[0] > w.p[0]
+
 
 class TestSwap:
+    @settings(max_examples=200, deadline=None)
+    @given(d=st.integers(2, 8), data=st.data())
+    def test_commutative_and_normalised(self, d, data):
+        raw = st.lists(st.floats(0.0, 1.0), min_size=d, max_size=d).filter(lambda w: sum(w) > 1e-3)
+        a, b = mixture(data.draw(raw)), mixture(data.draw(raw))
+        ab, ba = swap_phase_mixture(a, b), swap_phase_mixture(b, a)
+        assert np.allclose(ab.p, ba.p, rtol=0, atol=1e-15)
+        assert abs(ab.p.sum() - 1.0) <= 1e-12
+
     def test_pure_stays_pure(self):
         a = PhaseMixtureWeights(3, [1, 0, 0])
         out = swap_phase_mixture(a, a)

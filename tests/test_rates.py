@@ -8,7 +8,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hqrsim.rates import (EM_MAX_P, RepeaterConfig, effective_probability,
+from hqrsim import rates
+from hqrsim.rates import (EM_MAX_P, MC_MIN_P0, RepeaterConfig, effective_probability,
                           initial_segment_state, monte_carlo_attempts,
                           monte_carlo_waiting, predict, reproduce_table,
                           z_attempts, z_attempts_series)
@@ -238,13 +239,25 @@ class TestMonteCarlo:
             with pytest.raises(ValueError):
                 monte_carlo_waiting(**kwargs)
 
+    @pytest.mark.parametrize("round_probs", [(), (0.5,)])
+    def test_vanishing_p0(self, round_probs):
+        # below MC_MIN_P0 a wait could pass 2^53; at 1e-300 rng.geometric
+        # saturates at int64 and the depth-1 inversion overflows
+        for p0 in (1e-300, MC_MIN_P0 / 2):
+            with pytest.raises(ValueError, match="p0"):
+                monte_carlo_waiting(0, p0, round_probs, trials=10, seed=1)
+        # exponential limit: mean 1/p0, or (1.5/p0) / 0.5 with one round at 0.5
+        mean, se = monte_carlo_waiting(0, MC_MIN_P0, round_probs, trials=1000, seed=1)
+        assert mean * MC_MIN_P0 == pytest.approx(3.0 if round_probs else 1.0, rel=0.15)
+        assert 0 < se < mean
+
     def test_work_cap(self):
-        # 2^14 trials per chunk at round p 0.01, 0.01: about 6.6e8 waits
+        # the cap counts 2^14 trials at round p 0.01, 0.01: about 6.6e8 waits
         for n, round_probs, trials in ((0, (0.01, 0.01), 2 ** 14), (26, (), 1),
                                        (2000, (), 1)):
             with pytest.raises(ValueError, match="MC_MAX_WAITS"):
                 monte_carlo_waiting(n, 0.5, round_probs, trials=trials, seed=0)
-        # the cap counts the chunk actually drawn: one trial is about 4e4 waits
+        # the cap counts at most the trials per shard: one trial is about 4e4 waits
         mean, _ = monte_carlo_waiting(0, 1.0, (0.01, 0.01), trials=1, seed=0)
         assert mean >= 1.0
 
@@ -294,6 +307,26 @@ class TestMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peak(200_000) <= 1.5 * peak(20_000)
+
+    @pytest.mark.parametrize("n", [0, 2, 3])
+    def test_no_rounds_independent_of_chunk_size(self, monkeypatch, n):
+        # one geometric(p0) stream and exact integer sums, whatever the chunk
+        results = set()
+        for chunk in (2 ** 10, 2 ** 15, 2 ** 17):
+            monkeypatch.setattr(rates, "MC_CHUNK", chunk)
+            results.add(monte_carlo_waiting(n, 0.3, trials=30_001, seed=5, shards=2))
+        assert len(results) == 1
+
+    def test_rounds_do_not_grow_memory(self):
+        # a chunk holds about MC_CHUNK expected waits whatever the rounds
+        def peak(round_probs):
+            tracemalloc.start()
+            try:
+                monte_carlo_waiting(1, 0.4, round_probs, trials=100_000, seed=3)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak((0.75, 0.75, 0.75)) <= 1.5 * peak((0.75,))
 
 
 def recursive_waiting(n, p0, round_probs, trials, seed):
