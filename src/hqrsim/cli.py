@@ -5,6 +5,12 @@ with all floating-point values at six significant digits.  Output is
 buffered and written atomically (temp file + rename for --out, single
 print for stdout), so error paths never leave partial documents behind.
 
+Each subcommand is one `COMMANDS` entry: its help, its arguments and a
+function (params, settings) -> (columns, rows).  Those functions look the
+library up through this module's globals at call time, so whatever rebinds
+a name here (a tracer, a monkeypatch) sees every call.  The library checks
+every input; the parser keeps only the checks whose messages name a flag.
+
 The argparse tree is built once per process (`_build_parser` is cached) and
 reused by every `parse`/`main` call, so it must hold no per-call state: no
 mutable defaults, and a failed parse or `--help` leaves it as it was.
@@ -23,6 +29,7 @@ import sys
 import tempfile
 from dataclasses import dataclass, field
 from functools import cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -100,12 +107,28 @@ def _alpha_range(text: str):
     return np.linspace(start, stop, count)
 
 
-def _weights_list(text: str):
+def _numbers(text: str):
     try:
-        vals = [float(v) for v in text.split(",")]
+        return [float(v) for v in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError("expected comma-separated numbers") from None
-    return vals
+
+
+def _weights(text: str):
+    w = _numbers(text)
+    if any(x < 0 for x in w) or abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
+        raise argparse.ArgumentTypeError("must be nonnegative and sum to 1")
+    return w
+
+
+def _int_at_least(low: int):
+    def parse_int(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    parse_int.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse_int
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,6 +152,131 @@ def _make_subparser(**kwargs) -> "_Parser":
     return p
 
 
+def _constants(p, s):
+    fn = norm_constants if p["model"] == "gram" else norm_constants_closed_form
+    vals = fn(RingSpec(p["d"], p["alpha"]))
+    return (["m", "norm_constant", "weight_fraction"],
+            [[m, float(v), float(v) / p["d"] ** 2] for m, v in enumerate(vals)])
+
+
+def _entangle(p, s):
+    mix = matter_matter_components(p["d"], p["alpha"], ChannelParams(p["L0"], s.l_att_km),
+                                   model=p["model"])
+    return ["component", "weight", "bell_phase_index"], [list(row) for row in mix.pairing_table()]
+
+
+def _negativity_scan(p, s):
+    pts = negativity_scan(p["d"], p["L0"], p["alpha_range"], model=p["model"],
+                          L_att_km=s.l_att_km, positivity_tol=s.positivity_tol)
+    return ["alpha", "negativity"], [list(pt) for pt in pts]
+
+
+def _homodyne(p, s):
+    rep = homodyne_report(p["d"], p["alpha"], ChannelParams(p["L0"], s.l_att_km),
+                          p["delta_frac"], quadrature_tol=s.quadrature_tol)
+    rows = [["p_w%d" % i, v] for i, v in enumerate(rep.window_probs)]
+    rows += [["F_w%d" % i, v] for i, v in enumerate(rep.window_fidelities)]
+    rows += [["P_succ", rep.p_succ], ["F_av", rep.f_av], ["offdiag_bound", rep.offdiag_bound]]
+    return ["quantity", "value"], rows
+
+
+def _usd(p, s):
+    ch = ChannelParams(p["L0"], s.l_att_km)
+    # usd_bound is min_m N_{v_m} / d; both rows print that one value
+    prob = usd_bound(p["d"], p["alpha"], ch.gamma)
+    return (["quantity", "value"],
+            [["gamma", ch.gamma], ["usd_probability", prob], ["min_norm_constant_over_d", prob]])
+
+
+def _purify(p, s):
+    w = PhaseMixtureWeights(len(p["weights"]), np.array(p["weights"]))
+    cols = ["round", "success_probability", "leading_weight"] + [f"w{j}" for j in range(w.d)]
+    rows = [[0, 1.0, float(w.p[0])] + [float(x) for x in w.p]]
+    for k in range(1, p["rounds"] + 1):
+        succ, w = purify_step(w)
+        rows.append([k, succ, float(w.p[0])] + [float(x) for x in w.p])
+    return cols, rows
+
+
+def _rate(p, s):
+    cfg = RepeaterConfig(d=p["d"], L0_km=p["L0"], span_km=p["span"], alpha=p["alpha"],
+                         scheme=p["scheme"], delta_frac=p["delta_frac"],
+                         purification_rounds=p["rounds"], L_att_km=s.l_att_km,
+                         fiber_speed_km_s=s.fiber_speed_km_s)
+    res = predict(cfg)
+    rows = [["segments", 2 ** cfg.n]]
+    for st in res.rounds:
+        rows += [[f"fidelity_round_{st.round}", st.fidelity],
+                 [f"P_{st.round}", st.success_probability],
+                 [f"Q_{st.round}", st.effective_probability]]
+    rows += [["z_attempts", res.z], ["rate_hz", res.rate_hz],
+             ["final_fidelity_bound", res.final_fidelity_bound]]
+    return ["quantity", "value"], rows
+
+
+def _mc(p, s):
+    mean, stderr = monte_carlo_waiting(p["n"], p["p"], tuple(p["round_p"]), trials=p["trials"],
+                                       seed=p["seed"], shards=p["shards"])
+    rows = [["mean_attempts", mean], ["standard_error", stderr], ["trials", p["trials"]]]
+    if not p["round_p"]:
+        rows.append(["analytic_mean", z_attempts(p["n"], p["p"])])
+    return ["quantity", "value"], rows
+
+
+def _table(p, s):
+    rows = [[c.section, "" if c.span_km is None else c.span_km, c.round_label,
+             c.printed, c.computed, c.status] for c in reproduce_table(p["id"])]
+    return ["section", "span_km", "rounds", "printed", "computed", "status"], rows
+
+
+class Command(NamedTuple):
+    help: str
+    args: tuple  # (flag, add_argument keywords) per argument, in help order
+    run: Callable  # (params, settings) -> (columns, rows)
+
+
+_D = ("--d", {"type": _int_at_least(2), "required": True, "help": "qudit dimension (>= 2)"})
+_L0 = ("--L0", {"type": float, "required": True})
+_ALPHA = ("--alpha", {"type": float, "required": True})
+_DELTA_FRAC = ("--delta-frac", {"type": float, "default": 0.2})
+
+
+def _model(default):
+    return ("--model", {"choices": WEIGHT_MODELS, "default": default})
+
+
+COMMANDS = {
+    "constants": Command("orthonormal-basis normalization constants",
+                         (_D, _ALPHA, _model("gram")), _constants),
+    "entangle": Command("matter-matter mixture components",
+                        (_D, _L0, _ALPHA, _model("closed-form")), _entangle),
+    "negativity-scan": Command(
+        "entanglement negativity over an amplitude grid",
+        (_D, _L0, ("--alpha-range", {"type": _alpha_range, "required": True, "metavar": "A:B:N"}),
+         _model("gram")), _negativity_scan),
+    "homodyne": Command("windowed homodyne probabilities and fidelities",
+                        (_D, _L0, _ALPHA, _DELTA_FRAC), _homodyne),
+    "usd": Command("unambiguous-discrimination success bound", (_D, _L0, _ALPHA), _usd),
+    "purify": Command("iterate two-copy purification on a weight vector",
+                      (("--weights", {"type": _weights, "required": True, "metavar": "W0,W1,..."}),
+                       ("--rounds", {"type": _int_at_least(0), "default": 1})), _purify),
+    "rate": Command("repeater rate and fidelity prediction",
+                    (_D, ("--scheme", {"choices": ("usd", "homodyne"), "required": True}),
+                     _L0, _ALPHA, ("--span", {"type": float, "required": True}),
+                     ("--rounds", {"type": int, "default": 0}), _DELTA_FRAC), _rate),
+    "mc": Command("Monte Carlo waiting-time validation",
+                  (("--n", {"type": int, "required": True, "help": "log2 of the segment count"}),
+                   ("--p", {"type": float, "required": True}),
+                   ("--round-p", {"type": _numbers, "default": (), "metavar": "P1,P2,..."}),
+                   ("--trials", {"type": _int_at_least(2), "required": True}),
+                   ("--seed", {"type": int, "required": True}),
+                   ("--shards", {"type": int, "default": 1})), _mc),
+    "table": Command("benchmark-table reproduction with per-cell status",
+                     (("--id", {"choices": ("I", "II", "III", "IV", "V"), "required": True}),),
+                     _table),
+}
+
+
 @cache
 def _build_parser() -> _Parser:
     # global flags are accepted both before and after the subcommand
@@ -136,61 +284,10 @@ def _build_parser() -> _Parser:
     _add_global_flags(parser, suppress_defaults=False)
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_make_subparser)
-
-    def add_d(p):
-        p.add_argument("--d", type=int, required=True, help="qudit dimension (>= 2)")
-
-    p = sub.add_parser("constants", help="orthonormal-basis normalization constants")
-    add_d(p)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--model", choices=WEIGHT_MODELS, default="gram")
-
-    p = sub.add_parser("entangle", help="matter-matter mixture components")
-    add_d(p)
-    p.add_argument("--L0", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--model", choices=WEIGHT_MODELS, default="closed-form")
-
-    p = sub.add_parser("negativity-scan", help="entanglement negativity over an amplitude grid")
-    add_d(p)
-    p.add_argument("--L0", type=float, required=True)
-    p.add_argument("--alpha-range", type=_alpha_range, required=True, metavar="A:B:N")
-    p.add_argument("--model", choices=WEIGHT_MODELS, default="gram")
-
-    p = sub.add_parser("homodyne", help="windowed homodyne probabilities and fidelities")
-    add_d(p)
-    p.add_argument("--L0", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--delta-frac", type=float, default=0.2)
-
-    p = sub.add_parser("usd", help="unambiguous-discrimination success bound")
-    add_d(p)
-    p.add_argument("--L0", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-
-    p = sub.add_parser("purify", help="iterate two-copy purification on a weight vector")
-    p.add_argument("--weights", type=_weights_list, required=True, metavar="W0,W1,...")
-    p.add_argument("--rounds", type=int, default=1)
-
-    p = sub.add_parser("rate", help="repeater rate and fidelity prediction")
-    add_d(p)
-    p.add_argument("--scheme", choices=("usd", "homodyne"), required=True)
-    p.add_argument("--L0", type=float, required=True)
-    p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--span", type=float, required=True)
-    p.add_argument("--rounds", type=int, default=0)
-    p.add_argument("--delta-frac", type=float, default=0.2)
-
-    p = sub.add_parser("mc", help="Monte Carlo waiting-time validation")
-    p.add_argument("--n", type=int, required=True, help="log2 of the segment count")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--round-p", type=_weights_list, default=(), metavar="P1,P2,...")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--shards", type=int, default=1)
-
-    p = sub.add_parser("table", help="benchmark-table reproduction with per-cell status")
-    p.add_argument("--id", choices=("I", "II", "III", "IV", "V"), required=True)
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for flag, kwargs in command.args:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -205,39 +302,8 @@ def parse(argv) -> RunSpec:
             setattr(settings, key, value)
     params = {k: v for k, v in vars(ns).items()
               if k not in ("command", "format", "out", "config")}
-    _validate(ns.command, params)
     return RunSpec(command=ns.command, params=params, out=ns.out,
                    format=ns.format, settings=settings)
-
-
-def _validate(command: str, params: dict):
-    d = params.get("d")
-    if d is not None and d < 2:
-        raise UsageError(f"--d: dimension must be >= 2, got {d}")
-    if params.get("L0") is not None and params["L0"] < 0:
-        raise UsageError("--L0: length must be nonnegative")
-    if params.get("alpha") is not None and params["alpha"] < 0:
-        raise UsageError("--alpha: amplitude must be nonnegative")
-    if command in ("homodyne", "rate") and not 0 < params["delta_frac"] <= 1:
-        raise UsageError("--delta-frac: must lie in (0, 1]")
-    if command == "purify":
-        w = params["weights"]
-        if any(x < 0 for x in w) or abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
-            raise UsageError("--weights: must be nonnegative and sum to 1")
-        if params["rounds"] < 0:
-            raise UsageError("--rounds: must be >= 0")
-    if command == "mc":
-        if params["n"] < 0:
-            raise UsageError("--n: must be >= 0")
-        if not 0 < params["p"] <= 1:
-            raise UsageError("--p: must lie in (0, 1]")
-        if params["trials"] < 2:
-            raise UsageError("--trials: must be >= 2")
-        if params["shards"] <= 0:
-            raise UsageError("--shards: must be positive")
-        for p in params["round_p"]:
-            if not 0 < p <= 1:
-                raise UsageError("--round-p: probabilities must lie in (0, 1]")
 
 
 def _fmt(value) -> str:
@@ -258,88 +324,10 @@ def _emit(columns, rows, fmt: str) -> str:
     return buf.getvalue()
 
 
-def _execute(spec: RunSpec) -> tuple[list, list]:
-    p = spec.params
-    s = spec.settings
-    if spec.command == "constants":
-        ring = RingSpec(p["d"], p["alpha"])
-        fn = norm_constants if p["model"] == "gram" else norm_constants_closed_form
-        vals = fn(ring)
-        return (["m", "norm_constant", "weight_fraction"],
-                [[m, float(vals[m]), float(vals[m]) / p["d"] ** 2] for m in range(p["d"])])
-    if spec.command == "entangle":
-        ch = ChannelParams(p["L0"], s.l_att_km)
-        mix = matter_matter_components(p["d"], p["alpha"], ch, model=p["model"])
-        return (["component", "weight", "bell_phase_index"],
-                [list(row) for row in mix.pairing_table()])
-    if spec.command == "negativity-scan":
-        pts = negativity_scan(p["d"], p["L0"], p["alpha_range"], model=p["model"],
-                              L_att_km=s.l_att_km, positivity_tol=s.positivity_tol)
-        return ["alpha", "negativity"], [list(pt) for pt in pts]
-    if spec.command == "homodyne":
-        ch = ChannelParams(p["L0"], s.l_att_km)
-        rep = homodyne_report(p["d"], p["alpha"], ch, p["delta_frac"],
-                              quadrature_tol=s.quadrature_tol)
-        rows = [["p_w%d" % i, v] for i, v in enumerate(rep.window_probs)]
-        rows += [["F_w%d" % i, v] for i, v in enumerate(rep.window_fidelities)]
-        rows += [["P_succ", rep.p_succ], ["F_av", rep.f_av],
-                 ["offdiag_bound", rep.offdiag_bound]]
-        return ["quantity", "value"], rows
-    if spec.command == "usd":
-        ch = ChannelParams(p["L0"], s.l_att_km)
-        # usd_bound is min_m N_{v_m} / d; both rows print that one value
-        prob = usd_bound(p["d"], p["alpha"], ch.gamma)
-        return (["quantity", "value"],
-                [["gamma", ch.gamma], ["usd_probability", prob],
-                 ["min_norm_constant_over_d", prob]])
-    if spec.command == "purify":
-        w = PhaseMixtureWeights(len(p["weights"]), np.array(p["weights"]))
-        cols = ["round", "success_probability", "leading_weight"] + \
-               [f"w{j}" for j in range(w.d)]
-        rows = [[0, 1.0, float(w.p[0])] + [float(x) for x in w.p]]
-        for k in range(1, p["rounds"] + 1):
-            succ, w = purify_step(w)
-            rows.append([k, succ, float(w.p[0])] + [float(x) for x in w.p])
-        return cols, rows
-    if spec.command == "rate":
-        cfg = RepeaterConfig(d=p["d"], L0_km=p["L0"], span_km=p["span"],
-                             alpha=p["alpha"], scheme=p["scheme"],
-                             delta_frac=p["delta_frac"],
-                             purification_rounds=p["rounds"],
-                             L_att_km=s.l_att_km,
-                             fiber_speed_km_s=s.fiber_speed_km_s)
-        res = predict(cfg)
-        rows = [["segments", 2 ** cfg.n]]
-        for st in res.rounds:
-            rows += [[f"fidelity_round_{st.round}", st.fidelity],
-                     [f"P_{st.round}", st.success_probability],
-                     [f"Q_{st.round}", st.effective_probability]]
-        rows += [["z_attempts", res.z], ["rate_hz", res.rate_hz],
-                 ["final_fidelity_bound", res.final_fidelity_bound]]
-        return ["quantity", "value"], rows
-    if spec.command == "mc":
-        mean, stderr = monte_carlo_waiting(p["n"], p["p"], tuple(p["round_p"]),
-                                           trials=p["trials"], seed=p["seed"],
-                                           shards=p["shards"])
-        rows = [["mean_attempts", mean], ["standard_error", stderr],
-                ["trials", p["trials"]]]
-        if not p["round_p"]:
-            rows.append(["analytic_mean", z_attempts(p["n"], p["p"])])
-        return ["quantity", "value"], rows
-    if spec.command == "table":
-        cells = reproduce_table(p["id"])
-        rows = [[c.section, "" if c.span_km is None else c.span_km, c.round_label,
-                 c.printed, c.computed, c.status] for c in cells]
-        return ["section", "span_km", "rounds", "printed", "computed", "status"], rows
-    raise UsageError(f"unknown command {spec.command!r}")  # pragma: no cover
-
-
 def run(spec: RunSpec) -> tuple[int, str]:
     """Execute a parsed run; returns (exit status, document text)."""
     try:
-        columns, rows = _execute(spec)
-    except UsageError:
-        raise
+        columns, rows = COMMANDS[spec.command].run(spec.params, spec.settings)
     except ValueError as exc:
         return 2, f"hqrsim: invalid input: {exc}\n"
     except ArithmeticError as exc:

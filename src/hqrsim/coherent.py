@@ -19,11 +19,8 @@ import numpy as np
 
 __all__ = [
     "RingSpec",
-    "overlap",
     "norm_constants",
     "norm_constants_closed_form",
-    "gram_matrix",
-    "ring_to_orthonormal",
     "ring_amplitudes",
     "ring_norm_constants",
     "ring_norm_constants_closed_form",
@@ -63,13 +60,6 @@ class RingSpec:
     def states(self) -> np.ndarray:
         """Complex amplitudes of the d ring states."""
         return self.amplitude * self.phases()
-
-
-def overlap(a: complex, b: complex) -> complex:
-    """<a|b> for coherent states: exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
-    a = complex(a)
-    b = complex(b)
-    return np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)
 
 
 def norm_constants(ring: RingSpec) -> np.ndarray:
@@ -131,22 +121,6 @@ def ring_norm_constants_closed_form(d: int, amplitudes) -> np.ndarray:
             3.0 - e * (3.0 * np.cos(th) - np.sqrt(3.0) * np.sin(th)),
         ], axis=-1)
     return ring_norm_constants(d, amplitudes)
-
-
-def gram_matrix(ring: RingSpec) -> np.ndarray:
-    """Gram matrix G[k, l] = overlap(ring state k, ring state l)."""
-    s = ring.states()
-    return np.array([[overlap(s[k], s[l]) for l in range(ring.d)] for k in range(ring.d)])
-
-
-def ring_to_orthonormal(ring: RingSpec) -> np.ndarray:
-    """Expansion coefficients of every ring state in the orthonormal basis.
-
-    Row k holds c_m e^{-2 pi i k m / d} with c = `basis_amplitudes`.
-    """
-    k = np.arange(ring.d)[:, None]
-    m = np.arange(ring.d)
-    return basis_amplitudes(ring.d, ring.amplitude) * np.exp(-2j * np.pi * k * m / ring.d)
 
 
 def basis_amplitudes(d: int, amplitudes) -> np.ndarray:

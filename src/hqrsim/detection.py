@@ -33,7 +33,6 @@ from .states import ChannelParams
 __all__ = [
     "WindowSet",
     "DetectionReport",
-    "quadrature_pdf",
     "quadrature_wavefunction",
     "window_mass",
     "window_geometry",
@@ -84,12 +83,6 @@ class DetectionReport:
     p_succ: float
     f_av: float
     offdiag_bound: float
-
-
-def quadrature_pdf(beta: complex, quadrature: str, value: float) -> float:
-    """sqrt(2/pi) exp(-2 (value - c)^2), c = Re(beta) for x, Im(beta) for p."""
-    c = _mean(beta, quadrature)
-    return float(np.sqrt(2.0 / np.pi) * np.exp(-2.0 * (value - c) ** 2))
 
 
 def _mean(beta: complex, quadrature: str) -> float:
@@ -267,5 +260,6 @@ def usd_bound(d: int, alpha: float, gamma: float) -> float:
     min_m N_{v_m} / d (Chefles & Barnett, Phys. Lett. A 250, 223 (1998)),
     clamped to [0, 1].
     """
+    RingSpec(d, alpha)  # checks alpha before gamma = 0 could map it to -0.0
     n = norm_constants(RingSpec(d, np.sqrt(gamma) * alpha))
     return float(min(np.min(n) / d, 1.0))

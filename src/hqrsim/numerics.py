@@ -4,8 +4,8 @@ Everything here operates on plain complex ndarrays (row-major, square).
 Matrices never exceed a few thousand rows at desk scale, so clarity and
 robust validation win over asymptotics.  `states.negativity_scan` does
 not build these matrices; it applies the same tolerances to the symmetry
-blocks of its states, and `negativity` of the full matrix is its test
-oracle.
+blocks of its states.  The negativity of the full matrix, its test
+oracle, lives with the other oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -14,9 +14,6 @@ import numpy as np
 
 __all__ = [
     "DensityMatrix",
-    "partial_transpose",
-    "negativity",
-    "fidelity_with_pure",
 ]
 
 HERMITICITY_TOL = 1e-10
@@ -73,37 +70,3 @@ class DensityMatrix:
     def __repr__(self) -> str:  # pragma: no cover
         return f"DensityMatrix(dim={self.dim}, bipartition={self.bipartition})"
 
-
-def partial_transpose(rho: DensityMatrix) -> np.ndarray:
-    """Transpose subsystem A of a bipartite density matrix.
-
-    Block (i,j) <-> (j,i) on the first tensor factor; Hermiticity and
-    trace are preserved.
-    """
-    if rho.bipartition is None:
-        raise ValueError("partial transpose requires a bipartition")
-    da, db = rho.bipartition
-    t = rho.matrix.reshape(da, db, da, db)
-    return t.transpose(2, 1, 0, 3).reshape(da * db, da * db)
-
-
-def negativity(rho: DensityMatrix) -> float:
-    """Entanglement negativity: absolute sum of the negative eigenvalues
-    of the partial transpose, equivalently (||rho^T_A||_1 - 1) / 2."""
-    ev = np.linalg.eigvalsh(partial_transpose(rho))
-    neg = -float(ev[ev < 0].sum())
-    return max(neg, 0.0)
-
-
-def fidelity_with_pure(rho, psi, norm_tol: float = 1e-10) -> float:
-    """<psi|rho|psi> for a normalized pure target state."""
-    v = np.asarray(psi, dtype=complex).ravel()
-    if abs(np.linalg.norm(v) - 1.0) > norm_tol:
-        raise ValueError("target state is not normalized")
-    m = rho.matrix if isinstance(rho, DensityMatrix) else _as_square_complex(rho)
-    if m.shape[0] != v.size:
-        raise ValueError(f"dimension mismatch: matrix {m.shape[0]} vs state {v.size}")
-    val = np.vdot(v, m @ v)
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"fidelity has non-real value {val}")
-    return float(val.real)

@@ -42,12 +42,10 @@ __all__ = [
     "RoundStats",
     "RateResult",
     "z_attempts",
-    "z_attempts_series",
     "effective_probability",
     "initial_segment_state",
     "purification_chain",
     "predict",
-    "monte_carlo_attempts",
     "monte_carlo_waiting",
     "reproduce_table",
 ]
@@ -94,6 +92,8 @@ class RepeaterConfig:
             raise ValueError("fiber speed must be finite and positive")
         if self.purification_rounds < 0:
             raise ValueError("purification rounds must be >= 0")
+        if not 0 < self.delta_frac <= 1:
+            raise ValueError("delta_frac must lie in (0, 1]")
         if not (math.isfinite(self.L0_km) and self.L0_km > 0):
             raise ValueError("segment length must be finite and positive")
         ratio = self.span_km / self.L0_km
@@ -179,22 +179,6 @@ def _harmonic(s: int) -> float:
     euler_gamma = 0.5772156649015329
     return (math.log(s) + euler_gamma + 1.0 / (2 * s) - 1.0 / (12 * s ** 2)
             + 1.0 / (120 * s ** 4))
-
-
-def z_attempts_series(n: int, p: float) -> float:
-    """Literal inclusion-exclusion sum for Z_n; equals `z_attempts`.
-
-    Kept as the small-n oracle: the terms cancel catastrophically once
-    2^n is large.
-    """
-    if not 0 < p <= 1:
-        raise ValueError(f"probability must lie in (0, 1], got {p}")
-    segments = 2 ** int(n)
-    q = 1.0 - p
-    total = 0.0
-    for j in range(1, segments + 1):
-        total += (-1.0) ** (j + 1) * math.comb(segments, j) / (1.0 - q ** j)
-    return total
 
 
 def effective_probability(q_prev: float, p_round: float) -> float:
@@ -331,36 +315,21 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     return mean, math.sqrt(var / trials)
 
 
-def monte_carlo_attempts(config: RepeaterConfig, trials: int, seed: int,
-                         shards: int = 1) -> tuple[float, float]:
-    """Monte Carlo validation of the waiting-time model for a full config."""
-    p0, weights = initial_segment_state(config)
-    chain = purification_chain(p0, weights, config.purification_rounds)
-    round_probs = tuple(st.success_probability for st in chain[1:])
-    return monte_carlo_waiting(config.n, p0, round_probs, trials, seed, shards)
-
-
 # --- benchmark-table reproduction -------------------------------------------
 
-def _homodyne_table_alpha(L0_km: float, target_f0: float) -> tuple[float, float, float]:
-    """Pick alpha in [0.9, 1.1] whose effective-state fidelity best hits the
-    printed initial fidelity.
+def _homodyne_table_state(L0_km: float, target_f0: float) -> tuple[float, PhaseMixtureWeights]:
+    """(P0, weights) of the alpha in [0.9, 1.1] whose effective-state fidelity
+    best hits the printed initial fidelity.
 
     The printed homodyne operating points correspond to the narrow-window
     limit (they are reproduced at delta_frac -> 0, not at 0.2), so the scan
-    runs at delta_frac = 0.001.  Returns (alpha, P0, F_av).
+    runs at delta_frac = 0.001.
     """
-    best = None
-    ch = None
-    for alpha in np.linspace(0.9, 1.1, 41):
-        cfg = RepeaterConfig(d=3, L0_km=L0_km, span_km=L0_km, alpha=float(alpha),
-                             scheme="homodyne", delta_frac=0.001)
-        p0, w = initial_segment_state(cfg)
-        miss = abs(w.p[0] - target_f0)
-        if best is None or miss < best[0]:
-            best = (miss, float(alpha), p0, float(w.p[0]))
-    _, alpha, p0, f0 = best
-    return alpha, p0, f0
+    states = (initial_segment_state(RepeaterConfig(d=3, L0_km=L0_km, span_km=L0_km,
+                                                   alpha=float(alpha), scheme="homodyne",
+                                                   delta_frac=0.001))
+              for alpha in np.linspace(0.9, 1.1, 41))
+    return min(states, key=lambda state: abs(state[1].p[0] - target_f0))
 
 
 def reproduce_table(table_id: str) -> list[CellComparison]:
@@ -368,46 +337,28 @@ def reproduce_table(table_id: str) -> list[CellComparison]:
     if table_id not in TABLES:
         raise ValueError(f"unknown table {table_id!r}; choose from {sorted(TABLES)}")
     spec = TABLES[table_id]
-    rounds = spec["rounds"]
-    labels = ROUNDS[:rounds]
-
+    L0 = spec["L0_km"]
     if spec["scheme"] == "homodyne":
-        alpha, p0, f0 = _homodyne_table_alpha(spec["L0_km"], spec["initial_fidelity"][0])
-        weights = PhaseMixtureWeights(3, [f0, (1 - f0) / 2, (1 - f0) / 2])
+        p0, weights = _homodyne_table_state(L0, spec["initial_fidelity"][0])
     else:
-        alpha = spec["alpha"]
-        cfg0 = RepeaterConfig(d=3, L0_km=spec["L0_km"], span_km=spec["L0_km"],
-                              alpha=alpha, scheme="usd")
-        p0, weights = initial_segment_state(cfg0)
-
-    chain = purification_chain(p0, weights, rounds - 1)
+        p0, weights = initial_segment_state(RepeaterConfig(d=3, L0_km=L0, span_km=L0,
+                                                           alpha=spec["alpha"], scheme="usd"))
+    chain = purification_chain(p0, weights, spec["rounds"] - 1)
     fidelities = [st.fidelity for st in chain]
     qs = [st.effective_probability for st in chain]
+    t0 = 2.0 * L0 / FIBER_SPEED_KM_S
 
-    out = []
-    for i, label in enumerate(labels):
-        out.append(CellComparison(table_id, "initial_fidelity", None, label,
-                                  spec["initial_fidelity"][i], fidelities[i],
-                                  grade_cell(table_id, "initial_fidelity", None, label,
-                                             spec["initial_fidelity"][i], fidelities[i])))
-    for i, label in enumerate(labels):
-        out.append(CellComparison(table_id, "effective_probability", None, label,
-                                  spec["effective_probability"][i], qs[i],
-                                  grade_cell(table_id, "effective_probability", None, label,
-                                             spec["effective_probability"][i], qs[i])))
-    t0 = 2.0 * spec["L0_km"] / FIBER_SPEED_KM_S
-    for span, row in spec["rate_hz"].items():
-        n = round(math.log2(span / spec["L0_km"]))
-        for i, label in enumerate(labels):
-            computed = 1.0 / (t0 * z_attempts(n, qs[i]))
-            out.append(CellComparison(table_id, "rate_hz", span, label, row[i], computed,
-                                      grade_cell(table_id, "rate_hz", span, label,
-                                                 row[i], computed)))
-    for span, row in spec["fidelity"].items():
-        n = round(math.log2(span / spec["L0_km"]))
-        for i, label in enumerate(labels):
-            computed = fidelities[i] ** (2 ** n)
-            out.append(CellComparison(table_id, "fidelity", span, label, row[i], computed,
-                                      grade_cell(table_id, "fidelity", span, label,
-                                                 row[i], computed)))
-    return out
+    def n(span):
+        return round(math.log2(span / L0))
+
+    # (section, span, printed row, computed row); a row has one value per round
+    sections = [("initial_fidelity", None, spec["initial_fidelity"], fidelities),
+                ("effective_probability", None, spec["effective_probability"], qs)]
+    sections += [("rate_hz", span, row, [1.0 / (t0 * z_attempts(n(span), q)) for q in qs])
+                 for span, row in spec["rate_hz"].items()]
+    sections += [("fidelity", span, row, [f ** (2 ** n(span)) for f in fidelities])
+                 for span, row in spec["fidelity"].items()]
+    return [CellComparison(table_id, section, span, label, printed, computed,
+                           grade_cell(table_id, section, span, label, printed, computed))
+            for section, span, row, values in sections
+            for label, printed, computed in zip(ROUNDS, row, values)]

@@ -8,9 +8,10 @@ normalization constants evaluated at the loss amplitude sqrt(1-gamma)*alpha.
 
 The light mode always lives in the <= d dimensional span of the damped ring
 states and is represented in the orthonormal superposition basis, so no
-Fock-space truncation is involved anywhere.  `matter_light_mixture` builds
-the full d^2 x d^2 density matrix; `negativity_scan` uses the Z_d symmetry
-blocks of the same state instead, for many amplitudes at once.
+Fock-space truncation is involved anywhere.  `negativity_scan` works in the
+Z_d symmetry blocks of the matter-light state, for many amplitudes at once;
+the full d^2 x d^2 density matrix is built only by the test oracle
+`matter_light_mixture` in `tests/oracles.py`.
 
 Two weight models are available for the d=3 mixture (see
 `coherent.norm_constants_closed_form`): "closed-form" keeps the benchmark
@@ -26,18 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (RingSpec, basis_amplitudes, ring_amplitudes, ring_norm_constants,
-                       ring_norm_constants_closed_form, ring_to_orthonormal)
-from .numerics import HERMITICITY_TOL, TRACE_TOL, DensityMatrix, positivity_floor
+from .coherent import (basis_amplitudes, ring_amplitudes, ring_norm_constants,
+                       ring_norm_constants_closed_form)
+from .numerics import HERMITICITY_TOL, TRACE_TOL, positivity_floor
 
 __all__ = [
     "ChannelParams",
     "PhaseMixtureWeights",
     "WEIGHT_MODELS",
     "loss_weights",
-    "HybridPureState",
-    "matter_light_pure",
-    "matter_light_mixture",
     "MatterMatterMixture",
     "matter_matter_components",
     "negativity_scan",
@@ -103,7 +101,8 @@ def _loss_probabilities(d: int, alphas, channel: ChannelParams, model: str) -> n
     """Unchecked weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2, shape alphas.shape + (d,)."""
     if model not in WEIGHT_MODELS:
         raise ValueError(f"unknown weight model {model!r}")
-    a_loss = np.sqrt(max(1.0 - channel.gamma, 0.0)) * np.asarray(alphas, dtype=float)
+    # checked before damping, which maps a negative amplitude to -0.0 when gamma = 1
+    a_loss = np.sqrt(max(1.0 - channel.gamma, 0.0)) * ring_amplitudes(d, alphas)
     constants = ring_norm_constants_closed_form if model == "closed-form" else ring_norm_constants
     return constants(d, a_loss) / d ** 2
 
@@ -112,54 +111,6 @@ def loss_weights(d: int, alpha: float, channel: ChannelParams,
                  model: str = "closed-form") -> PhaseMixtureWeights:
     """Mixture weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2 after the loss trace."""
     return PhaseMixtureWeights(d, _loss_probabilities(d, alpha, channel, model))
-
-
-@dataclass(frozen=True)
-class HybridPureState:
-    """Pure matter-light state (1/sqrt(d)) sum_k |k>|alpha e^{2 pi i k / d}>."""
-
-    d: int
-    alpha: float
-
-    def coefficient_matrix(self) -> np.ndarray:
-        """C[k, m]: amplitude of |k> |v_m> in the orthonormal light basis."""
-        return ring_to_orthonormal(RingSpec(self.d, self.alpha)) / np.sqrt(self.d)
-
-    def statevector(self) -> np.ndarray:
-        """Flattened coefficients, matter index slow, light index fast."""
-        return self.coefficient_matrix().ravel()
-
-
-def matter_light_pure(d: int, alpha: float) -> HybridPureState:
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    return HybridPureState(d=d, alpha=alpha)
-
-
-def matter_light_mixture(d: int, alpha: float, channel: ChannelParams,
-                         model: str = "closed-form",
-                         positivity_tol: float = 1e-9) -> tuple[DensityMatrix, PhaseMixtureWeights]:
-    """Effective d*d matter-light state after the loss channel.
-
-    Returns the density matrix (bipartition matter|light, light in the
-    damped orthonormal basis) together with the component weights.  In the
-    matter X-basis with conjugate-Fourier convention
-    |k~> = (1/sqrt(d)) sum_j e^{-2 pi i k j / d}|j> component m takes the
-    form (1/d) sum_r sqrt(N_{v_r}) |(m+r) mod d ~> |v_r~>.
-    """
-    w = loss_weights(d, alpha, channel, model)
-    damped = ring_to_orthonormal(RingSpec(d, np.sqrt(channel.gamma) * alpha))
-    q = np.arange(d)[:, None]
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        # |chi_m> = (1/sqrt(d)) sum_q e^{-2 pi i q m / d} |q>|damped ring q>,
-        # matter computational index slow, orthonormal light index fast
-        chi = (np.exp(-2j * np.pi * q * m / d) / np.sqrt(d) * damped).ravel()
-        rho += w.p[m] * np.outer(chi, chi.conj())
-    dm = DensityMatrix(rho, bipartition=(d, d), positivity_tol=positivity_tol)
-    return dm, w
 
 
 @dataclass(frozen=True)
@@ -188,7 +139,7 @@ def matter_matter_components(d: int, alpha: float, channel: ChannelParams,
     """Matter-matter component structure after the inverse interaction.
 
     The second interaction is unitary on matter (x) light, so the component
-    weights are exactly those of `matter_light_mixture`.
+    weights are exactly those of the matter-light mixture, `loss_weights`.
     """
     return MatterMatterMixture(d=d, weights=loss_weights(d, alpha, channel, model))
 
@@ -202,7 +153,7 @@ def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
     channel entanglement, for which the closed-form d=3 variant slightly
     underestimates the 10 km curve.
 
-    The state of `matter_light_mixture` is never built.  With the matter
+    The full d^2 x d^2 state is never built.  With the matter
     qudit in the Fourier basis |f_s> = d^{-1/2} sum_q e^{-2 pi i q s / d}|q>
     and c = `basis_amplitudes` at the damped amplitude, component m is
     |chi_m> = sum_r c_r |f_{m+r}>|v_r>, so rho is the direct sum of the
@@ -210,7 +161,7 @@ def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
     the f basis, is the direct sum over k of the real symmetric d x d
     blocks P_k[r, r'] = w_{(k-r-r') mod d} c_r c_r'.  A transpose in another
     local basis is unitarily equivalent, so these blocks carry the
-    negativity of `numerics.negativity`, which stays the full-matrix oracle.
+    negativity of the full matrix, which stays the test oracle.
     The grid goes through one batched eigvalsh per SCAN_CHUNK points.
     Every grid point passes RingSpec's amplitude check, the
     PhaseMixtureWeights conditions and DensityMatrix's Hermiticity, trace

@@ -212,8 +212,6 @@ def print_resolution(printed: float) -> float:
     pins the value to within one last-digit step.
     """
     text = repr(float(printed))
-    if "e" in text or "E" in text:  # pragma: no cover - table data is plain decimal
-        return abs(printed) * 5e-3
     decimals = len(text.split(".")[1]) if "." in text else 0
     if float(printed).is_integer() and abs(printed) >= 1:
         decimals = 0

@@ -1,0 +1,356 @@
+"""Independent oracles that the tests compare the library against.
+
+No library or CLI path calls these.  pytest does not collect this file;
+tests import it as `oracles`.
+
+Qudit conventions (documented because several sign choices are free):
+
+* omega = e^{2 pi i / d}; H is the unitary Fourier matrix H[j,k] = omega^{jk}/sqrt(d).
+* Bell states |phi_{kj}> = (1/sqrt(d)) sum_y omega^{k y} |y, (y - j) mod d>,
+  all index arithmetic modulo d.
+* CSHIFT is the subtraction permutation |x, y> -> |(x - y) mod d, y>
+  (second qudit controls).  Its gate decomposition needs the inverse
+  Fourier transform on one side, (H^dag x 1) CPHASE (H x 1); for d = 2
+  H^dag = H and the familiar all-Hadamard CNOT identity is recovered.
+* Bell measurement outcome (k, j) on |phi_{kj}> is deterministic; after
+  entanglement swapping, outcome (k, j) is undone by X^j followed by Z^k
+  on the unmeasured qudit of the second pair.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
+import numpy as np
+
+from hqrsim.coherent import RingSpec, basis_amplitudes
+from hqrsim.detection import _mean
+from hqrsim.numerics import DensityMatrix, _as_square_complex
+from hqrsim.rates import (RepeaterConfig, initial_segment_state, monte_carlo_waiting,
+                          purification_chain)
+from hqrsim.states import ChannelParams, PhaseMixtureWeights, loss_weights
+
+
+def overlap(a: complex, b: complex) -> complex:
+    """<a|b> for coherent states: exp(-|a|^2/2 - |b|^2/2 + conj(a) b)."""
+    a = complex(a)
+    b = complex(b)
+    return np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)
+
+
+def gram_matrix(ring: RingSpec) -> np.ndarray:
+    """Gram matrix G[k, l] = overlap(ring state k, ring state l)."""
+    s = ring.states()
+    return np.array([[overlap(s[k], s[l]) for l in range(ring.d)] for k in range(ring.d)])
+
+
+def ring_to_orthonormal(ring: RingSpec) -> np.ndarray:
+    """Expansion coefficients of every ring state in the orthonormal basis.
+
+    Row k holds c_m e^{-2 pi i k m / d} with c = `basis_amplitudes`.
+    """
+    k = np.arange(ring.d)[:, None]
+    m = np.arange(ring.d)
+    return basis_amplitudes(ring.d, ring.amplitude) * np.exp(-2j * np.pi * k * m / ring.d)
+
+
+def partial_transpose(rho: DensityMatrix) -> np.ndarray:
+    """Transpose subsystem A of a bipartite density matrix.
+
+    Block (i,j) <-> (j,i) on the first tensor factor; Hermiticity and
+    trace are preserved.
+    """
+    if rho.bipartition is None:
+        raise ValueError("partial transpose requires a bipartition")
+    da, db = rho.bipartition
+    t = rho.matrix.reshape(da, db, da, db)
+    return t.transpose(2, 1, 0, 3).reshape(da * db, da * db)
+
+
+def negativity(rho: DensityMatrix) -> float:
+    """Entanglement negativity: absolute sum of the negative eigenvalues
+    of the partial transpose, equivalently (||rho^T_A||_1 - 1) / 2."""
+    ev = np.linalg.eigvalsh(partial_transpose(rho))
+    neg = -float(ev[ev < 0].sum())
+    return max(neg, 0.0)
+
+
+def fidelity_with_pure(rho, psi, norm_tol: float = 1e-10) -> float:
+    """<psi|rho|psi> for a normalized pure target state."""
+    v = np.asarray(psi, dtype=complex).ravel()
+    if abs(np.linalg.norm(v) - 1.0) > norm_tol:
+        raise ValueError("target state is not normalized")
+    m = rho.matrix if isinstance(rho, DensityMatrix) else _as_square_complex(rho)
+    if m.shape[0] != v.size:
+        raise ValueError(f"dimension mismatch: matrix {m.shape[0]} vs state {v.size}")
+    val = np.vdot(v, m @ v)
+    if abs(val.imag) > 1e-10:
+        raise ValueError(f"fidelity has non-real value {val}")
+    return float(val.real)
+
+
+@dataclass(frozen=True)
+class HybridPureState:
+    """Pure matter-light state (1/sqrt(d)) sum_k |k>|alpha e^{2 pi i k / d}>."""
+
+    d: int
+    alpha: float
+
+    def coefficient_matrix(self) -> np.ndarray:
+        """C[k, m]: amplitude of |k> |v_m> in the orthonormal light basis."""
+        return ring_to_orthonormal(RingSpec(self.d, self.alpha)) / np.sqrt(self.d)
+
+    def statevector(self) -> np.ndarray:
+        """Flattened coefficients, matter index slow, light index fast."""
+        return self.coefficient_matrix().ravel()
+
+
+def matter_light_pure(d: int, alpha: float) -> HybridPureState:
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    return HybridPureState(d=d, alpha=alpha)
+
+
+def matter_light_mixture(d: int, alpha: float, channel: ChannelParams,
+                         model: str = "closed-form",
+                         positivity_tol: float = 1e-9) -> tuple[DensityMatrix, PhaseMixtureWeights]:
+    """Effective d*d matter-light state after the loss channel.
+
+    Returns the density matrix (bipartition matter|light, light in the
+    damped orthonormal basis) together with the component weights.  In the
+    matter X-basis with conjugate-Fourier convention
+    |k~> = (1/sqrt(d)) sum_j e^{-2 pi i k j / d}|j> component m takes the
+    form (1/d) sum_r sqrt(N_{v_r}) |(m+r) mod d ~> |v_r~>.
+    """
+    w = loss_weights(d, alpha, channel, model)
+    damped = ring_to_orthonormal(RingSpec(d, np.sqrt(channel.gamma) * alpha))
+    q = np.arange(d)[:, None]
+    rho = np.zeros((d * d, d * d), dtype=complex)
+    for m in range(d):
+        # |chi_m> = (1/sqrt(d)) sum_q e^{-2 pi i q m / d} |q>|damped ring q>,
+        # matter computational index slow, orthonormal light index fast
+        chi = (np.exp(-2j * np.pi * q * m / d) / np.sqrt(d) * damped).ravel()
+        rho += w.p[m] * np.outer(chi, chi.conj())
+    dm = DensityMatrix(rho, bipartition=(d, d), positivity_tol=positivity_tol)
+    return dm, w
+
+
+class BellLabel(NamedTuple):
+    k: int  # phase index
+    j: int  # cyclic shift index
+
+
+def bell_state(d: int, k: int, j: int) -> np.ndarray:
+    if not (0 <= k < d and 0 <= j < d):
+        raise ValueError(f"Bell indices ({k}, {j}) out of range for d={d}")
+    v = np.zeros(d * d, dtype=complex)
+    for y in range(d):
+        v[y * d + (y - j) % d] = np.exp(2j * np.pi * k * y / d)
+    return v / np.sqrt(d)
+
+
+def phase_bell_state(d: int, j: int) -> np.ndarray:
+    """Phase-error component C~_j = |phi_{(d-j) mod d, 0}>."""
+    return bell_state(d, (d - j) % d, 0)
+
+
+def fourier_gate(d: int) -> np.ndarray:
+    j, k = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
+    return np.exp(2j * np.pi * j * k / d) / np.sqrt(d)
+
+
+def gates(d: int) -> dict[str, np.ndarray]:
+    """X, Z, H and the two controlled-phase variants.
+
+    `cphase_canonical` puts phase omega^{-x y} on |x, y>.  `cphase_spin` is
+    exp(-(2 pi i / d) Sz Sz) built from the spin eigenvalues (2k-d+1)/2; it
+    equals the canonical gate up to one diagonal local per qudit and a
+    global phase (see `spin_cphase_local_decomposition`).
+    """
+    if d < 2:
+        raise ValueError("d must be >= 2")
+    idx = np.arange(d)
+    X = np.zeros((d, d), dtype=complex)
+    X[(idx + 1) % d, idx] = 1.0
+    Z = np.diag(np.exp(2j * np.pi * idx / d))
+    x, y = np.meshgrid(idx, idx, indexing="ij")
+    cp_canon = np.diag(np.exp(-2j * np.pi * (x * y).ravel() / d))
+    s = (2 * idx - d + 1) / 2.0
+    sx, sy = np.meshgrid(s, s, indexing="ij")
+    cp_spin = np.diag(np.exp(-2j * np.pi * (sx * sy).ravel() / d))
+    return {"X": X, "Z": Z, "H": fourier_gate(d),
+            "cphase_canonical": cp_canon, "cphase_spin": cp_spin}
+
+
+def cshift_matrix(d: int) -> np.ndarray:
+    """Permutation |x, y> -> |(x - y) mod d, y>."""
+    dim = d * d
+    U = np.zeros((dim, dim))
+    for x in range(d):
+        for y in range(d):
+            U[((x - y) % d) * d + y, x * d + y] = 1.0
+    return U
+
+
+def cshift_decomposition_check(d: int) -> tuple[bool, float]:
+    """Verify CSHIFT = (H^dag x 1) CPHASE (H x 1) against the permutation.
+
+    The conjugate transform on the outgoing side is what realizes the
+    subtraction map |x, y> -> |x - y, y> for every d; with H on both sides
+    the Fourier sign flips and the map becomes |y - x, y> instead (the two
+    coincide only for d = 2).
+    """
+    g = gates(d)
+    H1 = np.kron(g["H"], np.eye(d))
+    built = H1.conj().T @ g["cphase_canonical"] @ H1
+    residual = float(np.max(np.abs(built - cshift_matrix(d))))
+    return residual <= 1e-12, residual
+
+
+def spin_cphase_local_decomposition(d: int) -> tuple[complex, np.ndarray, np.ndarray, float]:
+    """Write cphase_spin = phase * (D1 x D2) * cphase_canonical.
+
+    Returns (global phase, diagonal local D1, diagonal local D2, residual).
+    """
+    g = gates(d)
+    M = g["cphase_spin"] @ g["cphase_canonical"].conj().T  # diagonal by construction
+    md = np.diag(M).reshape(d, d)
+    phase = md[0, 0]
+    d1 = md[:, 0] / phase
+    d2 = md[0, :] / phase
+    rebuilt = phase * np.einsum("i,j->ij", d1, d2)
+    residual = float(np.max(np.abs(rebuilt - md)))
+    return phase, np.diag(d1), np.diag(d2), residual
+
+
+def pre_rotations(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Local rotations (first qudit, second qudit) taking the phase-Bell
+    components to shift-Bell form: (conj(H) x H) maps C~_j to
+    |psi_{(d-j) mod d}> = (1/sqrt(d)) sum_y |y, (y + j) mod d>."""
+    H = fourier_gate(d)
+    return H.conj(), H
+
+
+def _apply_two(state_dim: int, d: int, U2: np.ndarray, q1: int, q2: int, n: int) -> np.ndarray:
+    """Embed a two-qudit unitary acting on qudits (q1, q2) of an n-qudit register."""
+    U = np.zeros((state_dim, state_dim), dtype=complex)
+    for idx in range(state_dim):
+        digits = [(idx // d ** (n - 1 - i)) % d for i in range(n)]
+        a, b = digits[q1], digits[q2]
+        col = U2[:, a * d + b]
+        for ab2 in np.nonzero(col)[0]:
+            nd = digits.copy()
+            nd[q1], nd[q2] = divmod(int(ab2), d)
+            j = sum(v * d ** (n - 1 - i) for i, v in enumerate(nd))
+            U[j, idx] += col[ab2]
+    return U
+
+
+def purify_circuit_sim(d: int, w: PhaseMixtureWeights) -> tuple[float, PhaseMixtureWeights]:
+    """Brute-force density-matrix simulation of one purification round.
+
+    Pre-rotates both copies, applies CSHIFT between the copies on each
+    side (targets on copy one, controls on copy two), measures copy one in
+    the computational basis and postselects on equal results.  Must agree
+    with `purify_step` to 1e-10; kept as the oracle for that rule.
+    """
+    if d not in (2, 3):
+        raise ValueError("circuit simulation is limited to d in {2, 3}")
+    U1, U2 = pre_rotations(d)
+    R = np.kron(U1, U2)
+    comps = [phase_bell_state(d, j) for j in range(d)]
+    rho = sum(w.p[j] * np.outer(comps[j], comps[j].conj()) for j in range(d))
+    rho = R @ rho @ R.conj().T
+    rho4 = np.kron(rho, rho)  # qudits (0,1) copy one, (2,3) copy two
+
+    dim = d ** 4
+    cs = cshift_matrix(d)
+    U = _apply_two(dim, d, cs, 0, 2, 4) @ _apply_two(dim, d, cs, 1, 3, 4)
+    rho4 = U @ rho4 @ U.conj().T
+
+    T = rho4.reshape(d, d, d * d, d, d, d * d)
+    sigma = np.zeros((d * d, d * d), dtype=complex)
+    success = 0.0
+    for m in range(d):
+        blk = T[m, m, :, m, m, :]
+        success += float(np.trace(blk).real)
+        sigma += blk
+    sigma /= success
+    sigma = R.conj().T @ sigma @ R
+    new = np.array([np.vdot(c, sigma @ c).real for c in comps])
+    return success, PhaseMixtureWeights(d, new / new.sum())
+
+
+@dataclass(frozen=True)
+class BellMeasurement:
+    """Outcome distribution plus the per-outcome recovery operations.
+
+    corrections[label] = (x_power, z_power): after swapping, apply
+    X^x_power then Z^z_power on the far qudit to return the surviving pair
+    to |phi_00>.
+    """
+
+    d: int
+    probabilities: dict
+    corrections: dict
+
+
+def bell_measure(state: DensityMatrix) -> BellMeasurement:
+    """Deterministic Bell analyzer.
+
+    CSHIFT sends |phi_kj> to |j> (x) H|k>, so an inverse Fourier rotation
+    on the second qudit followed by computational readout gives
+    (m1, m2) = (j, k); the outcome is labelled (k, j) = (m2, m1).
+    """
+    d = int(round(np.sqrt(state.dim)))
+    if d * d != state.dim:
+        raise ValueError(f"state dimension {state.dim} is not a perfect square")
+    H = fourier_gate(d)
+    U = np.kron(np.eye(d), H.conj().T) @ cshift_matrix(d)
+    m = U @ state.matrix @ U.conj().T
+    diag = np.clip(np.diag(m).real, 0.0, None)
+    probs, corrections = {}, {}
+    for m1 in range(d):
+        for m2 in range(d):
+            label = BellLabel(m2, m1)
+            probs[label] = float(diag[m1 * d + m2])
+            corrections[label] = (label.j, label.k)
+    total = sum(probs.values())
+    if abs(total - 1.0) > 1e-9:
+        raise ArithmeticError(f"Bell outcome probabilities sum to {total}")
+    return BellMeasurement(d=d, probabilities=probs, corrections=corrections)
+
+
+def quadrature_pdf(beta: complex, quadrature: str, value: float) -> float:
+    """sqrt(2/pi) exp(-2 (value - c)^2), c = Re(beta) for x, Im(beta) for p."""
+    c = _mean(beta, quadrature)
+    return float(np.sqrt(2.0 / np.pi) * np.exp(-2.0 * (value - c) ** 2))
+
+
+def z_attempts_series(n: int, p: float) -> float:
+    """Literal inclusion-exclusion sum for Z_n; equals `z_attempts`.
+
+    Kept as the small-n oracle: the terms cancel catastrophically once
+    2^n is large.
+    """
+    if not 0 < p <= 1:
+        raise ValueError(f"probability must lie in (0, 1], got {p}")
+    segments = 2 ** int(n)
+    q = 1.0 - p
+    total = 0.0
+    for j in range(1, segments + 1):
+        total += (-1.0) ** (j + 1) * math.comb(segments, j) / (1.0 - q ** j)
+    return total
+
+
+def monte_carlo_attempts(config: RepeaterConfig, trials: int, seed: int,
+                         shards: int = 1) -> tuple[float, float]:
+    """Monte Carlo validation of the waiting-time model for a full config."""
+    p0, weights = initial_segment_state(config)
+    chain = purification_chain(p0, weights, config.purification_rounds)
+    round_probs = tuple(st.success_probability for st in chain[1:])
+    return monte_carlo_waiting(config.n, p0, round_probs, trials, seed, shards)

@@ -22,13 +22,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hqrsim.coherent import RingSpec, norm_constants, overlap
+from hqrsim.coherent import RingSpec, norm_constants
 from hqrsim.detection import homodyne_report, quadrature_wavefunction, usd_bound
-from hqrsim.logic import (bell_state, cshift_decomposition_check, gates,
-                          phase_bell_state, purify_circuit_sim, purify_step,
-                          swap_phase_mixture)
+from hqrsim.logic import purify_step, swap_phase_mixture
 from hqrsim.rates import monte_carlo_waiting, reproduce_table, z_attempts
 from hqrsim.states import ChannelParams, PhaseMixtureWeights, negativity_scan
+from oracles import (bell_state, cshift_decomposition_check, gates, overlap,
+                     phase_bell_state, purify_circuit_sim)
 
 
 def report(criterion, name):

@@ -284,6 +284,31 @@ class TestMainProcess:
         assert cp.stdout == ""
 
     @pytest.mark.parametrize("argv", [
+        "usd --d 3 --L0 -1 --alpha 1",
+        "usd --d 3 --L0 5 --alpha -1",
+        "constants --d 3 --alpha -1",
+        "entangle --d 3 --L0 -1 --alpha 1",
+        "negativity-scan --d 3 --L0 -2 --alpha-range 0:1:5",
+        "homodyne --d 3 --L0 5 --alpha 1 --delta-frac 0",
+        "homodyne --d 3 --L0 5 --alpha 1 --delta-frac 1.5",
+        "homodyne --d 3 --L0 5 --alpha -1",
+        "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --span 10 --delta-frac 5",
+        "rate --scheme usd --d 3 --L0 -5 --alpha 1.2 --span 10",
+        "purify --weights 0.5,0.5 --rounds -1",
+        "mc --n -1 --p 0.5 --trials 10 --seed 1",
+        "mc --n 1 --p 0 --trials 10 --seed 1",
+        "mc --n 1 --p 1.5 --trials 10 --seed 1",
+        "mc --n 1 --p 0.5 --trials 10 --seed 1 --shards 0",
+        "mc --n 1 --p 0.5 --trials 10 --seed 1 --round-p 0,0.5",
+        # the damped amplitude is -0.0 here (gamma = 1, and gamma = 0)
+        "entangle --d 3 --L0 0 --alpha -1",
+        "usd --d 3 --L0 100000 --alpha -1",
+    ])
+    def test_out_of_domain_input_is_two(self, capsys, argv):
+        assert main(argv.split()) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv", [
         "homodyne --d 3 --L0 5 --alpha 0 --delta-frac 0.2",
         "rate --scheme homodyne --d 3 --L0 5 --alpha 0 --span 10",
     ])

@@ -4,10 +4,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from hqrsim.coherent import (RingSpec, gram_matrix, norm_constants,
-                             norm_constants_closed_form, overlap,
-                             ring_norm_constants, ring_to_orthonormal)
+from hqrsim.coherent import (RingSpec, norm_constants, norm_constants_closed_form,
+                             ring_norm_constants)
 from hqrsim.detection import quadrature_wavefunction
+from oracles import gram_matrix, overlap, ring_to_orthonormal
 
 
 def gram_sum_oracle(ring, m):

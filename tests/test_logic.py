@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hqrsim.logic import (BellLabel, bell_measure, bell_state,
-                          cshift_decomposition_check, cshift_matrix, gates,
-                          phase_bell_state, pre_rotations, purify_circuit_sim,
-                          purify_step, spin_cphase_local_decomposition,
-                          swap_phase_mixture)
+from hqrsim.logic import purify_step, swap_phase_mixture
 from hqrsim.numerics import DensityMatrix
 from hqrsim.states import PhaseMixtureWeights
+from oracles import (BellLabel, bell_measure, bell_state,
+                     cshift_decomposition_check, cshift_matrix, gates,
+                     phase_bell_state, pre_rotations, purify_circuit_sim,
+                     spin_cphase_local_decomposition)
 
 
 def mixture(raw):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hqrsim.numerics import DensityMatrix, fidelity_with_pure, negativity, partial_transpose
+from hqrsim.numerics import DensityMatrix
+from oracles import fidelity_with_pure, negativity, partial_transpose
 
 
 def random_unitary(n, rng):

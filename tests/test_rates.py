@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from hqrsim import rates
 from hqrsim.rates import (EM_MAX_P, MC_MIN_P0, RepeaterConfig, effective_probability,
-                          initial_segment_state, monte_carlo_attempts,
-                          monte_carlo_waiting, predict, reproduce_table,
-                          z_attempts, z_attempts_series)
+                          initial_segment_state, monte_carlo_waiting, predict,
+                          reproduce_table, z_attempts)
+from oracles import monte_carlo_attempts, z_attempts_series
 
 
 class TestZAttempts:
@@ -130,6 +130,10 @@ class TestRepeaterConfig:
         with pytest.raises(ValueError):
             RepeaterConfig(d=3, L0_km=5, span_km=5, alpha=1.0, scheme="usd",
                            fiber_speed_km_s=0.0)
+        for delta_frac in (0.0, -0.1, 1.5, 5.0, float("nan")):
+            with pytest.raises(ValueError, match="delta_frac"):
+                RepeaterConfig(d=3, L0_km=5, span_km=5, alpha=1.0, scheme="usd",
+                               delta_frac=delta_frac)
 
     def test_segment_count(self):
         cfg = RepeaterConfig(d=3, L0_km=5, span_km=40, alpha=1.0, scheme="usd")

@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 import hqrsim.states as states
 from hqrsim.coherent import RingSpec, basis_amplitudes, norm_constants
-from hqrsim.numerics import negativity
 from hqrsim.states import (ChannelParams, PhaseMixtureWeights, loss_weights,
-                           matter_light_mixture, matter_light_pure,
                            matter_matter_components, negativity_scan)
+from oracles import matter_light_mixture, matter_light_pure, negativity
 
 
 class TestChannelParams:
