@@ -85,18 +85,19 @@ class DetectionReport:
     offdiag_bound: float
 
 
-def _mean(beta: complex, quadrature: str) -> float:
+def _mean(beta, quadrature: str):
     if quadrature == "x":
-        return float(np.real(beta))
+        return np.real(beta)
     if quadrature == "p":
-        return float(np.imag(beta))
+        return np.imag(beta)
     raise ValueError(f"unknown quadrature {quadrature!r}")
 
 
-def quadrature_wavefunction(beta: complex, quadrature: str, value):
-    """Full complex quadrature wavefunction of a coherent state."""
+def quadrature_wavefunction(beta, quadrature: str, value):
+    """Full complex quadrature wavefunction of a coherent state; beta and
+    value broadcast against each other."""
     value = np.asarray(value, dtype=float)
-    a, b = float(np.real(beta)), float(np.imag(beta))
+    a, b = np.real(beta), np.imag(beta)
     if quadrature == "p":
         return (2 / np.pi) ** 0.25 * np.exp(1j * a * b) * np.exp(-(value - b) ** 2 - 2j * a * value)
     if quadrature == "x":
@@ -164,7 +165,7 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
     gamma = channel.gamma
     ws = window_geometry(d, alpha, gamma, delta_frac)
     ring = RingSpec(d, np.sqrt(gamma) * alpha).states()
-    means = [_mean(b, ws.quadrature) for b in ring]
+    means = _mean(ring, ws.quadrature).tolist()
     lead = norm_constants(RingSpec(d, np.sqrt(max(1.0 - gamma, 0.0)) * alpha))[0] / d ** 2
 
     probs, fids = [], []
@@ -178,8 +179,7 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
 
     bound = 0.0
     if include_offdiag:
-        bound = max(offdiag_weight(d, alpha, channel, i, delta_frac, quadrature_tol)
-                    for i in range(len(ws.bounds)))
+        bound = np.max(abs(_pair_integrals(ring, ws.quadrature, ws.bounds, quadrature_tol)))
     return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av, float(bound))
 
 
@@ -188,9 +188,9 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _window_cross_integral(beta_i: complex, beta_j: complex, quadrature: str,
-                           bounds: tuple[float, float], tol: float) -> complex:
-    """integral over the window of psi_{beta_i}(q) psi*_{beta_j}(q).
+def _cross_integrals(beta_i, beta_j, quadrature: str, lo, hi, tol: float) -> np.ndarray:
+    """integral_lo^hi psi_{beta_i}(q) psi*_{beta_j}(q) dq, elementwise over the
+    broadcast arguments.
 
     Composite Gauss-Legendre sums of orders n and 2n on a clipped interval,
     n doubling from GL_FIRST_ORDER until they differ by at most `tol`
@@ -198,36 +198,59 @@ def _window_cross_integral(beta_i: complex, beta_j: complex, quadrature: str,
     |q| = 8 + |means| smaller than 1e-25.  The integrand oscillates as
     exp(i k q) with k twice the difference of the conjugate-quadrature
     means, so the interval is cut into panels of k * width <= 64 (about ten
-    periods each); at the paper's amplitudes that is a single panel.
+    periods each); at the paper's amplitudes that is a single panel.  Each
+    order evaluates the panels of every integral still open in one pass;
+    an integral drops out at its first converged order.
     """
-    cut = 8.0 + max(abs(_mean(beta_i, quadrature)), abs(_mean(beta_j, quadrature)))
-    lo = max(bounds[0], -cut)
-    hi = min(bounds[1], cut)
-    if lo >= hi:
-        return 0.0 + 0.0j
+    zero = np.zeros(np.broadcast(beta_i, beta_j, lo, hi).shape)  # flatten to one shape
+    beta_i, beta_j, lo, hi = ((a + zero).ravel() for a in (beta_i, beta_j, lo, hi))
+    m = zero.size
+    cut = 8.0 + np.maximum(abs(_mean(beta_i, quadrature)), abs(_mean(beta_j, quadrature)))
+    lo, hi = np.maximum(lo, -cut), np.minimum(hi, cut)
     conjugate = "x" if quadrature == "p" else "p"
     k = 2.0 * abs(_mean(beta_i, conjugate) - _mean(beta_j, conjugate))
-    panels = min(GL_MAX_PANELS, max(1, math.ceil(k * (hi - lo) / 64.0)))
-    edges = np.linspace(lo, hi, panels + 1)
-    mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+    panels = np.clip(np.ceil(k * (hi - lo) / 64.0), 1, GL_MAX_PANELS).astype(int)
+    panels[lo >= hi] = 0  # an empty window after the clip
+    owner = np.repeat(np.arange(m), panels)  # the integral each panel belongs to
+    panel = np.arange(owner.size) - (np.cumsum(panels) - panels)[owner]  # index within it
+    halves = 0.5 * (hi - lo)[owner] / panels[owner]
+    mids = lo[owner] + (2 * panel + 1) * halves
 
-    def gauss_legendre(n):
-        nodes, weights = _legendre_rule(n)
-        q = mids[:, None] + halves[:, None] * nodes
-        v = quadrature_wavefunction(beta_i, quadrature, q) * \
-            np.conj(quadrature_wavefunction(beta_j, quadrature, q))
-        return complex(halves @ (v @ weights))
-
-    n, coarse = GL_FIRST_ORDER, gauss_legendre(GL_FIRST_ORDER)
+    result, todo = np.zeros(m, complex), np.ones(m, bool)
+    n, coarse = GL_FIRST_ORDER, None
     while True:
-        fine = gauss_legendre(2 * n)
-        diff = abs(fine - coarse)
-        if diff <= tol:
-            return fine
-        if 2 * n >= GL_MAX_ORDER:
-            raise ArithmeticError(
-                f"window quadrature did not converge to {tol} (difference {diff})")
+        nodes, weights = _legendre_rule(n)
+        sel = todo[owner]
+        q = mids[sel, None] + halves[sel, None] * nodes
+        v = quadrature_wavefunction(beta_i[owner[sel], None], quadrature, q) * \
+            np.conj(quadrature_wavefunction(beta_j[owner[sel], None], quadrature, q))
+        v = halves[sel] * (v @ weights)
+        fine = np.bincount(owner[sel], v.real, m) + 1j * np.bincount(owner[sel], v.imag, m)
+        if coarse is not None:
+            diff = abs(fine - coarse)
+            done = todo & (diff <= tol)
+            result[done], todo = fine[done], todo & ~done
+            if not todo.any():
+                return result.reshape(zero.shape)
+            if n >= GL_MAX_ORDER:
+                raise ArithmeticError(f"window quadrature did not converge to {tol} "
+                                      f"(difference {diff[todo].max()})")
         n, coarse = 2 * n, fine
+
+
+def _pair_integrals(ring, quadrature: str, bounds, tol: float) -> np.ndarray:
+    """Cross integrals of every i < j pair of `ring` over each window in
+    `bounds`, shape (windows, pairs), pairs in np.triu_indices order; the
+    (j, i) integral is the conjugate of the (i, j) one."""
+    i, j = np.array([(i, j) for i in range(len(ring)) for j in range(i + 1, len(ring))]).T
+    lo, hi = np.array(bounds, dtype=float).T[:, :, None]
+    return _cross_integrals(ring[i], ring[j], quadrature, lo, hi, tol)
+
+
+def _window_cross_integral(beta_i: complex, beta_j: complex, quadrature: str,
+                           bounds: tuple[float, float], tol: float) -> complex:
+    """integral over the window of psi_{beta_i}(q) psi*_{beta_j}(q)."""
+    return complex(_cross_integrals(beta_i, beta_j, quadrature, *bounds, tol))
 
 
 def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
@@ -243,13 +266,8 @@ def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
     if not 0 <= window < len(ws.bounds):
         raise ValueError(f"window index {window} out of range")
     ring = RingSpec(d, np.sqrt(channel.gamma) * alpha).states()
-    best = 0.0
-    for i in range(d):
-        for j in range(i + 1, d):
-            val = _window_cross_integral(ring[i], ring[j], ws.quadrature,
-                                         ws.bounds[window], quadrature_tol)
-            best = max(best, abs(val))
-    return best
+    return float(np.max(abs(_pair_integrals(ring, ws.quadrature, [ws.bounds[window]],
+                                            quadrature_tol))))
 
 
 def usd_bound(d: int, alpha: float, gamma: float) -> float:

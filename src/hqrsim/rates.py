@@ -264,15 +264,15 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     for p in round_probs:
         if not 0 < p <= 1:
             raise ValueError("round probabilities must lie in (0, 1]")
-    segments = 2 ** n
     per_shard = -(-trials // shards)
     round_log2 = sum(math.log2(2 / p) for p in round_probs)  # log2 waits per segment
-    # work cap, in log2 so that a huge n cannot overflow
-    waits_log2 = math.log2(min(max(segments, 2 ** 14), per_shard * segments)) + round_log2
+    # work cap, in log2 and checked before 2 ** n exists, so a huge n costs nothing
+    waits_log2 = min(max(n, 14), n + math.log2(per_shard)) + round_log2
     if waits_log2 > math.log2(MC_MAX_WAITS):
         raise ValueError(f"one chunk would draw about 2^{waits_log2:.1f} waits, above "
                          f"MC_MAX_WAITS = {MC_MAX_WAITS}: lower n or raise the round "
                          "probabilities")
+    segments = 2 ** n
     per_chunk = min(max(1, int(MC_CHUNK / 2 ** (n + round_log2))), per_shard)
     log_q = math.log1p(-p0) if p0 < 1 else -math.inf
 
@@ -299,7 +299,7 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
         return waits
 
     sum_x = sum_x2 = 0.0
-    for s in range(shards):
+    for s in range(min(shards, trials)):  # shards s >= trials get no trials
         rng = np.random.default_rng([int(seed), s])
         batch = trials // shards + (s < trials % shards)
         for done in range(0, batch, per_chunk):

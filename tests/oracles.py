@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from hqrsim.coherent import RingSpec, basis_amplitudes
-from hqrsim.detection import _mean
+from hqrsim.detection import (GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, _legendre_rule,
+                              _mean, quadrature_wavefunction, window_geometry)
 from hqrsim.numerics import DensityMatrix, _as_square_complex
 from hqrsim.rates import (RepeaterConfig, initial_segment_state, monte_carlo_waiting,
                           purification_chain)
@@ -329,6 +330,48 @@ def quadrature_pdf(beta: complex, quadrature: str, value: float) -> float:
     """sqrt(2/pi) exp(-2 (value - c)^2), c = Re(beta) for x, Im(beta) for p."""
     c = _mean(beta, quadrature)
     return float(np.sqrt(2.0 / np.pi) * np.exp(-2.0 * (value - c) ** 2))
+
+
+def window_cross_integral_loop(beta_i: complex, beta_j: complex, quadrature: str,
+                               bounds: tuple[float, float], tol: float) -> complex:
+    """One window cross integral on its own: the per-integral loop that the
+    batched `detection._cross_integrals` replaced, with the same rule
+    (clip at 8 + |means|, panels of k * width <= 64, orders n and 2n from
+    GL_FIRST_ORDER until they agree within `tol`)."""
+    cut = 8.0 + max(abs(_mean(beta_i, quadrature)), abs(_mean(beta_j, quadrature)))
+    lo, hi = max(bounds[0], -cut), min(bounds[1], cut)
+    if lo >= hi:
+        return 0.0 + 0.0j
+    conjugate = "x" if quadrature == "p" else "p"
+    k = 2.0 * abs(_mean(beta_i, conjugate) - _mean(beta_j, conjugate))
+    panels = min(GL_MAX_PANELS, max(1, math.ceil(k * (hi - lo) / 64.0)))
+    edges = np.linspace(lo, hi, panels + 1)
+    mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
+
+    def gauss_legendre(n):
+        nodes, weights = _legendre_rule(n)
+        q = mids[:, None] + halves[:, None] * nodes
+        v = quadrature_wavefunction(beta_i, quadrature, q) * \
+            np.conj(quadrature_wavefunction(beta_j, quadrature, q))
+        return complex(halves @ (v @ weights))
+
+    n, coarse = GL_FIRST_ORDER, gauss_legendre(GL_FIRST_ORDER)
+    while True:
+        fine = gauss_legendre(2 * n)
+        if abs(fine - coarse) <= tol:
+            return fine
+        if 2 * n >= GL_MAX_ORDER:
+            raise ArithmeticError("window quadrature did not converge")
+        n, coarse = 2 * n, fine
+
+
+def offdiag_bound_loop(d: int, alpha: float, channel: ChannelParams, delta_frac: float,
+                       tol: float = 1e-10) -> float:
+    """`homodyne_report`'s offdiag_bound from one integral at a time."""
+    ws = window_geometry(d, alpha, channel.gamma, delta_frac)
+    ring = RingSpec(d, np.sqrt(channel.gamma) * alpha).states()
+    return max(abs(window_cross_integral_loop(ring[i], ring[j], ws.quadrature, bounds, tol))
+               for bounds in ws.bounds for i in range(d) for j in range(i + 1, d))
 
 
 def z_attempts_series(n: int, p: float) -> float:

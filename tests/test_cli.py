@@ -1,17 +1,29 @@
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from hqrsim.cli import UsageError, _build_parser, load_config, main, parse, run
+from hqrsim.cli import (ALPHA_RANGE_MAX_COUNT, UsageError, _build_parser, load_config, main,
+                        parse, run)
 from test_cli_golden import CASES, golden_path
 
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def run_python(*args):
+    """A fresh interpreter that imports hqrsim from this checkout's src/."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def run_cli(*args):
-    return subprocess.run([sys.executable, "-m", "hqrsim", *args],
-                          capture_output=True, text=True)
+    return run_python("-m", "hqrsim", *args)
 
 
 def rows_of(text):
@@ -34,6 +46,9 @@ class TestParse:
         grid = spec.params["alpha_range"]
         assert len(grid) == 100
         assert grid[0] == 0.0 and grid[-1] == 2.5
+        spec = parse(["negativity-scan", "--d", "3", "--L0", "5",
+                      "--alpha-range", f"0:1:{ALPHA_RANGE_MAX_COUNT}"])
+        assert len(spec.params["alpha_range"]) == ALPHA_RANGE_MAX_COUNT
 
     def test_rate_spec(self):
         spec = parse(["rate", "--scheme", "usd", "--d", "3", "--L0", "5",
@@ -319,8 +334,10 @@ class TestMainProcess:
         assert captured.err.startswith("hqrsim: invalid input:")
         assert captured.out == ""
 
-    @pytest.mark.parametrize("grid", ["-1:2:10", "nan:1:5", "0:inf:5"])
+    @pytest.mark.parametrize("grid", ["-1:2:10", "nan:1:5", "0:inf:5", "0:1:1",
+                                      f"0:1:{ALPHA_RANGE_MAX_COUNT + 1}", "0:1:10000000000000"])
     def test_bad_alpha_range_is_two(self, grid):
+        # a grid of 1e13 points cannot be allocated: exit 2, not a MemoryError traceback
         cp = run_cli("negativity-scan", "--d", "3", "--L0", "5", f"--alpha-range={grid}")
         assert cp.returncode == 2
         assert cp.stdout == ""
@@ -351,7 +368,7 @@ class TestMainProcess:
         code = ("import sys, hqrsim.cli; "
                 "hqrsim.cli.main(['homodyne', '--d', '3', '--L0', '5', '--alpha', '1.0']); "
                 "print(sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)")
-        cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        cp = run_python("-c", code)
         assert cp.returncode == 0
         assert "offdiag_bound," in cp.stdout
         assert cp.stderr.strip() == "[]"

@@ -3,12 +3,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from hqrsim import detection
 from hqrsim.coherent import RingSpec, norm_constants
-from hqrsim.detection import (_window_cross_integral, homodyne_report, offdiag_weight,
-                              quadrature_wavefunction, usd_bound,
+from hqrsim.detection import (_pair_integrals, _window_cross_integral, homodyne_report,
+                              offdiag_weight, quadrature_wavefunction, usd_bound,
                               window_geometry, window_mass)
 from hqrsim.states import ChannelParams
-from oracles import gram_matrix, overlap, quadrature_pdf
+from oracles import gram_matrix, offdiag_bound_loop, overlap, quadrature_pdf
 
 
 class TestQuadraturePdf:
@@ -256,6 +257,103 @@ class TestCrossIntegralOracle:
             dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x ** 2) * mpmath.erfi(x)
             ref = complex(mpmath.exp(-x ** 2) / 2 + 1j * dawson / mpmath.sqrt(mpmath.pi))
         assert abs(got - ref) < 1e-12
+
+
+def _quad_cross_integral(beta_i, beta_j, quadrature, bounds):
+    """The window cross integral by scipy quad over the part of the window
+    within 7 of the envelope center (mi + mj)/2, where the magnitude
+    sqrt(2/pi) exp(-2 (q - c)^2 - (mi - mj)^2 / 2) is above 1e-42."""
+    mean = (lambda b: b.real) if quadrature == "x" else (lambda b: b.imag)
+    c = (mean(complex(beta_i)) + mean(complex(beta_j))) / 2
+    lo, hi = max(bounds[0], c - 7.0), min(bounds[1], c + 7.0)
+    if lo >= hi:
+        return 0j
+    f = lambda q: (quadrature_wavefunction(beta_i, quadrature, q)
+                   * np.conj(quadrature_wavefunction(beta_j, quadrature, q)))
+    re = quad(lambda q: f(q).real, lo, hi, epsabs=1e-13, epsrel=0, limit=500)[0]
+    im = quad(lambda q: f(q).imag, lo, hi, epsabs=1e-13, epsrel=0, limit=500)[0]
+    return complex(re, im)
+
+
+@pytest.fixture
+def wavefunction_calls(monkeypatch):
+    """Records the value-array shape of every quadrature_wavefunction call."""
+    shapes = []
+
+    def spy(beta, quadrature, value):
+        shapes.append(np.shape(value))
+        return quadrature_wavefunction(beta, quadrature, value)
+
+    monkeypatch.setattr(detection, "quadrature_wavefunction", spy)
+    return shapes
+
+
+class TestBatchedCrossIntegrals:
+    @pytest.mark.parametrize("alpha", [1.1, 5.0])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_every_window_pair_matches_quad(self, d, alpha, wavefunction_calls):
+        ch = ChannelParams(5.0)
+        ws = window_geometry(d, alpha, ch.gamma, 0.2)
+        ring = RingSpec(d, np.sqrt(ch.gamma) * alpha).states()
+        got = _pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10)
+        assert got.shape == (len(ws.bounds), d * (d - 1) // 2)
+        for w, bounds in enumerate(ws.bounds):
+            for p, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
+                ref = _quad_cross_integral(ring[i], ring[j], ws.quadrature, bounds)
+                assert abs(got[w, p] - ref) < 1e-12
+        if d > 2 and alpha == 5.0:
+            # k * width > 64 here, so some integral has several panels
+            assert wavefunction_calls[0][0] > got.size
+
+    def test_integrals_converging_at_different_orders(self, wavefunction_calls):
+        # a wide non-oscillating window needs order 256; the fast +-10i pair
+        # converges at 128 over five panels and then drops out of the batch
+        beta_i = np.array([2.0 + 0j, 10j, 0.3 + 0.2j])
+        beta_j = np.array([2.0 + 0j, -10j, -0.4 + 1j])
+        lo, hi = np.array([-30.0, 0.0, -1.0]), np.array([30.0, np.inf, 0.5])
+        got = detection._cross_integrals(beta_i, beta_j, "x", lo, hi, 1e-10)
+        rows = [shape[0] for shape in wavefunction_calls[::2]]
+        orders = [shape[1] for shape in wavefunction_calls[::2]]
+        assert orders == [64, 128, 256] and rows == [7, 7, 1]
+        for k in range(3):
+            ref = _quad_cross_integral(beta_i[k], beta_j[k], "x", (lo[k], hi[k]))
+            assert abs(got[k] - ref) < 1e-12
+            alone = _window_cross_integral(beta_i[k], beta_j[k], "x", (lo[k], hi[k]), 1e-10)
+            assert abs(got[k] - alone) < 1e-14
+
+    @pytest.mark.parametrize("d, alpha", [(2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0), (4, 5.0)])
+    def test_offdiag_weight_is_batched_window_max(self, d, alpha):
+        ch = ChannelParams(5.0)
+        ws = window_geometry(d, alpha, ch.gamma, 0.3)
+        ring = RingSpec(d, np.sqrt(ch.gamma) * alpha).states()
+        batch = np.abs(_pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10))
+        for w in range(len(ws.bounds)):
+            assert abs(offdiag_weight(d, alpha, ch, w, 0.3) - batch[w].max()) <= 1e-14
+        assert homodyne_report(d, alpha, ch, 0.3).offdiag_bound == batch.max()
+
+    def test_bound_matches_per_integral_loop(self):
+        # the grid the batched core was checked on against the loop it replaced
+        for d in (2, 3, 4):
+            for alpha in (0.5, 1.1, 3.0, 5.0):
+                for L0 in (1.0, 5.0, 20.0):
+                    ch = ChannelParams(L0)
+                    for delta_frac in (0.1, 0.2, 0.5, 1.0):
+                        got = homodyne_report(d, alpha, ch, delta_frac).offdiag_bound
+                        ref = offdiag_bound_loop(d, alpha, ch, delta_frac)
+                        assert abs(got - ref) <= 1e-14
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_two_wavefunction_calls_per_order(self, d, wavefunction_calls):
+        homodyne_report(d, 1.1, ChannelParams(5.0), 0.25)
+        orders = {shape[-1] for shape in wavefunction_calls}
+        assert len(wavefunction_calls) <= 2 * len(orders)
+
+    def test_unconverged_report_raises(self, wavefunction_calls):
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            homodyne_report(3, 1.0, ChannelParams(5.0), 0.2, quadrature_tol=-1.0)
+        # every order up to GL_MAX_ORDER was tried, twice each
+        assert [shape[-1] for shape in wavefunction_calls] == [64, 64, 128, 128,
+                                                                256, 256, 512, 512]
 
 
 class TestUsdBound:

@@ -261,6 +261,12 @@ class TestMonteCarlo:
                                        (2000, (), 1)):
             with pytest.raises(ValueError, match="MC_MAX_WAITS"):
                 monte_carlo_waiting(n, 0.5, round_probs, trials=trials, seed=0)
+        # the cap is checked before 2 ** n is formed: at n = 1e15 that int
+        # would need about 125 TB
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="MC_MAX_WAITS"):
+            monte_carlo_waiting(10 ** 15, 0.5, trials=2, seed=0)
+        assert time.perf_counter() - start < 0.1
         # the cap counts at most the trials per shard: one trial is about 4e4 waits
         mean, _ = monte_carlo_waiting(0, 1.0, (0.01, 0.01), trials=1, seed=0)
         assert mean >= 1.0
@@ -268,6 +274,11 @@ class TestMonteCarlo:
     def test_more_shards_than_trials(self):
         mean, _ = monte_carlo_waiting(1, 1.0, (1.0,), trials=3, seed=0, shards=5)
         assert mean == 1.0
+        # shards s >= trials draw nothing, so they cost nothing either
+        start = time.perf_counter()
+        many = monte_carlo_waiting(2, 0.3, (0.8,), trials=500, seed=9, shards=10 ** 12)
+        assert time.perf_counter() - start < 1.0
+        assert many == monte_carlo_waiting(2, 0.3, (0.8,), trials=500, seed=9, shards=500)
 
     @pytest.mark.parametrize("p0, round_probs", [
         (0.3, (0.7,)),
