@@ -1,6 +1,6 @@
 """Qudit hybrid quantum repeater analysis toolkit."""
 
-from .coherent import NEGLIGIBLE_NORM, RingSpec, norm_constants, norm_constants_closed_form
+from .coherent import NEGLIGIBLE_NORM, norm_constants, ring_states
 from .detection import (DetectionReport, WindowSet, homodyne_report,
                         offdiag_weight, quadrature_wavefunction,
                         usd_bound, window_geometry)
@@ -9,7 +9,6 @@ from .numerics import DensityMatrix
 from .rates import (RateResult, RepeaterConfig, effective_probability,
                     monte_carlo_waiting, predict, purification_chain,
                     reproduce_table, z_attempts)
-from .states import (ChannelParams, MatterMatterMixture, PhaseMixtureWeights,
-                     loss_weights, matter_matter_components, negativity_scan)
+from .states import ChannelParams, PhaseMixtureWeights, loss_weights, negativity_scan
 
 __version__ = "0.1.0"

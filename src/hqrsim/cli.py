@@ -33,13 +33,13 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent import RingSpec, norm_constants, norm_constants_closed_form
+from .coherent import WEIGHT_MODELS, norm_constants
 from .detection import homodyne_report, usd_bound
 from .logic import purify_step
 from .rates import (RepeaterConfig, monte_carlo_waiting, predict,
                     reproduce_table, z_attempts)
-from .states import (ChannelParams, PhaseMixtureWeights, WEIGHT_MODELS, WEIGHT_SUM_TOL,
-                     matter_matter_components, negativity_scan)
+from .states import (ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL, loss_weights,
+                     negativity_scan)
 
 __all__ = ["Settings", "RunSpec", "load_config", "parse", "run", "main"]
 
@@ -156,16 +156,17 @@ def _make_subparser(**kwargs) -> "_Parser":
 
 
 def _constants(p, s):
-    fn = norm_constants if p["model"] == "gram" else norm_constants_closed_form
-    vals = fn(RingSpec(p["d"], p["alpha"]))
+    vals = norm_constants(p["d"], p["alpha"], p["model"])
     return (["m", "norm_constant", "weight_fraction"],
             [[m, float(v), float(v) / p["d"] ** 2] for m, v in enumerate(vals)])
 
 
 def _entangle(p, s):
-    mix = matter_matter_components(p["d"], p["alpha"], ChannelParams(p["L0"], s.l_att_km),
-                                   model=p["model"])
-    return ["component", "weight", "bell_phase_index"], [list(row) for row in mix.pairing_table()]
+    d = p["d"]
+    w = loss_weights(d, p["alpha"], ChannelParams(p["L0"], s.l_att_km), p["model"])
+    # component m pairs the Bell state with phase index (d - m) mod d
+    return (["component", "weight", "bell_phase_index"],
+            [[m, float(x), (d - m) % d] for m, x in enumerate(w.p)])
 
 
 def _negativity_scan(p, s):

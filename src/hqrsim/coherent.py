@@ -13,20 +13,20 @@ ring states are nearly parallel).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "RingSpec",
+    "WEIGHT_MODELS",
     "norm_constants",
-    "norm_constants_closed_form",
     "ring_amplitudes",
-    "ring_norm_constants",
-    "ring_norm_constants_closed_form",
+    "ring_states",
     "basis_amplitudes",
     "NEGLIGIBLE_NORM",
 ]
+
+# "gram": the Gram-exact constants; "closed-form": the d=2/d=3 trigonometric
+# forms the benchmark tables are built on (see `norm_constants`)
+WEIGHT_MODELS = ("closed-form", "gram")
 
 # Below this, a basis direction carries no meaningful population and is
 # treated as absent (its expansion coefficient is set to exactly zero).
@@ -34,7 +34,8 @@ NEGLIGIBLE_NORM = 1e-12
 
 
 def ring_amplitudes(d: int, amplitudes) -> np.ndarray:
-    """Amplitudes as a float array, after RingSpec's checks on d and on each value."""
+    """Amplitudes as a float array, after checking d >= 2 and that each
+    value is finite and nonnegative."""
     if d < 2:
         raise ValueError(f"ring dimension must be >= 2, got {d}")
     a = np.asarray(amplitudes, dtype=float)
@@ -44,40 +45,51 @@ def ring_amplitudes(d: int, amplitudes) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
-class RingSpec:
-    """Dimension d and real amplitude of the d phase-rotated coherent states."""
-
-    d: int
-    amplitude: float
-
-    def __post_init__(self):
-        ring_amplitudes(self.d, self.amplitude)
-
-    def phases(self) -> np.ndarray:
-        return np.exp(2j * np.pi * np.arange(self.d) / self.d)
-
-    def states(self) -> np.ndarray:
-        """Complex amplitudes of the d ring states."""
-        return self.amplitude * self.phases()
+def ring_states(d: int, amplitude) -> np.ndarray:
+    """Complex amplitudes alpha e^{2 pi i k / d} of the d ring states:
+    shape amplitude.shape + (d,)."""
+    a = ring_amplitudes(d, amplitude)
+    return a[..., None] * np.exp(2j * np.pi * np.arange(d) / d)
 
 
-def norm_constants(ring: RingSpec) -> np.ndarray:
-    """Normalization constants N_{v_m} of the orthonormal superposition basis.
+def norm_constants(d: int, amplitudes, model: str = "gram") -> np.ndarray:
+    """Normalization constants N_{v_m} for every amplitude at once: shape
+    amplitudes.shape + (d,).
 
-    Evaluated as the DFT of the ring-state overlaps,
+    "gram" evaluates the DFT of the ring-state overlaps,
 
         N_{v_m} = d * sum_j e^{2 pi i j m / d} exp(alpha^2 (e^{2 pi i j / d} - 1)),
 
     which equals the Gram double sum and the eigenvalues of d * Gram.
     Tiny negative rounding noise is clipped to zero; the values sum to d^2.
+
+    "closed-form" gives the trigonometric closed forms of the d=2 and d=3
+    constants.  For d=2 they coincide with "gram" exactly:
+    2(1 +- e^{-2 alpha^2}).  For d=3 the m=0 value also coincides, but the
+    m=1,2 values here carry sqrt(3) on the sine term where the Gram-derived
+    constants carry 3*sqrt(3); the two variants agree only in their sum.
+    The bundled benchmark tables (see `hqrsim.tables`) and every
+    purification/fidelity chain printed there are built on this variant, so
+    it is kept verbatim as the default weight model of `states.loss_weights`.
+    Use "gram" wherever actual orthonormal-basis algebra (expansions,
+    overlaps, discrimination bounds) is required.  For d not in {2, 3}
+    there is no closed-form variant and "closed-form" gives "gram".
     """
-    return ring_norm_constants(ring.d, ring.amplitude)
-
-
-def ring_norm_constants(d: int, amplitudes) -> np.ndarray:
-    """`norm_constants` for every amplitude at once: shape amplitudes.shape + (d,)."""
+    if model not in WEIGHT_MODELS:
+        raise ValueError(f"unknown weight model {model!r}")
     a = ring_amplitudes(d, amplitudes)
+    if model == "closed-form" and d == 2:
+        e = np.exp(-2.0 * a ** 2)
+        return np.stack([2.0 * (1.0 + e), 2.0 * (1.0 - e)], axis=-1)
+    if model == "closed-form" and d == 3:
+        a2 = a ** 2
+        e = np.exp(-1.5 * a2)
+        th = np.sqrt(0.75) * a2
+        return np.stack([
+            3.0 + 6.0 * e * np.cos(th),
+            3.0 - e * (3.0 * np.cos(th) + np.sqrt(3.0) * np.sin(th)),
+            3.0 - e * (3.0 * np.cos(th) - np.sqrt(3.0) * np.sin(th)),
+        ], axis=-1)
     j = np.arange(d)
     g = np.exp(a[..., None] ** 2 * (np.exp(2j * np.pi * j / d) - 1.0))
     m = np.arange(d)[:, None]
@@ -87,47 +99,11 @@ def ring_norm_constants(d: int, amplitudes) -> np.ndarray:
     return np.clip(vals.real, 0.0, None)
 
 
-def norm_constants_closed_form(ring: RingSpec) -> np.ndarray:
-    """Trigonometric closed forms of the d=2 and d=3 constants.
-
-    For d=2 this coincides with `norm_constants` exactly:
-    2(1 +- e^{-2 alpha^2}).  For d=3 the m=0 value also coincides, but the
-    m=1,2 values here carry sqrt(3) on the sine term where the Gram-derived
-    constants carry 3*sqrt(3); the two variants agree only in their sum.
-    The bundled benchmark tables (see `hqrsim.tables`) and every
-    purification/fidelity chain printed there are built on this variant, so
-    it is kept verbatim as the default weight model of the mixture
-    constructors.  Use `norm_constants` wherever actual orthonormal-basis
-    algebra (expansions, overlaps, discrimination bounds) is required.
-
-    For d not in {2, 3} there is no closed-form variant and this delegates
-    to `norm_constants`.
-    """
-    return ring_norm_constants_closed_form(ring.d, ring.amplitude)
-
-
-def ring_norm_constants_closed_form(d: int, amplitudes) -> np.ndarray:
-    """`norm_constants_closed_form` for every amplitude at once."""
-    a2 = ring_amplitudes(d, amplitudes) ** 2
-    if d == 2:
-        e = np.exp(-2.0 * a2)
-        return np.stack([2.0 * (1.0 + e), 2.0 * (1.0 - e)], axis=-1)
-    if d == 3:
-        e = np.exp(-1.5 * a2)
-        th = np.sqrt(0.75) * a2
-        return np.stack([
-            3.0 + 6.0 * e * np.cos(th),
-            3.0 - e * (3.0 * np.cos(th) + np.sqrt(3.0) * np.sin(th)),
-            3.0 - e * (3.0 * np.cos(th) - np.sqrt(3.0) * np.sin(th)),
-        ], axis=-1)
-    return ring_norm_constants(d, amplitudes)
-
-
 def basis_amplitudes(d: int, amplitudes) -> np.ndarray:
     """c_m = sqrt(N_{v_m}) / d for every amplitude: shape amplitudes.shape + (d,).
 
     Directions with N_{v_m} < NEGLIGIBLE_NORM are dropped (c_m exactly zero).
     """
-    n = ring_norm_constants(d, amplitudes)
+    n = norm_constants(d, amplitudes)
     n = np.where(n < NEGLIGIBLE_NORM, 0.0, n)
     return np.sqrt(n) / d

@@ -27,8 +27,8 @@ from functools import cache
 
 import numpy as np
 
-from .coherent import RingSpec, norm_constants
-from .states import ChannelParams
+from .coherent import norm_constants, ring_amplitudes, ring_states
+from .states import ChannelParams, _loss_probabilities
 
 __all__ = [
     "WindowSet",
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 HOMODYNE_DIMS = (2, 3, 4)
-# Gauss-Legendre orders tried by _window_cross_integral (n and 2n from the
+# Gauss-Legendre orders tried by _cross_integrals (n and 2n from the
 # first up to the cap) and its panel count cap; the two caps bound the work
 GL_FIRST_ORDER = 64
 GL_MAX_ORDER = 512
@@ -158,15 +158,16 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
     p_{w_i} sums the quadrature masses of all d ring states over window i;
     the fidelity of window i keeps the leading mixture component
     N_{v_0}(sqrt(1-gamma) alpha)/d^2 and the window's own dominant-state
-    mass.  Off-diagonalleakage (coherences between Bell components inside a
+    mass.  Off-diagonal leakage (coherences between Bell components inside a
     window) does not enter these numbers at all; its magnitude is reported
-    separately as `offdiag_bound`.
+    separately as `offdiag_bound`, which reads 0.0 when it is at or below
+    `quadrature_tol`: the quadrature fixes no digit of such a value.
     """
     gamma = channel.gamma
     ws = window_geometry(d, alpha, gamma, delta_frac)
-    ring = RingSpec(d, np.sqrt(gamma) * alpha).states()
+    ring = ring_states(d, np.sqrt(gamma) * alpha)
     means = _mean(ring, ws.quadrature).tolist()
-    lead = norm_constants(RingSpec(d, np.sqrt(max(1.0 - gamma, 0.0)) * alpha))[0] / d ** 2
+    lead = _loss_probabilities(d, alpha, channel, "gram")[0]
 
     probs, fids = [], []
     for bounds, dom in zip(ws.bounds, ws.dominant_ring):
@@ -179,8 +180,10 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
 
     bound = 0.0
     if include_offdiag:
-        bound = np.max(abs(_pair_integrals(ring, ws.quadrature, ws.bounds, quadrature_tol)))
-    return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av, float(bound))
+        bound = float(np.max(abs(_pair_integrals(ring, ws.quadrature, ws.bounds,
+                                                 quadrature_tol))))
+    return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av,
+                           bound if bound > quadrature_tol else 0.0)
 
 
 @cache
@@ -247,12 +250,6 @@ def _pair_integrals(ring, quadrature: str, bounds, tol: float) -> np.ndarray:
     return _cross_integrals(ring[i], ring[j], quadrature, lo, hi, tol)
 
 
-def _window_cross_integral(beta_i: complex, beta_j: complex, quadrature: str,
-                           bounds: tuple[float, float], tol: float) -> complex:
-    """integral over the window of psi_{beta_i}(q) psi*_{beta_j}(q)."""
-    return complex(_cross_integrals(beta_i, beta_j, quadrature, *bounds, tol))
-
-
 def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
                    delta_frac: float, quadrature_tol: float = 1e-10) -> float:
     """Largest cross term |integral psi_beta psi*_beta'| over one window.
@@ -265,7 +262,7 @@ def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
     ws = window_geometry(d, alpha, channel.gamma, delta_frac)
     if not 0 <= window < len(ws.bounds):
         raise ValueError(f"window index {window} out of range")
-    ring = RingSpec(d, np.sqrt(channel.gamma) * alpha).states()
+    ring = ring_states(d, np.sqrt(channel.gamma) * alpha)
     return float(np.max(abs(_pair_integrals(ring, ws.quadrature, [ws.bounds[window]],
                                             quadrature_tol))))
 
@@ -278,6 +275,6 @@ def usd_bound(d: int, alpha: float, gamma: float) -> float:
     min_m N_{v_m} / d (Chefles & Barnett, Phys. Lett. A 250, 223 (1998)),
     clamped to [0, 1].
     """
-    RingSpec(d, alpha)  # checks alpha before gamma = 0 could map it to -0.0
-    n = norm_constants(RingSpec(d, np.sqrt(gamma) * alpha))
+    a = ring_amplitudes(d, alpha)  # checked before gamma = 0 could map it to -0.0
+    n = norm_constants(d, np.sqrt(gamma) * a)
     return float(min(np.min(n) / d, 1.0))

@@ -33,7 +33,7 @@ import numpy as np
 
 from .detection import homodyne_report, usd_bound
 from .logic import purify_step
-from .states import ChannelParams, PhaseMixtureWeights, matter_matter_components
+from .states import ChannelParams, PhaseMixtureWeights, loss_weights
 from .tables import CellComparison, ROUNDS, TABLES, grade_cell
 
 __all__ = [
@@ -193,8 +193,7 @@ def initial_segment_state(config: RepeaterConfig) -> tuple[float, PhaseMixtureWe
     ch = config.channel
     if config.scheme == "usd":
         p0 = usd_bound(config.d, config.alpha, ch.gamma)
-        weights = matter_matter_components(config.d, config.alpha, ch).weights
-        return p0, weights
+        return p0, loss_weights(config.d, config.alpha, ch)
     report = homodyne_report(config.d, config.alpha, ch, config.delta_frac,
                              include_offdiag=False)
     # effective-state model: leading weight F_av, remainder split equally

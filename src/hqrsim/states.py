@@ -13,11 +13,11 @@ Z_d symmetry blocks of the matter-light state, for many amplitudes at once;
 the full d^2 x d^2 density matrix is built only by the test oracle
 `matter_light_mixture` in `tests/oracles.py`.
 
-Two weight models are available for the d=3 mixture (see
-`coherent.norm_constants_closed_form`): "closed-form" keeps the benchmark
-tables reproducible and is the default for the mixture constructors;
-"gram" is the Gram-exact channel output and is the default for the
-negativity scan, which probes the physical entanglement.
+Two weight models are available for the d=3 mixture (the `model` of
+`coherent.norm_constants`): "closed-form" keeps the benchmark tables
+reproducible and is the default of `loss_weights`; "gram" is the
+Gram-exact channel output and is the default for the negativity scan,
+which probes the physical entanglement.
 """
 
 from __future__ import annotations
@@ -27,28 +27,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coherent import (basis_amplitudes, ring_amplitudes, ring_norm_constants,
-                       ring_norm_constants_closed_form)
+from .coherent import basis_amplitudes, norm_constants, ring_amplitudes
 from .numerics import HERMITICITY_TOL, TRACE_TOL, positivity_floor
 
 __all__ = [
     "ChannelParams",
     "PhaseMixtureWeights",
-    "WEIGHT_MODELS",
     "loss_weights",
-    "MatterMatterMixture",
-    "matter_matter_components",
     "negativity_scan",
 ]
-
-WEIGHT_MODELS = ("closed-form", "gram")
 
 # largest |sum - 1| a phase-mixture weight vector may have
 WEIGHT_SUM_TOL = 1e-10
 
-# grid points per batch of negativity_scan: bounds its d^3 floats per point
-# (about 1 MB at d = 8) for any grid length
-SCAN_CHUNK = 256
+# floats in the (points, d, d, d) block array of one negativity_scan batch,
+# 1 MB: a batch holds max(1, SCAN_CHUNK_FLOATS // d^3) grid points
+SCAN_CHUNK_FLOATS = 256 * 8 ** 3
+# largest d negativity_scan accepts: on a 2-vCPU machine a point costs about
+# 0.05 ms at d = 8, 0.24 ms at d = 16 and 1.8 ms at d = 32, so a scan of
+# cli.ALPHA_RANGE_MAX_COUNT points takes about 5 s, 24 s and 3 min
+SCAN_MAX_D = 16
 
 
 @dataclass(frozen=True)
@@ -99,49 +97,20 @@ def _checked_weights(p: np.ndarray) -> np.ndarray:
 
 def _loss_probabilities(d: int, alphas, channel: ChannelParams, model: str) -> np.ndarray:
     """Unchecked weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2, shape alphas.shape + (d,)."""
-    if model not in WEIGHT_MODELS:
-        raise ValueError(f"unknown weight model {model!r}")
     # checked before damping, which maps a negative amplitude to -0.0 when gamma = 1
     a_loss = np.sqrt(max(1.0 - channel.gamma, 0.0)) * ring_amplitudes(d, alphas)
-    constants = ring_norm_constants_closed_form if model == "closed-form" else ring_norm_constants
-    return constants(d, a_loss) / d ** 2
+    return norm_constants(d, a_loss, model) / d ** 2
 
 
 def loss_weights(d: int, alpha: float, channel: ChannelParams,
                  model: str = "closed-form") -> PhaseMixtureWeights:
-    """Mixture weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2 after the loss trace."""
+    """Mixture weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2 after the loss trace.
+
+    The inverse interaction is unitary on matter (x) light, so these are
+    also the matter-matter weights: component m pairs the Bell state with
+    phase index (d - m) mod d and shift index j with ring state j.
+    """
     return PhaseMixtureWeights(d, _loss_probabilities(d, alpha, channel, model))
-
-
-@dataclass(frozen=True)
-class MatterMatterMixture:
-    """Mixture over components |T_m>, each pairing d Bell states with ring states.
-
-    Component m carries weight N_{v_m}(sqrt(1-gamma)*alpha)/d^2 and couples
-    the Bell state with phase index (d - m) mod d and shift index j to ring
-    state j:  |T_m> = (1/sqrt(d)) sum_j |phi_{(d-m) mod d, j}> |ring j>.
-    """
-
-    d: int
-    weights: PhaseMixtureWeights
-
-    def bell_phase_index(self, m: int) -> int:
-        return (self.d - m) % self.d
-
-    def pairing_table(self) -> list[tuple[int, float, int]]:
-        """(component m, weight, Bell phase index); shift j pairs ring j."""
-        return [(m, float(self.weights.p[m]), self.bell_phase_index(m))
-                for m in range(self.d)]
-
-
-def matter_matter_components(d: int, alpha: float, channel: ChannelParams,
-                             model: str = "closed-form") -> MatterMatterMixture:
-    """Matter-matter component structure after the inverse interaction.
-
-    The second interaction is unitary on matter (x) light, so the component
-    weights are exactly those of the matter-light mixture, `loss_weights`.
-    """
-    return MatterMatterMixture(d=d, weights=loss_weights(d, alpha, channel, model))
 
 
 def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
@@ -162,17 +131,20 @@ def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
     blocks P_k[r, r'] = w_{(k-r-r') mod d} c_r c_r'.  A transpose in another
     local basis is unitarily equivalent, so these blocks carry the
     negativity of the full matrix, which stays the test oracle.
-    The grid goes through one batched eigvalsh per SCAN_CHUNK points.
-    Every grid point passes RingSpec's amplitude check, the
+    The grid goes through one batched eigvalsh per SCAN_CHUNK_FLOATS // d^3
+    points, and d is at most SCAN_MAX_D.
+    Every grid point passes `ring_amplitudes`' check, the
     PhaseMixtureWeights conditions and DensityMatrix's Hermiticity, trace
     and positivity tests (on the blocks w_m c c^T, same tolerances).
     """
+    if d > SCAN_MAX_D:
+        raise ValueError(f"negativity scan supports d <= {SCAN_MAX_D}, got d = {d}")
     ch = ChannelParams(L0_km, L_att_km)
     a = ring_amplitudes(d, alphas)
     neg = np.empty(len(a))
-    for s in range(0, len(a), SCAN_CHUNK):
-        neg[s:s + SCAN_CHUNK] = _block_negativities(d, a[s:s + SCAN_CHUNK], ch, model,
-                                                    positivity_tol)
+    step = max(1, SCAN_CHUNK_FLOATS // d ** 3)
+    for s in range(0, len(a), step):
+        neg[s:s + step] = _block_negativities(d, a[s:s + step], ch, model, positivity_tol)
     return [(float(x), float(n)) for x, n in zip(a, neg)]
 
 

@@ -25,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from hqrsim.coherent import RingSpec, basis_amplitudes
+from hqrsim.coherent import basis_amplitudes, ring_states
 from hqrsim.detection import (GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, _legendre_rule,
                               _mean, quadrature_wavefunction, window_geometry)
 from hqrsim.numerics import DensityMatrix, _as_square_complex
@@ -41,20 +41,21 @@ def overlap(a: complex, b: complex) -> complex:
     return np.exp(-0.5 * abs(a) ** 2 - 0.5 * abs(b) ** 2 + np.conj(a) * b)
 
 
-def gram_matrix(ring: RingSpec) -> np.ndarray:
-    """Gram matrix G[k, l] = overlap(ring state k, ring state l)."""
-    s = ring.states()
-    return np.array([[overlap(s[k], s[l]) for l in range(ring.d)] for k in range(ring.d)])
+def gram_matrix(d: int, alpha: float) -> np.ndarray:
+    """Gram matrix G[k, l] = overlap(ring state k, ring state l), each ring
+    state alpha e^{2 pi i k / d} built here."""
+    s = [alpha * np.exp(2j * np.pi * k / d) for k in range(d)]
+    return np.array([[overlap(s[k], s[l]) for l in range(d)] for k in range(d)])
 
 
-def ring_to_orthonormal(ring: RingSpec) -> np.ndarray:
+def ring_to_orthonormal(d: int, alpha: float) -> np.ndarray:
     """Expansion coefficients of every ring state in the orthonormal basis.
 
     Row k holds c_m e^{-2 pi i k m / d} with c = `basis_amplitudes`.
     """
-    k = np.arange(ring.d)[:, None]
-    m = np.arange(ring.d)
-    return basis_amplitudes(ring.d, ring.amplitude) * np.exp(-2j * np.pi * k * m / ring.d)
+    k = np.arange(d)[:, None]
+    m = np.arange(d)
+    return basis_amplitudes(d, alpha) * np.exp(-2j * np.pi * k * m / d)
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:
@@ -101,7 +102,7 @@ class HybridPureState:
 
     def coefficient_matrix(self) -> np.ndarray:
         """C[k, m]: amplitude of |k> |v_m> in the orthonormal light basis."""
-        return ring_to_orthonormal(RingSpec(self.d, self.alpha)) / np.sqrt(self.d)
+        return ring_to_orthonormal(self.d, self.alpha) / np.sqrt(self.d)
 
     def statevector(self) -> np.ndarray:
         """Flattened coefficients, matter index slow, light index fast."""
@@ -128,7 +129,7 @@ def matter_light_mixture(d: int, alpha: float, channel: ChannelParams,
     form (1/d) sum_r sqrt(N_{v_r}) |(m+r) mod d ~> |v_r~>.
     """
     w = loss_weights(d, alpha, channel, model)
-    damped = ring_to_orthonormal(RingSpec(d, np.sqrt(channel.gamma) * alpha))
+    damped = ring_to_orthonormal(d, np.sqrt(channel.gamma) * alpha)
     q = np.arange(d)[:, None]
     rho = np.zeros((d * d, d * d), dtype=complex)
     for m in range(d):
@@ -367,11 +368,13 @@ def window_cross_integral_loop(beta_i: complex, beta_j: complex, quadrature: str
 
 def offdiag_bound_loop(d: int, alpha: float, channel: ChannelParams, delta_frac: float,
                        tol: float = 1e-10) -> float:
-    """`homodyne_report`'s offdiag_bound from one integral at a time."""
+    """`homodyne_report`'s offdiag_bound from one integral at a time,
+    0.0 when at or below `tol`."""
     ws = window_geometry(d, alpha, channel.gamma, delta_frac)
-    ring = RingSpec(d, np.sqrt(channel.gamma) * alpha).states()
-    return max(abs(window_cross_integral_loop(ring[i], ring[j], ws.quadrature, bounds, tol))
-               for bounds in ws.bounds for i in range(d) for j in range(i + 1, d))
+    ring = ring_states(d, np.sqrt(channel.gamma) * alpha)
+    bound = max(abs(window_cross_integral_loop(ring[i], ring[j], ws.quadrature, bounds, tol))
+                for bounds in ws.bounds for i in range(d) for j in range(i + 1, d))
+    return bound if bound > tol else 0.0
 
 
 def z_attempts_series(n: int, p: float) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from hqrsim.coherent import RingSpec, norm_constants
+from hqrsim.coherent import norm_constants
 from hqrsim.detection import homodyne_report, quadrature_wavefunction, usd_bound
 from hqrsim.logic import purify_step, swap_phase_mixture
 from hqrsim.rates import monte_carlo_waiting, reproduce_table, z_attempts
@@ -167,7 +167,7 @@ def test_criterion_06_properties():
     # norm-constant sum rule
     for d in (2, 3, 4, 5, 8):
         for alpha in np.linspace(0.0, 6.0, 20):
-            n = norm_constants(RingSpec(d, float(alpha)))
+            n = norm_constants(d, float(alpha))
             assert abs(n.sum() - d ** 2) < 1e-10
 
     # discrimination bound equals min norm constant over d (independent paths)
@@ -177,7 +177,7 @@ def test_criterion_06_properties():
             alpha = float(rng.uniform(0.05, 3.0))
             gamma = float(rng.uniform(0.1, 1.0))
             lhs = usd_bound(d, alpha, gamma)
-            rhs = float(np.min(norm_constants(RingSpec(d, np.sqrt(gamma) * alpha))) / d)
+            rhs = float(np.min(norm_constants(d, np.sqrt(gamma) * alpha)) / d)
             assert abs(lhs - rhs) < 1e-12
 
     # purification law against the circuit oracle

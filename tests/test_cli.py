@@ -219,6 +219,14 @@ class TestRun:
         assert float(values["F_av"]) == pytest.approx(0.684023, abs=1e-5)
         assert float(values["offdiag_bound"]) == pytest.approx(0.161099059629, abs=1e-6)
 
+    def test_homodyne_offdiag_noise_prints_zero(self):
+        # the cross integrals here are below quadrature_tol, rounding noise
+        # that used to print as 2.75721e-158
+        _, text = run(parse(["homodyne", "--d", "4", "--L0", "2.144", "--alpha", "26.99",
+                             "--delta-frac", "0.6703"]))
+        values = dict(line.split(",") for line in text.strip().splitlines()[1:])
+        assert values["offdiag_bound"] == "0"
+
     def test_json_mirrors_csv(self):
         spec_csv = parse(["usd", "--d", "3", "--L0", "20", "--alpha", "0.5"])
         spec_json = parse(["--format", "json", "usd", "--d", "3", "--L0", "20",

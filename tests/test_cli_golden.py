@@ -21,7 +21,10 @@ NOISE = 1e-12
 
 CASES = {
     "constants": "constants --d 3 --alpha 0.8",
+    "constants_closed_form": "constants --d 3 --alpha 0.8 --model closed-form",
+    "constants_d5": "constants --d 5 --alpha 0.9",
     "entangle": "entangle --d 3 --L0 20 --alpha 0.5",
+    "entangle_d4_gram": "entangle --d 4 --L0 10 --alpha 0.9 --model gram",
     "negativity_scan": "negativity-scan --d 3 --L0 5 --alpha-range 0:2.5:100",
     "negativity_scan_d8_gram":
         "negativity-scan --d 8 --L0 10 --alpha-range 0.1:2.9:100 --model gram",

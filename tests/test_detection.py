@@ -4,8 +4,8 @@ import pytest
 from scipy.integrate import quad
 
 from hqrsim import detection
-from hqrsim.coherent import RingSpec, norm_constants
-from hqrsim.detection import (_pair_integrals, _window_cross_integral, homodyne_report,
+from hqrsim.coherent import norm_constants, ring_states
+from hqrsim.detection import (_cross_integrals, _pair_integrals, homodyne_report,
                               offdiag_weight, quadrature_wavefunction, usd_bound,
                               window_geometry, window_mass)
 from hqrsim.states import ChannelParams
@@ -154,20 +154,19 @@ class TestOffdiagWeight:
         # stretching the window over the whole line turns the cross term
         # into the plain coherent overlap
         ch = ChannelParams(5.0)
-        ring = RingSpec(3, np.sqrt(ch.gamma) * 1.0).states()
+        ring = ring_states(3, np.sqrt(ch.gamma) * 1.0)
         got = offdiag_weight(3, 1.0, ch, 1, 1.0 - 1e-12)
         # window w1 at full width starts at delta_max; compare against the
         # largest half-line cross integral computed directly
-        best = max(abs(_window_cross_integral(ring[i], ring[j], "p",
-                                              (np.sqrt(3) / 4 * np.sqrt(ch.gamma), np.inf),
-                                              1e-10))
+        best = max(abs(_cross_integrals(ring[i], ring[j], "p",
+                                        np.sqrt(3) / 4 * np.sqrt(ch.gamma), np.inf, 1e-10))
                    for i in range(3) for j in range(3) if i != j)
         assert got == pytest.approx(best, abs=1e-10)
 
     def test_equal_amplitudes_reduce_to_window_mass(self):
         beta = 0.6 + 0.3j
         for bounds in ((-0.5, 0.5), (0.2, np.inf)):
-            val = _window_cross_integral(beta, beta, "p", bounds, 1e-10)
+            val = _cross_integrals(beta, beta, "p", *bounds, 1e-10)
             assert abs(val.imag) < 1e-10
             assert val.real == pytest.approx(window_mass(bounds, beta.imag), abs=1e-10)
 
@@ -175,7 +174,7 @@ class TestOffdiagWeight:
         rng = np.random.default_rng(5)
         for _ in range(5):
             a, b = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(2))
-            val = _window_cross_integral(a, b, "p", (-np.inf, np.inf), 1e-10)
+            val = _cross_integrals(a, b, "p", -np.inf, np.inf, 1e-10)
             assert abs(val - overlap(b, a)) < 1e-8
 
     def test_reference_window_value(self):
@@ -198,16 +197,16 @@ class TestOffdiagWeight:
         for d, alpha in ((2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0)):
             ch = ChannelParams(5.0)
             ws = window_geometry(d, alpha, ch.gamma, 0.2)
-            ring = RingSpec(d, np.sqrt(ch.gamma) * alpha).states()
+            ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
             for w, bounds in enumerate(ws.bounds):
-                direct = max(abs(_window_cross_integral(ring[i], ring[j], ws.quadrature,
-                                                        bounds, 1e-10))
+                direct = max(abs(_cross_integrals(ring[i], ring[j], ws.quadrature,
+                                                  *bounds, 1e-10))
                              for i in range(d) for j in range(d) if i != j)
                 assert offdiag_weight(d, alpha, ch, w, 0.2) == pytest.approx(direct, abs=1e-14)
 
     def test_unconverged_quadrature_raises(self):
         with pytest.raises(ArithmeticError, match="did not converge"):
-            _window_cross_integral(1.0 + 0.5j, -1.0 + 0.5j, "p", (-1.0, 1.0), -1.0)
+            _cross_integrals(1.0 + 0.5j, -1.0 + 0.5j, "p", -1.0, 1.0, -1.0)
 
     def test_window_index_validation(self):
         with pytest.raises(ValueError):
@@ -238,11 +237,11 @@ class TestCrossIntegralOracle:
     def test_matches_mpmath(self, d, alpha):
         ch = ChannelParams(5.0)
         ws = window_geometry(d, alpha, ch.gamma, 0.2)
-        ring = RingSpec(d, np.sqrt(ch.gamma) * alpha).states()
+        ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
         for bounds in ws.bounds:
             for i in range(d):
                 for j in range(i + 1, d):
-                    got = _window_cross_integral(ring[i], ring[j], ws.quadrature, bounds, 1e-10)
+                    got = _cross_integrals(ring[i], ring[j], ws.quadrature, *bounds, 1e-10)
                     ref = _mp_cross_integral(ring[i], ring[j], ws.quadrature, bounds)
                     assert abs(got - ref) < 1e-12
 
@@ -251,7 +250,7 @@ class TestCrossIntegralOracle:
         # the +-i sa pair of d = 4 shares x-mean 0 and oscillates as
         # exp(4i sa x); over x >= 0 the integral is
         # exp(-k^2/8)/2 + i D(k/(2 sqrt 2))/sqrt(pi), k = 4 sa, D = Dawson
-        got = _window_cross_integral(1j * sa, -1j * sa, "x", (0.0, np.inf), 1e-10)
+        got = _cross_integrals(1j * sa, -1j * sa, "x", 0.0, np.inf, 1e-10)
         with mpmath.workdps(30):
             x = 4 * mpmath.mpf(sa) / (2 * mpmath.sqrt(2))
             dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x ** 2) * mpmath.erfi(x)
@@ -294,7 +293,7 @@ class TestBatchedCrossIntegrals:
     def test_every_window_pair_matches_quad(self, d, alpha, wavefunction_calls):
         ch = ChannelParams(5.0)
         ws = window_geometry(d, alpha, ch.gamma, 0.2)
-        ring = RingSpec(d, np.sqrt(ch.gamma) * alpha).states()
+        ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
         got = _pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10)
         assert got.shape == (len(ws.bounds), d * (d - 1) // 2)
         for w, bounds in enumerate(ws.bounds):
@@ -318,14 +317,14 @@ class TestBatchedCrossIntegrals:
         for k in range(3):
             ref = _quad_cross_integral(beta_i[k], beta_j[k], "x", (lo[k], hi[k]))
             assert abs(got[k] - ref) < 1e-12
-            alone = _window_cross_integral(beta_i[k], beta_j[k], "x", (lo[k], hi[k]), 1e-10)
+            alone = _cross_integrals(beta_i[k], beta_j[k], "x", lo[k], hi[k], 1e-10)
             assert abs(got[k] - alone) < 1e-14
 
     @pytest.mark.parametrize("d, alpha", [(2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0), (4, 5.0)])
     def test_offdiag_weight_is_batched_window_max(self, d, alpha):
         ch = ChannelParams(5.0)
         ws = window_geometry(d, alpha, ch.gamma, 0.3)
-        ring = RingSpec(d, np.sqrt(ch.gamma) * alpha).states()
+        ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
         batch = np.abs(_pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10))
         for w in range(len(ws.bounds)):
             assert abs(offdiag_weight(d, alpha, ch, w, 0.3) - batch[w].max()) <= 1e-14
@@ -341,6 +340,14 @@ class TestBatchedCrossIntegrals:
                         got = homodyne_report(d, alpha, ch, delta_frac).offdiag_bound
                         ref = offdiag_bound_loop(d, alpha, ch, delta_frac)
                         assert abs(got - ref) <= 1e-14
+
+    def test_bound_at_or_below_tolerance_reads_zero(self):
+        d, alpha, ch, delta_frac = 4, 26.99, ChannelParams(2.144), 0.6703
+        ws = window_geometry(d, alpha, ch.gamma, delta_frac)
+        ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
+        noise = np.abs(_pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10)).max()
+        assert 0.0 < noise <= 1e-10
+        assert homodyne_report(d, alpha, ch, delta_frac).offdiag_bound == 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_two_wavefunction_calls_per_order(self, d, wavefunction_calls):
@@ -373,11 +380,10 @@ class TestUsdBound:
                 alpha = rng.uniform(0.1, 3.0)
                 gamma = rng.uniform(0.2, 1.0)
                 direct = usd_bound(d, alpha, gamma)
-                ring = RingSpec(d, np.sqrt(gamma) * alpha)
-                via_norms = np.min(norm_constants(ring)) / d
+                via_norms = np.min(norm_constants(d, np.sqrt(gamma) * alpha)) / d
                 assert abs(direct - via_norms) < 1e-12
                 # independent oracle: smallest Gram eigenvalue (Chefles-Barnett)
-                assert abs(direct - np.linalg.eigvalsh(gram_matrix(ring))[0]) < 1e-12
+                assert abs(direct - np.linalg.eigvalsh(gram_matrix(d, np.sqrt(gamma) * alpha))[0]) < 1e-12
 
     def test_monotone_in_amplitude(self):
         for d in (2, 3, 4):

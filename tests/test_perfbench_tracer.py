@@ -3,10 +3,11 @@
 The tracer wraps every function in the `__all__` of the eight hqrsim
 modules, rebinds each module global bound to one of them and patches
 `numerics.DensityMatrix.__init__`.  The `scan` workload reads the spans of
-`states.negativity_scan` and `detection.homodyne_report` under traced
-`cli.main` calls, which only exist while the CLI reaches the library
-through its module globals at call time.  Nothing else in the repository
-runs perfbench automatically.
+`states.negativity_scan`, `coherent.norm_constants` and
+`detection.homodyne_report` under traced `cli.main` calls, which only exist
+while the CLI reaches the library, and the library reaches `norm_constants`,
+through module globals at call time.  Nothing else in the repository runs
+perfbench automatically.
 """
 
 import pathlib
@@ -42,3 +43,11 @@ def test_traced_cli_matches_golden_and_counts_library_span(tracer, capsys, case,
     assert all(same_cell(a, b) for ra, rb in zip(got, want) for a, b in zip(ra, rb))
     counted = {name for _, name in tracer.take_stats()}
     assert {"cli.main", span} <= counted
+
+
+@pytest.mark.parametrize("case", ["negativity_scan", "constants"])
+def test_traced_cli_counts_norm_constants_span(tracer, capsys, case):
+    # the scan reaches norm_constants from states and through basis_amplitudes
+    assert cli.main(CASES[case].split()) == 0
+    capsys.readouterr()
+    assert "coherent.norm_constants" in {name for _, name in tracer.take_stats()}

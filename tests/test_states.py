@@ -1,12 +1,14 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hqrsim.states as states
-from hqrsim.coherent import RingSpec, basis_amplitudes, norm_constants
-from hqrsim.states import (ChannelParams, PhaseMixtureWeights, loss_weights,
-                           matter_matter_components, negativity_scan)
+from hqrsim.cli import parse, run
+from hqrsim.coherent import basis_amplitudes, norm_constants
+from hqrsim.states import ChannelParams, PhaseMixtureWeights, loss_weights, negativity_scan
 from oracles import matter_light_mixture, matter_light_pure, negativity
 
 
@@ -38,7 +40,7 @@ class TestMatterLightPure:
         # (|0>|alpha> + |1>|-alpha>)/sqrt(2) in the even/odd cat basis
         alpha = 0.9
         state = matter_light_pure(2, alpha)
-        n = norm_constants(RingSpec(2, alpha))
+        n = norm_constants(2, alpha)
         expect = np.array([[np.sqrt(n[0]), np.sqrt(n[1])],
                            [np.sqrt(n[0]), -np.sqrt(n[1])]]) / (2 * np.sqrt(2))
         assert np.allclose(state.coefficient_matrix(), expect, atol=1e-12)
@@ -65,7 +67,7 @@ class TestMatterLightMixture:
     def test_d2_weights(self):
         ch = ChannelParams(8.0)
         _, w = matter_light_mixture(2, 1.1, ch)
-        n = norm_constants(RingSpec(2, np.sqrt(1 - ch.gamma) * 1.1))
+        n = norm_constants(2, np.sqrt(1 - ch.gamma) * 1.1)
         assert np.allclose(w.p, n / 4, atol=1e-12)
 
     def test_d3_default_weights(self):
@@ -106,42 +108,50 @@ class TestMatterLightMixture:
 
 
 class TestMatterMatterComponents:
+    """Component m of the matter-matter state carries `loss_weights` entry m;
+    `entangle` pairs it with the Bell states of phase index (d - m) mod d."""
+
     def test_lossless_single_component(self):
-        mix = matter_matter_components(3, 0.8, ChannelParams(0.0))
-        assert np.allclose(mix.weights.p, [1, 0, 0], atol=1e-12)
-        assert mix.bell_phase_index(0) == 0
+        w = loss_weights(3, 0.8, ChannelParams(0.0))
+        assert np.allclose(w.p, [1, 0, 0], atol=1e-12)
+        assert entangle_rows(3, 0.8, 0.0)[0][2] == "0"
 
     def test_d3_benchmark_weights(self):
-        mix = matter_matter_components(3, 0.5, ChannelParams(20.0))
-        assert mix.weights.p[0] == pytest.approx(0.861808, abs=1e-6)
-        assert np.allclose(mix.weights.p, [0.8618077, 0.0492632, 0.0889291], atol=1e-7)
+        w = loss_weights(3, 0.5, ChannelParams(20.0))
+        assert w.p[0] == pytest.approx(0.861808, abs=1e-6)
+        assert np.allclose(w.p, [0.8618077, 0.0492632, 0.0889291], atol=1e-7)
 
     def test_bell_pairing(self):
         # component m couples Bell phase index (d - m) mod d; for d=3 the
         # pairing is C0 -> phi_0j, C1 -> phi_2j, C2 -> phi_1j
-        mix = matter_matter_components(3, 1.0, ChannelParams(5.0))
-        assert [mix.bell_phase_index(m) for m in range(3)] == [0, 2, 1]
+        assert [r[2] for r in entangle_rows(3, 1.0, 5.0)] == ["0", "2", "1"]
 
     def test_d4_structure(self):
-        mix = matter_matter_components(4, 0.9, ChannelParams(10.0))
-        assert [mix.bell_phase_index(m) for m in range(4)] == [0, 3, 2, 1]
-        assert abs(mix.weights.p.sum() - 1.0) < 1e-12
-        table = mix.pairing_table()
-        assert len(table) == 4
-        assert table[1][2] == 3
+        rows = entangle_rows(4, 0.9, 10.0)
+        assert [r[2] for r in rows] == ["0", "3", "2", "1"]
+        w = loss_weights(4, 0.9, ChannelParams(10.0))
+        assert abs(w.p.sum() - 1.0) < 1e-12
+        assert [r[1] for r in rows] == [f"{x:.6g}" for x in w.p]
 
     @pytest.mark.parametrize("d,alpha,L0", [(2, 1.0, 5.0), (3, 1.2, 5.0), (4, 0.7, 15.0)])
     def test_weights_equal_mixture_weights(self, d, alpha, L0):
         # the second interaction is unitary, so the weights cannot change
         ch = ChannelParams(L0)
         _, w_light = matter_light_mixture(d, alpha, ch)
-        w_matter = matter_matter_components(d, alpha, ch).weights
-        assert np.allclose(w_light.p, w_matter.p, atol=1e-14)
+        assert np.allclose(w_light.p, loss_weights(d, alpha, ch).p, atol=1e-14)
 
     def test_loss_weights_model_switch(self):
         ch = ChannelParams(5.0)
         with pytest.raises(ValueError):
             loss_weights(3, 1.0, ch, model="bogus")
+
+
+def entangle_rows(d, alpha, L0):
+    """Rows (component, weight, bell_phase_index) printed by `hqrsim entangle`."""
+    status, text = run(parse(["entangle", "--d", str(d), "--L0", str(L0),
+                              "--alpha", str(alpha)]))
+    assert status == 0
+    return [line.split(",") for line in text.splitlines()[1:]]
 
 
 class TestNegativityScan:
@@ -200,8 +210,28 @@ class TestNegativityScan:
     def test_batches_do_not_change_results(self, monkeypatch):
         alphas = np.linspace(0.0, 3.0, 30)
         whole = negativity_scan(6, 10.0, alphas)
-        monkeypatch.setattr(states, "SCAN_CHUNK", 7)
+        monkeypatch.setattr(states, "SCAN_CHUNK_FLOATS", 7 * 6 ** 3)
         assert negativity_scan(6, 10.0, alphas) == whole
+
+    def test_chunk_holds_at_least_one_point(self, monkeypatch):
+        # a budget below d^3 still takes one point per batch; the batched
+        # eigvalsh may then round the last bit differently
+        alphas = np.linspace(0.0, 3.0, 5)
+        whole = np.array(negativity_scan(4, 10.0, alphas))
+        monkeypatch.setattr(states, "SCAN_CHUNK_FLOATS", 1)
+        single = np.array(negativity_scan(4, 10.0, alphas))
+        assert np.array_equal(single[:, 0], alphas)
+        assert np.abs(single - whole).max() <= 1e-15
+
+    def test_largest_d_scans_and_next_is_refused_at_once(self):
+        d = states.SCAN_MAX_D
+        assert d >= 8
+        (_, n), = negativity_scan(d, 5.0, [1.0])
+        assert n > 0.0
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"d = {d + 1}"):
+            negativity_scan(d + 1, 5.0, np.linspace(0.0, 3.0, 10 ** 5))
+        assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
     def test_rejects_bad_amplitude(self, bad):
