@@ -27,7 +27,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -43,7 +43,6 @@ from .states import (ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL, loss_we
 
 __all__ = ["Settings", "RunSpec", "load_config", "parse", "run", "main"]
 
-CONFIG_KEYS = ("l_att_km", "fiber_speed_km_s", "positivity_tol", "quadrature_tol")
 # largest --alpha-range COUNT: a d=8 scan of 10^5 points takes about 6 s and
 # peaks at about 56 MB on a 2-vCPU machine, 10^6 points about 63 s and 277 MB
 ALPHA_RANGE_MAX_COUNT = 10 ** 5
@@ -53,8 +52,10 @@ ALPHA_RANGE_MAX_COUNT = 10 ** 5
 class Settings:
     l_att_km: float = 22.0
     fiber_speed_km_s: float = 2.0e5
-    positivity_tol: float = 1e-9
     quadrature_tol: float = 1e-10
+
+
+CONFIG_KEYS = tuple(f.name for f in fields(Settings))
 
 
 @dataclass
@@ -88,8 +89,6 @@ def load_config(path: str) -> dict:
             except ValueError:
                 raise UsageError(f"{path}:{lineno}: invalid number {value!r}") from None
             # NaN fails both comparisons, so it is rejected with inf
-            if key == "positivity_tol" and not 0.0 <= overrides[key] < np.inf:
-                raise UsageError(f"{path}:{lineno}: positivity_tol must be finite and >= 0")
             if key == "quadrature_tol" and not 0.0 < overrides[key] < np.inf:
                 raise UsageError(f"{path}:{lineno}: quadrature_tol must be finite and > 0")
     return overrides
@@ -171,7 +170,7 @@ def _entangle(p, s):
 
 def _negativity_scan(p, s):
     pts = negativity_scan(p["d"], p["L0"], p["alpha_range"], model=p["model"],
-                          L_att_km=s.l_att_km, positivity_tol=s.positivity_tol)
+                          L_att_km=s.l_att_km)
     return ["alpha", "negativity"], [list(pt) for pt in pts]
 
 
@@ -220,7 +219,7 @@ def _rate(p, s):
 
 def _mc(p, s):
     mean, stderr = monte_carlo_waiting(p["n"], p["p"], tuple(p["round_p"]), trials=p["trials"],
-                                       seed=p["seed"], shards=p["shards"])
+                                       seed=p["seed"])
     rows = [["mean_attempts", mean], ["standard_error", stderr], ["trials", p["trials"]]]
     if not p["round_p"]:
         rows.append(["analytic_mean", z_attempts(p["n"], p["p"])])
@@ -273,8 +272,7 @@ COMMANDS = {
                    ("--p", {"type": float, "required": True}),
                    ("--round-p", {"type": _numbers, "default": (), "metavar": "P1,P2,..."}),
                    ("--trials", {"type": _int_at_least(2), "required": True}),
-                   ("--seed", {"type": int, "required": True}),
-                   ("--shards", {"type": int, "default": 1})), _mc),
+                   ("--seed", {"type": int, "required": True})), _mc),
     "table": Command("benchmark-table reproduction with per-cell status",
                      (("--id", {"choices": ("I", "II", "III", "IV", "V"), "required": True}),),
                      _table),

@@ -31,17 +31,19 @@ WEIGHT_MODELS = ("closed-form", "gram")
 # Below this, a basis direction carries no meaningful population and is
 # treated as absent (its expansion coefficient is set to exactly zero).
 NEGLIGIBLE_NORM = 1e-12
+# largest amplitude whose square is a finite float, about 1.34e154
+AMPLITUDE_MAX = float(np.sqrt(np.finfo(float).max))
 
 
 def ring_amplitudes(d: int, amplitudes) -> np.ndarray:
     """Amplitudes as a float array, after checking d >= 2 and that each
-    value is finite and nonnegative."""
+    value lies in [0, AMPLITUDE_MAX]."""
     if d < 2:
         raise ValueError(f"ring dimension must be >= 2, got {d}")
     a = np.asarray(amplitudes, dtype=float)
-    bad = ~(np.isfinite(a) & (a >= 0))
+    bad = ~((a >= 0) & (a <= AMPLITUDE_MAX))  # NaN fails both
     if bad.any():
-        raise ValueError(f"amplitude must be finite and nonnegative, got {a[bad][0]}")
+        raise ValueError(f"amplitude must lie in [0, {AMPLITUDE_MAX:.6g}], got {a[bad][0]}")
     return a
 
 

@@ -62,18 +62,9 @@ class WindowSet:
     quadrature: str
     delta: float
     delta_max: float
-    centers: tuple[float, ...]
     bounds: tuple[tuple[float, float], ...]
     dominant_ring: tuple[int, ...]
     failure_bounds: tuple[tuple[float, float], ...]
-
-    def __post_init__(self):
-        if self.delta > self.delta_max + 1e-15:
-            raise ValueError("delta exceeds delta_max: acceptance windows would overlap")
-        lows = sorted(self.bounds)
-        for (a, b), (c, d) in zip(lows, lows[1:]):
-            if b > c + 1e-15:
-                raise ValueError("acceptance windows overlap")
 
 
 @dataclass(frozen=True)
@@ -131,7 +122,6 @@ def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> Wi
             quadrature="x",
             delta=delta,
             delta_max=delta_max,
-            centers=(sa, -sa),
             bounds=((edge, np.inf), (-np.inf, -edge)),
             dominant_ring=(0, d // 2),
             failure_bounds=((-edge, edge),),
@@ -143,7 +133,6 @@ def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> Wi
         quadrature="p",
         delta=delta,
         delta_max=delta_max,
-        centers=(0.0, c1, -c1),
         bounds=((-delta, delta), (c1 - delta, np.inf), (-np.inf, -(c1 - delta))),
         dominant_ring=(0, 1, 2),
         failure_bounds=((delta, c1 - delta), (-(c1 - delta), -delta)),
@@ -165,9 +154,9 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
     """
     gamma = channel.gamma
     ws = window_geometry(d, alpha, gamma, delta_frac)
+    lead = _loss_probabilities(d, alpha, channel, "gram")[0]  # names a bad alpha undamped
     ring = ring_states(d, np.sqrt(gamma) * alpha)
     means = _mean(ring, ws.quadrature).tolist()
-    lead = _loss_probabilities(d, alpha, channel, "gram")[0]
 
     probs, fids = [], []
     for bounds, dom in zip(ws.bounds, ws.dominant_ring):
@@ -180,10 +169,8 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
 
     bound = 0.0
     if include_offdiag:
-        bound = float(np.max(abs(_pair_integrals(ring, ws.quadrature, ws.bounds,
-                                                 quadrature_tol))))
-    return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av,
-                           bound if bound > quadrature_tol else 0.0)
+        bound = _offdiag_max(ring, ws.quadrature, ws.bounds, quadrature_tol)
+    return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av, bound)
 
 
 @cache
@@ -250,6 +237,13 @@ def _pair_integrals(ring, quadrature: str, bounds, tol: float) -> np.ndarray:
     return _cross_integrals(ring[i], ring[j], quadrature, lo, hi, tol)
 
 
+def _offdiag_max(ring, quadrature: str, bounds, tol: float) -> float:
+    """Largest |cross integral| of `_pair_integrals`; 0.0 at or below `tol`,
+    where the quadrature fixes no digit of the value."""
+    bound = float(np.max(abs(_pair_integrals(ring, quadrature, bounds, tol))))
+    return bound if bound > tol else 0.0
+
+
 def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
                    delta_frac: float, quadrature_tol: float = 1e-10) -> float:
     """Largest cross term |integral psi_beta psi*_beta'| over one window.
@@ -257,14 +251,14 @@ def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
     Bounds the coherences the diagonal-mixture approximation drops; taking
     the whole line as the window recovers |overlap(beta', beta)|.  The
     (j, i) integral is the conjugate of the (i, j) one, so only i < j is
-    evaluated.
+    evaluated.  Like `homodyne_report`'s bound, it reads 0.0 at or below
+    `quadrature_tol`.
     """
     ws = window_geometry(d, alpha, channel.gamma, delta_frac)
     if not 0 <= window < len(ws.bounds):
         raise ValueError(f"window index {window} out of range")
     ring = ring_states(d, np.sqrt(channel.gamma) * alpha)
-    return float(np.max(abs(_pair_integrals(ring, ws.quadrature, [ws.bounds[window]],
-                                            quadrature_tol))))
+    return _offdiag_max(ring, ws.quadrature, [ws.bounds[window]], quadrature_tol)
 
 
 def usd_bound(d: int, alpha: float, gamma: float) -> float:

@@ -3,9 +3,10 @@
 Everything here operates on plain complex ndarrays (row-major, square).
 Matrices never exceed a few thousand rows at desk scale, so clarity and
 robust validation win over asymptotics.  `states.negativity_scan` does
-not build these matrices; it applies the same tolerances to the symmetry
-blocks of its states.  The negativity of the full matrix, its test
-oracle, lives with the other oracles in `tests/oracles.py`.
+not build these matrices: its symmetry blocks w_m c c^T are Hermitian and
+positive semidefinite by construction, so it checks only their trace,
+against TRACE_TOL.  The negativity of the full matrix, its test oracle,
+lives with the other oracles in `tests/oracles.py`.
 """
 
 from __future__ import annotations
@@ -16,15 +17,7 @@ __all__ = [
     "DensityMatrix",
 ]
 
-HERMITICITY_TOL = 1e-10
-TRACE_TOL = 1e-10
-POSITIVITY_TOL = 1e-9
-
-
-def positivity_floor(positivity_tol, trace):
-    """Lowest eigenvalue allowed: -positivity_tol, but at least eigvalsh
-    rounding noise (8 ulps of the trace) below 0, so a tolerance of 0 works."""
-    return -np.maximum(positivity_tol, 8 * np.finfo(float).eps * np.abs(trace))
+TRACE_TOL = 1e-10  # also the scan's trace test
 
 
 def _as_square_complex(m) -> np.ndarray:
@@ -43,9 +36,8 @@ class DensityMatrix:
     """
 
     def __init__(self, matrix, bipartition: tuple[int, int] | None = None, *,
-                 hermiticity_tol: float = HERMITICITY_TOL,
-                 trace_tol: float = TRACE_TOL,
-                 positivity_tol: float = POSITIVITY_TOL):
+                 hermiticity_tol: float = 1e-10, trace_tol: float = TRACE_TOL,
+                 positivity_tol: float = 1e-9):
         m = _as_square_complex(matrix)
         if np.max(np.abs(m - m.conj().T)) > hermiticity_tol:
             raise ValueError("density matrix is not Hermitian within tolerance")
@@ -53,7 +45,9 @@ class DensityMatrix:
         if abs(tr - 1.0) > trace_tol:
             raise ValueError(f"density matrix trace {tr} is not 1 within tolerance")
         evals = np.linalg.eigvalsh(m)
-        floor = positivity_floor(positivity_tol, tr)
+        # at least eigvalsh rounding noise (8 ulps of the trace) below 0 is
+        # allowed, so a tolerance of 0 works
+        floor = -max(positivity_tol, 8 * np.finfo(float).eps * abs(tr))
         if evals[0] < floor:
             raise ValueError(f"density matrix has eigenvalue {evals[0]} below {floor}")
         if bipartition is not None:

@@ -232,14 +232,12 @@ def predict(config: RepeaterConfig) -> RateResult:
 
 
 def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5,
-                        seed: int = 0, shards: int = 1) -> tuple[float, float]:
+                        seed: int = 0) -> tuple[float, float]:
     """Empirical mean attempts (and standard error) until all segments are filled.
 
     Each segment waits a geometric(p0) time per pair; every purification
     round consumes two pairs (max of two independent waits) and repeats on
-    failure (probability 1 - p_round).  Trials are split into `shards`
-    independently seeded batches; results are identical for a fixed
-    (seed, shards) pair.
+    failure (probability 1 - p_round).  Results are identical for a fixed seed.
 
     Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected
     geometric(p0) waits, and a chunk holds max(1, MC_CHUNK // w) trials.
@@ -254,25 +252,24 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     the recursive sampler this replaced; with rounds (`mc --round-p`) they
     have its distribution but other values.
     """
-    for name, value, low in (("n", n, 0), ("trials", trials, 1), ("shards", shards, 1)):
+    for name, value, low in (("n", n, 0), ("trials", trials, 1)):
         if int(value) != value or value < low:
             raise ValueError(f"{name} must be an integer >= {low}")
-    n, trials, shards = int(n), int(trials), int(shards)
+    n, trials = int(n), int(trials)
     if not MC_MIN_P0 <= p0 <= 1:
         raise ValueError(f"p0 must lie in [{MC_MIN_P0:g}, 1]")
     for p in round_probs:
         if not 0 < p <= 1:
             raise ValueError("round probabilities must lie in (0, 1]")
-    per_shard = -(-trials // shards)
     round_log2 = sum(math.log2(2 / p) for p in round_probs)  # log2 waits per segment
     # work cap, in log2 and checked before 2 ** n exists, so a huge n costs nothing
-    waits_log2 = min(max(n, 14), n + math.log2(per_shard)) + round_log2
+    waits_log2 = min(max(n, 14), n + math.log2(trials)) + round_log2
     if waits_log2 > math.log2(MC_MAX_WAITS):
         raise ValueError(f"one chunk would draw about 2^{waits_log2:.1f} waits, above "
                          f"MC_MAX_WAITS = {MC_MAX_WAITS}: lower n or raise the round "
                          "probabilities")
     segments = 2 ** n
-    per_chunk = min(max(1, int(MC_CHUNK / 2 ** (n + round_log2))), per_shard)
+    per_chunk = min(max(1, int(MC_CHUNK / 2 ** (n + round_log2))), trials)
     log_q = math.log1p(-p0) if p0 < 1 else -math.inf
 
     def sample(rng, count):
@@ -298,17 +295,15 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
         return waits
 
     sum_x = sum_x2 = 0.0
-    for s in range(min(shards, trials)):  # shards s >= trials get no trials
-        rng = np.random.default_rng([int(seed), s])
-        batch = trials // shards + (s < trials % shards)
-        for done in range(0, batch, per_chunk):
-            waits = sample(rng, min(per_chunk, batch - done) * segments)
-            for _ in range(n):
-                waits = np.maximum(waits[0::2], waits[1::2])
-            waits = waits.astype(float, copy=False)
-            sum_x += float(waits.sum())
-            # einsum, not waits @ waits: BLAS may thread a long dot product
-            sum_x2 += float(np.einsum("i,i->", waits, waits))
+    rng = np.random.default_rng([int(seed), 0])  # [seed, 0], not seed: same seeded results
+    for done in range(0, trials, per_chunk):
+        waits = sample(rng, min(per_chunk, trials - done) * segments)
+        for _ in range(n):
+            waits = np.maximum(waits[0::2], waits[1::2])
+        waits = waits.astype(float, copy=False)
+        sum_x += float(waits.sum())
+        # einsum, not waits @ waits: BLAS may thread a long dot product
+        sum_x2 += float(np.einsum("i,i->", waits, waits))
     mean = sum_x / trials
     var = max(sum_x2 - trials * mean ** 2, 0.0) / (trials - 1) if trials > 1 else math.nan
     return mean, math.sqrt(var / trials)

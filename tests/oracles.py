@@ -393,10 +393,9 @@ def z_attempts_series(n: int, p: float) -> float:
     return total
 
 
-def monte_carlo_attempts(config: RepeaterConfig, trials: int, seed: int,
-                         shards: int = 1) -> tuple[float, float]:
+def monte_carlo_attempts(config: RepeaterConfig, trials: int, seed: int) -> tuple[float, float]:
     """Monte Carlo validation of the waiting-time model for a full config."""
     p0, weights = initial_segment_state(config)
     chain = purification_chain(p0, weights, config.purification_rounds)
     round_probs = tuple(st.success_probability for st in chain[1:])
-    return monte_carlo_waiting(config.n, p0, round_probs, trials, seed, shards)
+    return monte_carlo_waiting(config.n, p0, round_probs, trials, seed)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -124,13 +125,11 @@ class TestConfig:
             load_config(str(cfg))
 
     @pytest.mark.parametrize("line", [
-        "positivity_tol = nan", "positivity_tol = inf", "positivity_tol = -1",
         "quadrature_tol = nan", "quadrature_tol = inf", "quadrature_tol = -1",
         "quadrature_tol = 0",
     ])
     def test_rejects_bad_tolerance(self, tmp_path, capsys, line):
-        # a NaN positivity_tol would disable the eigenvalue check and a NaN
-        # quadrature_tol would make the quadrature never converge
+        # a NaN quadrature_tol would make the quadrature never converge
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")
         key = line.split()[0]
@@ -140,18 +139,16 @@ class TestConfig:
                      "--alpha", "1.0"]) == 2
         assert capsys.readouterr().out == ""
 
-    def test_accepts_zero_positivity_tol(self, tmp_path):
-        cfg = tmp_path / "cfg"
-        cfg.write_text("positivity_tol = 0\nquadrature_tol = 1e-12\n")
-        assert load_config(str(cfg)) == {"positivity_tol": 0.0, "quadrature_tol": 1e-12}
-
-    def test_zero_positivity_tol_scan_passes(self, tmp_path, capsys):
-        # eigenvalue rounding noise (about -1e-16 here) is not a negative eigenvalue
+    def test_rejects_removed_positivity_tol(self, tmp_path, capsys):
+        # the scan's blocks are positive semidefinite by construction, so no
+        # eigenvalue tolerance is left to set
         cfg = tmp_path / "cfg"
         cfg.write_text("positivity_tol = 0\n")
         assert main(["--config", str(cfg), "negativity-scan", "--d", "3", "--L0", "5",
-                     "--alpha-range", "0:2.5:5"]) == 0
-        assert capsys.readouterr().out.startswith("alpha,negativity\n")
+                     "--alpha-range", "0:2.5:5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown key 'positivity_tol'" in captured.err
 
     def test_config_keeps_benchmark_rates(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -321,7 +318,6 @@ class TestMainProcess:
         "mc --n -1 --p 0.5 --trials 10 --seed 1",
         "mc --n 1 --p 0 --trials 10 --seed 1",
         "mc --n 1 --p 1.5 --trials 10 --seed 1",
-        "mc --n 1 --p 0.5 --trials 10 --seed 1 --shards 0",
         "mc --n 1 --p 0.5 --trials 10 --seed 1 --round-p 0,0.5",
         # the damped amplitude is -0.0 here (gamma = 1, and gamma = 0)
         "entangle --d 3 --L0 0 --alpha -1",
@@ -341,6 +337,29 @@ class TestMainProcess:
         captured = capsys.readouterr()
         assert captured.err.startswith("hqrsim: invalid input:")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("argv", [
+        "constants --d 3 --alpha 1e200",
+        "usd --d 3 --L0 5 --alpha 1e200",
+        "homodyne --d 3 --L0 5 --alpha 1e200",
+        "rate --scheme usd --d 3 --L0 5 --alpha 1e200 --span 10",
+        "entangle --d 3 --L0 5 --alpha 1e200",
+        "negativity-scan --d 3 --L0 5 --alpha-range 0:1e200:3",
+    ])
+    def test_overflowing_amplitude_is_two(self, capsys, argv):
+        # alpha^2 is not a finite float above about 1.34e154: this used to
+        # print nan rows, fail to converge or blame the weights
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "amplitude" in captured.err
+
+    def test_removed_shards_flag_is_two(self, capsys):
+        # mc draws one seeded stream; there is no shard count to set
+        assert main("mc --n 1 --p 0.5 --trials 10 --seed 1 --shards 2".split()) == 2
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("grid", ["-1:2:10", "nan:1:5", "0:inf:5", "0:1:1",
                                       f"0:1:{ALPHA_RANGE_MAX_COUNT + 1}", "0:1:10000000000000"])

@@ -348,6 +348,8 @@ class TestBatchedCrossIntegrals:
         noise = np.abs(_pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10)).max()
         assert 0.0 < noise <= 1e-10
         assert homodyne_report(d, alpha, ch, delta_frac).offdiag_bound == 0.0
+        # one rule for the per-window value and the report
+        assert offdiag_weight(d, alpha, ch, 0, delta_frac) == 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_two_wavefunction_calls_per_order(self, d, wavefunction_calls):

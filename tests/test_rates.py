@@ -199,11 +199,6 @@ class TestMonteCarlo:
         c = monte_carlo_waiting(1, 0.3, trials=20000, seed=43)
         assert a != c
 
-    def test_sharding_is_deterministic(self):
-        a = monte_carlo_waiting(1, 0.3, trials=20000, seed=7, shards=4)
-        b = monte_carlo_waiting(1, 0.3, trials=20000, seed=7, shards=4)
-        assert a == b
-
     def test_single_geometric(self):
         mean, se = monte_carlo_waiting(0, 0.5, trials=10 ** 5, seed=1)
         assert abs(mean - 2.0) <= 3 * se
@@ -237,8 +232,7 @@ class TestMonteCarlo:
             monte_carlo_waiting(0, 0.5, trials=0, seed=0)
         with pytest.raises(ValueError):
             monte_carlo_waiting(0, 0.0, trials=10, seed=0)
-        for bad in ({"n": -1}, {"n": 1.5}, {"shards": 0}, {"shards": -2},
-                    {"trials": 2.5}, {"trials": -3}):
+        for bad in ({"n": -1}, {"n": 1.5}, {"trials": 2.5}, {"trials": -3}):
             kwargs = {"n": 1, "p0": 0.5, "trials": 10, "seed": 0, **bad}
             with pytest.raises(ValueError):
                 monte_carlo_waiting(**kwargs)
@@ -267,18 +261,9 @@ class TestMonteCarlo:
         with pytest.raises(ValueError, match="MC_MAX_WAITS"):
             monte_carlo_waiting(10 ** 15, 0.5, trials=2, seed=0)
         assert time.perf_counter() - start < 0.1
-        # the cap counts at most the trials per shard: one trial is about 4e4 waits
+        # the cap counts at most the trials of the call: one trial is about 4e4 waits
         mean, _ = monte_carlo_waiting(0, 1.0, (0.01, 0.01), trials=1, seed=0)
         assert mean >= 1.0
-
-    def test_more_shards_than_trials(self):
-        mean, _ = monte_carlo_waiting(1, 1.0, (1.0,), trials=3, seed=0, shards=5)
-        assert mean == 1.0
-        # shards s >= trials draw nothing, so they cost nothing either
-        start = time.perf_counter()
-        many = monte_carlo_waiting(2, 0.3, (0.8,), trials=500, seed=9, shards=10 ** 12)
-        assert time.perf_counter() - start < 1.0
-        assert many == monte_carlo_waiting(2, 0.3, (0.8,), trials=500, seed=9, shards=500)
 
     @pytest.mark.parametrize("p0, round_probs", [
         (0.3, (0.7,)),
@@ -329,7 +314,7 @@ class TestMonteCarlo:
         results = set()
         for chunk in (2 ** 10, 2 ** 15, 2 ** 17):
             monkeypatch.setattr(rates, "MC_CHUNK", chunk)
-            results.add(monte_carlo_waiting(n, 0.3, trials=30_001, seed=5, shards=2))
+            results.add(monte_carlo_waiting(n, 0.3, trials=30_001, seed=5))
         assert len(results) == 1
 
     def test_rounds_do_not_grow_memory(self):
