@@ -35,11 +35,10 @@ import numpy as np
 
 from .coherent import WEIGHT_MODELS, norm_constants
 from .detection import homodyne_report, usd_bound
-from .logic import purify_step
-from .rates import (RepeaterConfig, monte_carlo_waiting, predict,
-                    reproduce_table, z_attempts)
-from .states import (ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL, loss_weights,
-                     negativity_scan)
+from .rates import (FIBER_SPEED_KM_S, SCHEMES, RepeaterConfig, monte_carlo_waiting, predict,
+                    purification_chain, reproduce_table, z_attempts)
+from .states import (L_ATT_KM, ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL,
+                     loss_weights, negativity_scan)
 
 __all__ = ["Settings", "RunSpec", "load_config", "parse", "run", "main"]
 
@@ -50,8 +49,8 @@ ALPHA_RANGE_MAX_COUNT = 10 ** 5
 
 @dataclass
 class Settings:
-    l_att_km: float = 22.0
-    fiber_speed_km_s: float = 2.0e5
+    l_att_km: float = L_ATT_KM
+    fiber_speed_km_s: float = FIBER_SPEED_KM_S
     quadrature_tol: float = 1e-10
 
 
@@ -192,13 +191,10 @@ def _usd(p, s):
 
 
 def _purify(p, s):
-    w = PhaseMixtureWeights(len(p["weights"]), np.array(p["weights"]))
+    w = PhaseMixtureWeights(len(p["weights"]), p["weights"])
     cols = ["round", "success_probability", "leading_weight"] + [f"w{j}" for j in range(w.d)]
-    rows = [[0, 1.0, float(w.p[0])] + [float(x) for x in w.p]]
-    for k in range(1, p["rounds"] + 1):
-        succ, w = purify_step(w)
-        rows.append([k, succ, float(w.p[0])] + [float(x) for x in w.p])
-    return cols, rows
+    return cols, [[st.round, st.success_probability, st.fidelity] + st.weights.p.tolist()
+                  for st in purification_chain(1.0, w, p["rounds"])]
 
 
 def _rate(p, s):
@@ -264,7 +260,7 @@ COMMANDS = {
                       (("--weights", {"type": _weights, "required": True, "metavar": "W0,W1,..."}),
                        ("--rounds", {"type": _int_at_least(0), "default": 1})), _purify),
     "rate": Command("repeater rate and fidelity prediction",
-                    (_D, ("--scheme", {"choices": ("usd", "homodyne"), "required": True}),
+                    (_D, ("--scheme", {"choices": SCHEMES, "required": True}),
                      _L0, _ALPHA, ("--span", {"type": float, "required": True}),
                      ("--rounds", {"type": int, "default": 0}), _DELTA_FRAC), _rate),
     "mc": Command("Monte Carlo waiting-time validation",

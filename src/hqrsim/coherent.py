@@ -31,8 +31,9 @@ WEIGHT_MODELS = ("closed-form", "gram")
 # Below this, a basis direction carries no meaningful population and is
 # treated as absent (its expansion coefficient is set to exactly zero).
 NEGLIGIBLE_NORM = 1e-12
-# largest amplitude whose square is a finite float, about 1.34e154
-AMPLITUDE_MAX = float(np.sqrt(np.finfo(float).max))
+# about 3.35e153, where 16 alpha^2 is still finite: no exponent or squared
+# quadrature distance formed from alpha (at most about 8 alpha^2) overflows
+AMPLITUDE_MAX = float(np.sqrt(np.finfo(float).max)) / 4
 
 
 def ring_amplitudes(d: int, amplitudes) -> np.ndarray:

@@ -55,16 +55,14 @@ class WindowSet:
 
     `bounds[i]` is the closed acceptance interval for window i (infinite
     endpoints allowed); `dominant_ring[i]` is the ring state it projects
-    onto.  `failure_bounds` are the discarded gaps; at delta = delta_max
+    onto.  The gaps between the windows are discarded; at delta = delta_max
     they degenerate to single points (zero measure, every result accepted).
     """
 
     quadrature: str
-    delta: float
     delta_max: float
     bounds: tuple[tuple[float, float], ...]
     dominant_ring: tuple[int, ...]
-    failure_bounds: tuple[tuple[float, float], ...]
 
 
 @dataclass(frozen=True)
@@ -115,27 +113,21 @@ def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> Wi
         # every ring state then sits at the origin and the windows collapse
         raise ValueError("homodyne windows need sqrt(gamma) * alpha > 0")
     if d in (2, 4):
-        delta_max = sa
-        delta = delta_frac * delta_max
-        edge = sa - delta
+        edge = sa - delta_frac * sa
         return WindowSet(
             quadrature="x",
-            delta=delta,
-            delta_max=delta_max,
+            delta_max=sa,
             bounds=((edge, np.inf), (-np.inf, -edge)),
             dominant_ring=(0, d // 2),
-            failure_bounds=((-edge, edge),),
         )
     c1 = np.sqrt(3.0) / 2.0 * sa
     delta_max = 0.5 * c1
     delta = delta_frac * delta_max
     return WindowSet(
         quadrature="p",
-        delta=delta,
         delta_max=delta_max,
         bounds=((-delta, delta), (c1 - delta, np.inf), (-np.inf, -(c1 - delta))),
         dominant_ring=(0, 1, 2),
-        failure_bounds=((delta, c1 - delta), (-(c1 - delta), -delta)),
     )
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from .detection import homodyne_report, usd_bound
 from .logic import purify_step
-from .states import ChannelParams, PhaseMixtureWeights, loss_weights
+from .states import L_ATT_KM, ChannelParams, PhaseMixtureWeights, loss_weights
 from .tables import CellComparison, ROUNDS, TABLES, grade_cell
 
 __all__ = [
@@ -51,6 +51,10 @@ __all__ = [
 ]
 
 FIBER_SPEED_KM_S = 2.0e5
+
+# most rounds purification_chain runs, at about 70 us each; from Q_0 = 1 (`purify`)
+# Q_k >= (2 / 3d)^k stays a positive float for d up to about 7e4
+MAX_PURIFICATION_ROUNDS = 64
 
 # largest p at which z_attempts uses the Euler-Maclaurin closed form
 EM_MAX_P = 1e-4
@@ -80,7 +84,7 @@ class RepeaterConfig:
     scheme: str
     delta_frac: float = 0.2
     purification_rounds: int = 0
-    L_att_km: float = 22.0
+    L_att_km: float = L_ATT_KM
     fiber_speed_km_s: float = FIBER_SPEED_KM_S
 
     def __post_init__(self):
@@ -90,49 +94,38 @@ class RepeaterConfig:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if not (math.isfinite(self.fiber_speed_km_s) and self.fiber_speed_km_s > 0):
             raise ValueError("fiber speed must be finite and positive")
-        if self.purification_rounds < 0:
-            raise ValueError("purification rounds must be >= 0")
         if not 0 < self.delta_frac <= 1:
             raise ValueError("delta_frac must lie in (0, 1]")
         if not (math.isfinite(self.L0_km) and self.L0_km > 0):
             raise ValueError("segment length must be finite and positive")
         ratio = self.span_km / self.L0_km
-        n = round(math.log2(ratio)) if math.isfinite(ratio) and ratio > 0 else -1
+        n = self.n if math.isfinite(ratio) and ratio > 0 else -1
         if n < 0 or abs(ratio - 2 ** n) > 1e-9 * ratio:
             raise ValueError(f"span/L0 = {ratio} is not a power of two")
 
     @property
     def n(self) -> int:
-        return round(math.log2(self.span_km / self.L0_km))
-
-    @property
-    def channel(self) -> ChannelParams:
-        return ChannelParams(self.L0_km, self.L_att_km)
+        return _doublings(self.L0_km, self.span_km)
 
 
 @dataclass(frozen=True)
 class RoundStats:
     round: int
-    fidelity: float
+    weights: PhaseMixtureWeights
     success_probability: float  # P_k; P_0 is the generation probability
     effective_probability: float  # Q_k
+
+    @property
+    def fidelity(self) -> float:
+        return float(self.weights.p[0])
 
 
 @dataclass(frozen=True)
 class RateResult:
-    config: RepeaterConfig
     rounds: tuple[RoundStats, ...]
     z: float
     rate_hz: float
     final_fidelity_bound: float
-
-    @property
-    def initial_fidelity(self) -> float:
-        return self.rounds[0].fidelity
-
-    @property
-    def final_fidelity(self) -> float:
-        return self.rounds[-1].fidelity
 
 
 def z_attempts(n: int, p: float) -> float:
@@ -145,6 +138,8 @@ def z_attempts(n: int, p: float) -> float:
     relative O(lam^4) <= 1e-16.  Otherwise the series is summed until a term
     is below 1e-18, which f(t) <= S e^{-lam t} bounds by (42 + ln S) / lam
     terms: the first chunk has that many, capped at 4096 like later chunks.
+    Terms take q^t as e^{-lam t}, free of the eps / p relative error of a
+    rounded q = 1 - p.  Raises OverflowError where Z is not a finite float.
     """
     if not 0 < p <= 1:
         raise ValueError(f"probability must lie in (0, 1], got {p}")
@@ -152,18 +147,19 @@ def z_attempts(n: int, p: float) -> float:
         raise ValueError("n must be a nonnegative integer")
     if p == 1.0:
         return 1.0
-    if n == 0:
-        return 1.0 / p
     segments = 2 ** int(n)
-    if p <= EM_MAX_P:
-        return _harmonic(segments) / -math.log1p(-p) + 0.5
-    q = 1.0 - p
+    lam = -math.log1p(-p)
+    if n == 0 or p <= EM_MAX_P:
+        z = 1.0 / p if n == 0 else _harmonic(segments) / lam + 0.5
+        if not math.isfinite(z):
+            raise OverflowError(f"expected attempts overflow at p = {p:g}")
+        return z
     total = 1.0  # t = 0 term: P(T > 0) = 1
     t = 1
-    chunk = min(4096, math.ceil((42 + math.log(segments)) / -math.log1p(-p)))
+    chunk = min(4096, math.ceil((42 + math.log(segments)) / lam))
     while True:
         ts = np.arange(t, t + chunk, dtype=float)
-        terms = -np.expm1(segments * np.log1p(-(q ** ts)))
+        terms = -np.expm1(segments * np.log1p(-np.exp(-lam * ts)))
         total += float(terms.sum())
         if terms[-1] < 1e-18:
             return total
@@ -188,19 +184,22 @@ def effective_probability(q_prev: float, p_round: float) -> float:
     return q_prev * p_round * (2.0 - q_prev) / (3.0 - 2.0 * q_prev)
 
 
+def _homodyne_state(d: int, report) -> tuple[float, PhaseMixtureWeights]:
+    """(P0, weights) of the effective state: leading weight F_av, rest split equally."""
+    p = np.full(d, (1.0 - report.f_av) / (d - 1))
+    p[0] = report.f_av
+    return report.p_succ, PhaseMixtureWeights(d, p)
+
+
 def initial_segment_state(config: RepeaterConfig) -> tuple[float, PhaseMixtureWeights]:
     """Generation probability P0 and initial mixture weights for one segment."""
-    ch = config.channel
+    ch = ChannelParams(config.L0_km, config.L_att_km)
     if config.scheme == "usd":
         p0 = usd_bound(config.d, config.alpha, ch.gamma)
         return p0, loss_weights(config.d, config.alpha, ch)
     report = homodyne_report(config.d, config.alpha, ch, config.delta_frac,
                              include_offdiag=False)
-    # effective-state model: leading weight F_av, remainder split equally
-    rest = (1.0 - report.f_av) / (config.d - 1)
-    p = np.full(config.d, rest)
-    p[0] = report.f_av
-    return report.p_succ, PhaseMixtureWeights(config.d, p)
+    return _homodyne_state(config.d, report)
 
 
 def purification_chain(p0: float, weights: PhaseMixtureWeights,
@@ -210,12 +209,28 @@ def purification_chain(p0: float, weights: PhaseMixtureWeights,
     Each round purifies the previous weights and updates the effective
     per-segment probability with `effective_probability`.
     """
-    stats = [RoundStats(0, float(weights.p[0]), p0, p0)]
+    if not 0 <= rounds <= MAX_PURIFICATION_ROUNDS:
+        raise ValueError(f"purification rounds must lie in [0, {MAX_PURIFICATION_ROUNDS}], "
+                         f"got {rounds}")
+    stats = [RoundStats(0, weights, p0, p0)]
     for k in range(1, rounds + 1):
         pk, weights = purify_step(weights)
         q = effective_probability(stats[-1].effective_probability, pk)
-        stats.append(RoundStats(k, float(weights.p[0]), pk, q))
+        stats.append(RoundStats(k, weights, pk, q))
     return stats
+
+
+def _doublings(L0_km: float, span_km: float) -> int:
+    return round(math.log2(span_km / L0_km))  # span = 2^n L0
+
+
+def _span_model(chain, L0_km: float, span_km: float, speed: float = FIBER_SPEED_KM_S) -> list:
+    """(Z, rate, fidelity bound) of every round of `chain` over 2^n segments:
+    Z = z_attempts(n, Q), rate = 1 / (T0 Z) with T0 = 2 L0 / c, bound F^(2^n)."""
+    n = _doublings(L0_km, span_km)
+    t0 = 2.0 * L0_km / speed
+    zs = [z_attempts(n, st.effective_probability) for st in chain]
+    return [(z, 1.0 / (t0 * z), st.fidelity ** (2 ** n)) for z, st in zip(zs, chain)]
 
 
 def predict(config: RepeaterConfig) -> RateResult:
@@ -223,12 +238,9 @@ def predict(config: RepeaterConfig) -> RateResult:
     if p0 <= 0:
         raise ArithmeticError("generation probability is zero for this configuration")
     stats = purification_chain(p0, weights, config.purification_rounds)
-    z = z_attempts(config.n, stats[-1].effective_probability)
-    t0 = 2.0 * config.L0_km / config.fiber_speed_km_s
-    rate = 1.0 / (t0 * z)
-    bound = stats[-1].fidelity ** (2 ** config.n)
-    return RateResult(config=config, rounds=tuple(stats), z=z,
-                      rate_hz=rate, final_fidelity_bound=bound)
+    [(z, rate, bound)] = _span_model(stats[-1:], config.L0_km, config.span_km,
+                                     config.fiber_speed_km_s)
+    return RateResult(rounds=tuple(stats), z=z, rate_hz=rate, final_fidelity_bound=bound)
 
 
 def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5,
@@ -319,11 +331,11 @@ def _homodyne_table_state(L0_km: float, target_f0: float) -> tuple[float, PhaseM
     limit (they are reproduced at delta_frac -> 0, not at 0.2), so the scan
     runs at delta_frac = 0.001.
     """
-    states = (initial_segment_state(RepeaterConfig(d=3, L0_km=L0_km, span_km=L0_km,
-                                                   alpha=float(alpha), scheme="homodyne",
-                                                   delta_frac=0.001))
-              for alpha in np.linspace(0.9, 1.1, 41))
-    return min(states, key=lambda state: abs(state[1].p[0] - target_f0))
+    ch = ChannelParams(L0_km)
+    best = min((homodyne_report(3, float(alpha), ch, 0.001, include_offdiag=False)
+                for alpha in np.linspace(0.9, 1.1, 41)),
+               key=lambda report: abs(report.f_av - target_f0))
+    return _homodyne_state(3, best)
 
 
 def reproduce_table(table_id: str) -> list[CellComparison]:
@@ -338,20 +350,18 @@ def reproduce_table(table_id: str) -> list[CellComparison]:
         p0, weights = initial_segment_state(RepeaterConfig(d=3, L0_km=L0, span_km=L0,
                                                            alpha=spec["alpha"], scheme="usd"))
     chain = purification_chain(p0, weights, spec["rounds"] - 1)
-    fidelities = [st.fidelity for st in chain]
-    qs = [st.effective_probability for st in chain]
-    t0 = 2.0 * L0 / FIBER_SPEED_KM_S
-
-    def n(span):
-        return round(math.log2(span / L0))
+    # (Z, rate, bound) per round, once per span of either section
+    spans = {span: _span_model(chain, L0, span)
+             for span in spec["rate_hz"].keys() | spec["fidelity"].keys()}
 
     # (section, span, printed row, computed row); a row has one value per round
-    sections = [("initial_fidelity", None, spec["initial_fidelity"], fidelities),
-                ("effective_probability", None, spec["effective_probability"], qs)]
-    sections += [("rate_hz", span, row, [1.0 / (t0 * z_attempts(n(span), q)) for q in qs])
-                 for span, row in spec["rate_hz"].items()]
-    sections += [("fidelity", span, row, [f ** (2 ** n(span)) for f in fidelities])
-                 for span, row in spec["fidelity"].items()]
+    sections = [("initial_fidelity", None, spec["initial_fidelity"],
+                 [st.fidelity for st in chain]),
+                ("effective_probability", None, spec["effective_probability"],
+                 [st.effective_probability for st in chain])]
+    sections += [(section, span, row, [cell[column] for cell in spans[span]])
+                 for column, section in ((1, "rate_hz"), (2, "fidelity"))
+                 for span, row in spec[section].items()]
     return [CellComparison(table_id, section, span, label, printed, computed,
                            grade_cell(table_id, section, span, label, printed, computed))
             for section, span, row, values in sections

@@ -37,6 +37,9 @@ __all__ = [
     "negativity_scan",
 ]
 
+# attenuation length of telecom fiber, the default of every channel
+L_ATT_KM = 22.0
+
 # largest |sum - 1| a phase-mixture weight vector may have
 WEIGHT_SUM_TOL = 1e-10
 
@@ -54,7 +57,7 @@ class ChannelParams:
     """Fiber segment of length L0 with attenuation length L_att (telecom ~22 km)."""
 
     L0_km: float
-    L_att_km: float = 22.0
+    L_att_km: float = L_ATT_KM
 
     def __post_init__(self):
         if not (math.isfinite(self.L0_km) and self.L0_km >= 0):
@@ -114,7 +117,7 @@ def loss_weights(d: int, alpha: float, channel: ChannelParams,
 
 
 def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
-                    L_att_km: float = 22.0) -> list[tuple[float, float]]:
+                    L_att_km: float = L_ATT_KM) -> list[tuple[float, float]]:
     """Negativity of the effective matter-light state over an amplitude grid.
 
     Defaults to the Gram-exact weight model: the scan quantifies physical

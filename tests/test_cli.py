@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import pytest
 
 from hqrsim.cli import (ALPHA_RANGE_MAX_COUNT, UsageError, _build_parser, load_config, main,
                         parse, run)
+from hqrsim.coherent import AMPLITUDE_MAX
+from hqrsim.rates import MAX_PURIFICATION_ROUNDS
 from test_cli_golden import CASES, golden_path
 
 
@@ -315,6 +318,7 @@ class TestMainProcess:
         "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --span 10 --delta-frac 5",
         "rate --scheme usd --d 3 --L0 -5 --alpha 1.2 --span 10",
         "purify --weights 0.5,0.5 --rounds -1",
+        "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --span 10 --rounds -1",
         "mc --n -1 --p 0.5 --trials 10 --seed 1",
         "mc --n 1 --p 0 --trials 10 --seed 1",
         "mc --n 1 --p 1.5 --trials 10 --seed 1",
@@ -355,6 +359,53 @@ class TestMainProcess:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "amplitude" in captured.err
+
+    @pytest.mark.parametrize("argv", [
+        "constants --d 3 --alpha {a}",
+        "constants --d 2 --model closed-form --alpha {a}",
+        "usd --d 5 --L0 0 --alpha {a}",
+        "homodyne --d 3 --L0 5 --alpha {a}",
+        "rate --scheme usd --d 3 --L0 5 --alpha {a} --span 10",
+        "negativity-scan --d 3 --L0 5 --alpha-range 0:{a}:3",
+    ])
+    def test_amplitude_cap_does_not_overflow(self, capsys, argv):
+        # just below the old cap (1.34e154) these printed an overflow RuntimeWarning
+        for alpha in (AMPLITUDE_MAX, 1.3e154):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                status = main(argv.format(a=repr(alpha)).split())
+            captured = capsys.readouterr()
+            if status == 0:
+                header, rows = rows_of(captured.out)
+                skip = header[0] == "quantity"  # a name, not a number
+                assert all(math.isfinite(float(v)) for row in rows for v in row[skip:])
+            else:
+                assert status == 2
+                assert captured.out == ""
+                assert "amplitude" in captured.err
+        assert status == 2  # 1.3e154 is above the cap
+
+    @pytest.mark.parametrize("argv", [
+        "purify --weights 1,0 --rounds 100000000",
+        "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --span 10 --rounds 100000000",
+    ])
+    def test_purification_rounds_cap_is_two(self, capsys, argv):
+        # these ran for ever: Q stalls at 5e-324 and never reaches 0
+        start = time.perf_counter()
+        assert main(argv.split()) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("hqrsim: invalid input: purification rounds must lie in "
+                                f"[0, {MAX_PURIFICATION_ROUNDS}], got 100000000\n")
+
+    def test_purification_rounds_cap_is_reachable(self, capsys):
+        start = time.perf_counter()
+        assert main(["purify", "--weights", "0.5,0.5",
+                     "--rounds", str(MAX_PURIFICATION_ROUNDS)]) == 0
+        assert time.perf_counter() - start < 1.0
+        _, rows = rows_of(capsys.readouterr().out)
+        assert len(rows) == MAX_PURIFICATION_ROUNDS + 1
 
     def test_removed_shards_flag_is_two(self, capsys):
         # mc draws one seeded stream; there is no shard count to set

@@ -36,6 +36,7 @@ CASES = {
     "usd": "usd --d 3 --L0 20 --alpha 0.5",
     "purify": "purify --weights 0.7494,0.0942,0.1564 --rounds 3",
     "rate": "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --rounds 2 --span 10",
+    "rate_homodyne": "rate --scheme homodyne --d 3 --L0 10 --alpha 1.0 --span 80 --rounds 3",
     "mc": "mc --n 1 --p 0.6427 --trials 1000000 --seed 7",
     "table_I": "table --id I",
     "table_II": "table --id II",
@@ -43,6 +44,7 @@ CASES = {
     "table_IV": "table --id IV",
     "table_V": "table --id V",
     "usd_json": "--format json usd --d 3 --L0 20 --alpha 0.5",
+    "purify_json": "--format json purify --weights 0.55,0.2,0.15,0.1 --rounds 4",
 }
 
 

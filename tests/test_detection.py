@@ -63,8 +63,8 @@ class TestWindowGeometry:
         assert ws.quadrature == "x"
         assert ws.bounds[0][0] == pytest.approx(0.0)
         assert ws.bounds[1][1] == pytest.approx(0.0)
-        lo, hi = ws.failure_bounds[0]
-        assert hi - lo == pytest.approx(0.0)  # degenerate failure gap
+        # the failure gap between the windows is degenerate
+        assert ws.bounds[0][0] - ws.bounds[1][1] == pytest.approx(0.0)
 
     def test_d3_geometry(self):
         g = np.exp(-5 / 22)
@@ -74,8 +74,8 @@ class TestWindowGeometry:
         assert ws.delta_max == pytest.approx(np.sqrt(3) / 4 * np.sqrt(g))
         assert ws.bounds[0] == (pytest.approx(-c1 / 2), pytest.approx(c1 / 2))
         # at the maximum width the failure gaps close to zero measure
-        for lo, hi in ws.failure_bounds:
-            assert hi - lo == pytest.approx(0.0)
+        assert ws.bounds[1][0] - ws.bounds[0][1] == pytest.approx(0.0)
+        assert ws.bounds[0][0] - ws.bounds[2][1] == pytest.approx(0.0)
 
     def test_d4_middle_states_unassigned(self):
         ws = window_geometry(4, 1.0, 0.8, 0.5)

@@ -9,9 +9,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqrsim import rates
-from hqrsim.rates import (EM_MAX_P, MC_MIN_P0, RepeaterConfig, effective_probability,
-                          initial_segment_state, monte_carlo_waiting, predict,
-                          reproduce_table, z_attempts)
+from hqrsim.rates import (EM_MAX_P, MAX_PURIFICATION_ROUNDS, MC_MIN_P0, RepeaterConfig,
+                          effective_probability, initial_segment_state, monte_carlo_waiting,
+                          predict, purification_chain, reproduce_table, z_attempts)
+from hqrsim.states import PhaseMixtureWeights
 from oracles import monte_carlo_attempts, z_attempts_series
 
 
@@ -43,16 +44,23 @@ class TestZAttempts:
             assert all(a < b for a, b in zip(vals, vals[1:]))
             assert all(v >= 1 / p - 1e-9 for v in vals)
 
-    @pytest.mark.parametrize("p", [1e-4, 1e-5, 1e-7, 1e-9])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+    @pytest.mark.parametrize("p", [1e-4, 1e-5, 1e-7, 1e-9, 1.01e-4, 3.3e-4, 1.7e-3, 0.0137, 0.3])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
     def test_small_p_matches_mpmath(self, n, p):
-        # inclusion-exclusion at 50 digits, exact in the binary value of p
-        with mpmath.workdps(50):
+        # inclusion-exclusion at 60 digits, exact in the binary value of p; just
+        # above EM_MAX_P the series' terms from a rounded q = 1 - p were 2e-13 off
+        with mpmath.workdps(60):
             q = 1 - mpmath.mpf(p)
             s = 2 ** n
             want = float(mpmath.fsum((-1) ** (j + 1) * mpmath.binomial(s, j) / (1 - q ** j)
                                      for j in range(1, s + 1)))
-        assert z_attempts(n, p) == pytest.approx(want, rel=1e-13)
+        assert z_attempts(n, p) == pytest.approx(want, rel=2e-15)
+
+    @pytest.mark.parametrize("n", [0, 3])
+    def test_overflow_raises(self, n):
+        # Z ~ 1/p (n = 0) or H_8 / p is not a finite float
+        with pytest.raises(OverflowError):
+            z_attempts(n, 1e-320)
 
     def test_small_p_work_is_bounded(self):
         start = time.perf_counter()
@@ -91,6 +99,22 @@ class TestZAttemptsProperties:
     def test_matches_series(self, n, p):
         # below p ~ 0.01 the series' 1 - q^j loses digits, not z_attempts
         assert z_attempts(n, p) == pytest.approx(z_attempts_series(n, p), rel=1e-12)
+
+
+class TestPurificationChain:
+    def test_fidelity_is_leading_weight(self):
+        w = PhaseMixtureWeights(3, [0.7, 0.2, 0.1])
+        for st in purification_chain(0.5, w, 3):
+            assert st.fidelity == st.weights.p[0]
+        assert st.round == 3
+
+    def test_rounds_cap(self):
+        w = PhaseMixtureWeights(2, [0.5, 0.5])  # a fixed point: every P_k = 1/2
+        chain = purification_chain(1.0, w, MAX_PURIFICATION_ROUNDS)
+        assert len(chain) == MAX_PURIFICATION_ROUNDS + 1
+        assert chain[-1].effective_probability > 0
+        with pytest.raises(ValueError, match="rounds"):
+            purification_chain(1.0, w, MAX_PURIFICATION_ROUNDS + 1)
 
 
 class TestEffectiveProbability:
