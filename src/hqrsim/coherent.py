@@ -24,8 +24,8 @@ __all__ = [
     "NEGLIGIBLE_NORM",
 ]
 
-# "gram": the Gram-exact constants; "closed-form": the d=2/d=3 trigonometric
-# forms the benchmark tables are built on (see `norm_constants`)
+# "gram": the Gram-exact constants; "closed-form": the d=3 trigonometric
+# form the benchmark tables are built on (see `norm_constants`)
 WEIGHT_MODELS = ("closed-form", "gram")
 
 # Below this, a basis direction carries no meaningful population and is
@@ -34,13 +34,15 @@ NEGLIGIBLE_NORM = 1e-12
 # about 3.35e153, where 16 alpha^2 is still finite: no exponent or squared
 # quadrature distance formed from alpha (at most about 8 alpha^2) overflows
 AMPLITUDE_MAX = float(np.sqrt(np.finfo(float).max)) / 4
+# every d up to here passes the DFT's residue check on an alpha grid over [0, 40]
+RING_MAX_D = 195
 
 
 def ring_amplitudes(d: int, amplitudes) -> np.ndarray:
-    """Amplitudes as a float array, after checking d >= 2 and that each
-    value lies in [0, AMPLITUDE_MAX]."""
-    if d < 2:
-        raise ValueError(f"ring dimension must be >= 2, got {d}")
+    """Amplitudes as a float array, after checking 2 <= d <= RING_MAX_D and
+    that each value lies in [0, AMPLITUDE_MAX]."""
+    if not 2 <= d <= RING_MAX_D:
+        raise ValueError(f"ring dimension must lie in [2, {RING_MAX_D}], got {d}")
     a = np.asarray(amplitudes, dtype=float)
     bad = ~((a >= 0) & (a <= AMPLITUDE_MAX))  # NaN fails both
     if bad.any():
@@ -66,24 +68,20 @@ def norm_constants(d: int, amplitudes, model: str = "gram") -> np.ndarray:
     which equals the Gram double sum and the eigenvalues of d * Gram.
     Tiny negative rounding noise is clipped to zero; the values sum to d^2.
 
-    "closed-form" gives the trigonometric closed forms of the d=2 and d=3
-    constants.  For d=2 they coincide with "gram" exactly:
-    2(1 +- e^{-2 alpha^2}).  For d=3 the m=0 value also coincides, but the
-    m=1,2 values here carry sqrt(3) on the sine term where the Gram-derived
-    constants carry 3*sqrt(3); the two variants agree only in their sum.
+    "closed-form" gives the trigonometric closed form of the d=3 constants:
+    the m=0 value coincides with "gram", but the m=1,2 values here carry
+    sqrt(3) on the sine term where the Gram-derived constants carry
+    3*sqrt(3); the two variants agree only in their sum.
     The bundled benchmark tables (see `hqrsim.tables`) and every
     purification/fidelity chain printed there are built on this variant, so
     it is kept verbatim as the default weight model of `states.loss_weights`.
     Use "gram" wherever actual orthonormal-basis algebra (expansions,
-    overlaps, discrimination bounds) is required.  For d not in {2, 3}
-    there is no closed-form variant and "closed-form" gives "gram".
+    overlaps, discrimination bounds) is required.  For d != 3 the models
+    coincide: at d=2 the DFT already is 2(1 +- e^{-2 alpha^2}).
     """
     if model not in WEIGHT_MODELS:
         raise ValueError(f"unknown weight model {model!r}")
     a = ring_amplitudes(d, amplitudes)
-    if model == "closed-form" and d == 2:
-        e = np.exp(-2.0 * a ** 2)
-        return np.stack([2.0 * (1.0 + e), 2.0 * (1.0 - e)], axis=-1)
     if model == "closed-form" and d == 3:
         a2 = a ** 2
         e = np.exp(-1.5 * a2)

@@ -11,9 +11,10 @@ Windowed homodyne discrimination is supported for d in {2, 3, 4}:
   d=4: x-quadrature, same two windows as d=2; the two +-i alpha ring
        states sit at x = 0 and are never assigned to a window.
 
-Full complex wavefunctions (needed only for the off-diagonal bound) carry
-the phase factor exp(-2i Re(beta) p) for p and exp(+2i Im(beta) x) for x,
-plus a value-independent global phase fixed so that the whole-line
+A p measurement of |beta> is an x measurement of |-i beta>, so the qutrit
+ring is turned a quarter and every window is read on x.  The full complex
+x wavefunction (needed only for the off-diagonal bound) carries the phase
+exp(+2i Im(beta) x) and a global phase fixed so that the whole-line
 integral of psi_beta psi*_beta' equals the coherent overlap <beta'|beta>.
 Window masses are erf differences; the windowed cross integrals are
 Gauss-Legendre sums whose order doubles until two successive orders agree.
@@ -51,16 +52,14 @@ GL_MAX_PANELS = 64
 
 @dataclass(frozen=True)
 class WindowSet:
-    """Quadrature choice plus acceptance-window geometry.
+    """Acceptance windows on x (for d = 3 on p, read as x of the turned ring).
 
     `bounds[i]` is the closed acceptance interval for window i (infinite
     endpoints allowed); `dominant_ring[i]` is the ring state it projects
-    onto.  The gaps between the windows are discarded; at delta = delta_max
+    onto.  The gaps between the windows are discarded; at delta_frac = 1
     they degenerate to single points (zero measure, every result accepted).
     """
 
-    quadrature: str
-    delta_max: float
     bounds: tuple[tuple[float, float], ...]
     dominant_ring: tuple[int, ...]
 
@@ -74,24 +73,13 @@ class DetectionReport:
     offdiag_bound: float
 
 
-def _mean(beta, quadrature: str):
-    if quadrature == "x":
-        return np.real(beta)
-    if quadrature == "p":
-        return np.imag(beta)
-    raise ValueError(f"unknown quadrature {quadrature!r}")
-
-
-def quadrature_wavefunction(beta, quadrature: str, value):
-    """Full complex quadrature wavefunction of a coherent state; beta and
-    value broadcast against each other."""
+def quadrature_wavefunction(beta, value):
+    """Full complex x-quadrature wavefunction of a coherent state; beta and
+    value broadcast against each other.  The p wavefunction of beta is this
+    one at -1j * beta."""
     value = np.asarray(value, dtype=float)
     a, b = np.real(beta), np.imag(beta)
-    if quadrature == "p":
-        return (2 / np.pi) ** 0.25 * np.exp(1j * a * b) * np.exp(-(value - b) ** 2 - 2j * a * value)
-    if quadrature == "x":
-        return (2 / np.pi) ** 0.25 * np.exp(-1j * a * b) * np.exp(-(value - a) ** 2 + 2j * b * value)
-    raise ValueError(f"unknown quadrature {quadrature!r}")
+    return (2 / np.pi) ** 0.25 * np.exp(-1j * a * b) * np.exp(-(value - a) ** 2 + 2j * b * value)
 
 
 def window_mass(bounds: tuple[float, float], center: float) -> float:
@@ -115,17 +103,12 @@ def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> Wi
     if d in (2, 4):
         edge = sa - delta_frac * sa
         return WindowSet(
-            quadrature="x",
-            delta_max=sa,
             bounds=((edge, np.inf), (-np.inf, -edge)),
             dominant_ring=(0, d // 2),
         )
     c1 = np.sqrt(3.0) / 2.0 * sa
-    delta_max = 0.5 * c1
-    delta = delta_frac * delta_max
+    delta = delta_frac * (0.5 * c1)
     return WindowSet(
-        quadrature="p",
-        delta_max=delta_max,
         bounds=((-delta, delta), (c1 - delta, np.inf), (-np.inf, -(c1 - delta))),
         dominant_ring=(0, 1, 2),
     )
@@ -147,22 +130,27 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
     gamma = channel.gamma
     ws = window_geometry(d, alpha, gamma, delta_frac)
     lead = _loss_probabilities(d, alpha, channel, "gram")[0]  # names a bad alpha undamped
-    ring = ring_states(d, np.sqrt(gamma) * alpha)
-    means = _mean(ring, ws.quadrature).tolist()
+    ring = _measured_ring(d, alpha, gamma)
+    means = ring.real.tolist()
 
     probs, fids = [], []
     for bounds, dom in zip(ws.bounds, ws.dominant_ring):
-        p = sum(window_mass(bounds, c) for c in means) / d
-        f = lead * (window_mass(bounds, means[dom]) / d) / p if p > 0 else 0.0
+        masses = [window_mass(bounds, c) for c in means]
+        p = sum(masses) / d
+        f = lead * (masses[dom] / d) / p if p > 0 else 0.0
         probs.append(p)
         fids.append(f)
     p_succ = float(sum(probs))
     f_av = float(sum(p * f for p, f in zip(probs, fids)) / p_succ) if p_succ > 0 else 0.0
-
-    bound = 0.0
-    if include_offdiag:
-        bound = _offdiag_max(ring, ws.quadrature, ws.bounds, quadrature_tol)
+    bound = _offdiag_max(ring, ws.bounds, quadrature_tol) if include_offdiag else 0.0
     return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av, bound)
+
+
+def _measured_ring(d: int, alpha: float, gamma: float) -> np.ndarray:
+    """The damped ring states as read on x: the qutrit ring, measured on p,
+    turned a quarter (p of beta is x of -1j beta)."""
+    ring = ring_states(d, np.sqrt(gamma) * alpha)
+    return -1j * ring if d == 3 else ring
 
 
 @cache
@@ -170,27 +158,26 @@ def _legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.polynomial.legendre.leggauss(n)
 
 
-def _cross_integrals(beta_i, beta_j, quadrature: str, lo, hi, tol: float) -> np.ndarray:
-    """integral_lo^hi psi_{beta_i}(q) psi*_{beta_j}(q) dq, elementwise over the
+def _cross_integrals(beta_i, beta_j, lo, hi, tol: float) -> np.ndarray:
+    """integral_lo^hi psi_{beta_i}(x) psi*_{beta_j}(x) dx, elementwise over the
     broadcast arguments.
 
     Composite Gauss-Legendre sums of orders n and 2n on a clipped interval,
     n doubling from GL_FIRST_ORDER until they differ by at most `tol`
     (absolute); the Gaussian magnitudes make any contribution beyond
-    |q| = 8 + |means| smaller than 1e-25.  The integrand oscillates as
-    exp(i k q) with k twice the difference of the conjugate-quadrature
-    means, so the interval is cut into panels of k * width <= 64 (about ten
-    periods each); at the paper's amplitudes that is a single panel.  Each
-    order evaluates the panels of every integral still open in one pass;
-    an integral drops out at its first converged order.
+    |x| = 8 + |Re beta| smaller than 1e-25.  The integrand oscillates as
+    exp(i k x) with k twice the difference of Im beta, so the interval is
+    cut into panels of k * width <= 64 (about ten periods each); at the
+    paper's amplitudes that is a single panel.  Each order evaluates the
+    panels of every integral still open in one pass; an integral drops out
+    at its first converged order.
     """
     zero = np.zeros(np.broadcast(beta_i, beta_j, lo, hi).shape)  # flatten to one shape
     beta_i, beta_j, lo, hi = ((a + zero).ravel() for a in (beta_i, beta_j, lo, hi))
     m = zero.size
-    cut = 8.0 + np.maximum(abs(_mean(beta_i, quadrature)), abs(_mean(beta_j, quadrature)))
+    cut = 8.0 + np.maximum(abs(beta_i.real), abs(beta_j.real))
     lo, hi = np.maximum(lo, -cut), np.minimum(hi, cut)
-    conjugate = "x" if quadrature == "p" else "p"
-    k = 2.0 * abs(_mean(beta_i, conjugate) - _mean(beta_j, conjugate))
+    k = 2.0 * abs(beta_i.imag - beta_j.imag)
     panels = np.clip(np.ceil(k * (hi - lo) / 64.0), 1, GL_MAX_PANELS).astype(int)
     panels[lo >= hi] = 0  # an empty window after the clip
     owner = np.repeat(np.arange(m), panels)  # the integral each panel belongs to
@@ -204,8 +191,8 @@ def _cross_integrals(beta_i, beta_j, quadrature: str, lo, hi, tol: float) -> np.
         nodes, weights = _legendre_rule(n)
         sel = todo[owner]
         q = mids[sel, None] + halves[sel, None] * nodes
-        v = quadrature_wavefunction(beta_i[owner[sel], None], quadrature, q) * \
-            np.conj(quadrature_wavefunction(beta_j[owner[sel], None], quadrature, q))
+        v = quadrature_wavefunction(beta_i[owner[sel], None], q) * \
+            np.conj(quadrature_wavefunction(beta_j[owner[sel], None], q))
         v = halves[sel] * (v @ weights)
         fine = np.bincount(owner[sel], v.real, m) + 1j * np.bincount(owner[sel], v.imag, m)
         if coarse is not None:
@@ -220,19 +207,19 @@ def _cross_integrals(beta_i, beta_j, quadrature: str, lo, hi, tol: float) -> np.
         n, coarse = 2 * n, fine
 
 
-def _pair_integrals(ring, quadrature: str, bounds, tol: float) -> np.ndarray:
+def _pair_integrals(ring, bounds, tol: float) -> np.ndarray:
     """Cross integrals of every i < j pair of `ring` over each window in
     `bounds`, shape (windows, pairs), pairs in np.triu_indices order; the
     (j, i) integral is the conjugate of the (i, j) one."""
-    i, j = np.array([(i, j) for i in range(len(ring)) for j in range(i + 1, len(ring))]).T
+    i, j = np.triu_indices(len(ring), 1)
     lo, hi = np.array(bounds, dtype=float).T[:, :, None]
-    return _cross_integrals(ring[i], ring[j], quadrature, lo, hi, tol)
+    return _cross_integrals(ring[i], ring[j], lo, hi, tol)
 
 
-def _offdiag_max(ring, quadrature: str, bounds, tol: float) -> float:
+def _offdiag_max(ring, bounds, tol: float) -> float:
     """Largest |cross integral| of `_pair_integrals`; 0.0 at or below `tol`,
     where the quadrature fixes no digit of the value."""
-    bound = float(np.max(abs(_pair_integrals(ring, quadrature, bounds, tol))))
+    bound = float(np.max(abs(_pair_integrals(ring, bounds, tol))))
     return bound if bound > tol else 0.0
 
 
@@ -249,8 +236,8 @@ def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
     ws = window_geometry(d, alpha, channel.gamma, delta_frac)
     if not 0 <= window < len(ws.bounds):
         raise ValueError(f"window index {window} out of range")
-    ring = ring_states(d, np.sqrt(channel.gamma) * alpha)
-    return _offdiag_max(ring, ws.quadrature, [ws.bounds[window]], quadrature_tol)
+    ring = _measured_ring(d, alpha, channel.gamma)
+    return _offdiag_max(ring, [ws.bounds[window]], quadrature_tol)
 
 
 def usd_bound(d: int, alpha: float, gamma: float) -> float:

@@ -26,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hqrsim.coherent import basis_amplitudes, ring_states
-from hqrsim.detection import (GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, _legendre_rule,
-                              _mean, quadrature_wavefunction, window_geometry)
+from hqrsim.detection import GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, window_geometry
 from hqrsim.numerics import DensityMatrix, _as_square_complex
 from hqrsim.rates import (RepeaterConfig, initial_segment_state, monte_carlo_waiting,
                           purification_chain)
@@ -327,10 +326,33 @@ def bell_measure(state: DensityMatrix) -> BellMeasurement:
     return BellMeasurement(d=d, probabilities=probs, corrections=corrections)
 
 
+def quadrature_mean(beta, quadrature: str):
+    """Re(beta) for x, Im(beta) for p."""
+    if quadrature == "x":
+        return np.real(beta)
+    if quadrature == "p":
+        return np.imag(beta)
+    raise ValueError(f"unknown quadrature {quadrature!r}")
+
+
 def quadrature_pdf(beta: complex, quadrature: str, value: float) -> float:
     """sqrt(2/pi) exp(-2 (value - c)^2), c = Re(beta) for x, Im(beta) for p."""
-    c = _mean(beta, quadrature)
+    c = quadrature_mean(beta, quadrature)
     return float(np.sqrt(2.0 / np.pi) * np.exp(-2.0 * (value - c) ** 2))
+
+
+def quadrature_wavefunction(beta, quadrature: str, value):
+    """Full complex x or p wavefunction of a coherent state, each written
+    out on its own: the x one carries exp(+2i Im(beta) x), the p one
+    exp(-2i Re(beta) p), and the global phases make the whole-line integral
+    of psi_beta psi*_beta' the coherent overlap <beta'|beta>."""
+    value = np.asarray(value, dtype=float)
+    a, b = np.real(beta), np.imag(beta)
+    if quadrature == "x":
+        return (2 / np.pi) ** 0.25 * np.exp(-1j * a * b) * np.exp(-(value - a) ** 2 + 2j * b * value)
+    if quadrature == "p":
+        return (2 / np.pi) ** 0.25 * np.exp(1j * a * b) * np.exp(-(value - b) ** 2 - 2j * a * value)
+    raise ValueError(f"unknown quadrature {quadrature!r}")
 
 
 def window_cross_integral_loop(beta_i: complex, beta_j: complex, quadrature: str,
@@ -339,18 +361,19 @@ def window_cross_integral_loop(beta_i: complex, beta_j: complex, quadrature: str
     batched `detection._cross_integrals` replaced, with the same rule
     (clip at 8 + |means|, panels of k * width <= 64, orders n and 2n from
     GL_FIRST_ORDER until they agree within `tol`)."""
-    cut = 8.0 + max(abs(_mean(beta_i, quadrature)), abs(_mean(beta_j, quadrature)))
+    cut = 8.0 + max(abs(quadrature_mean(beta_i, quadrature)),
+                    abs(quadrature_mean(beta_j, quadrature)))
     lo, hi = max(bounds[0], -cut), min(bounds[1], cut)
     if lo >= hi:
         return 0.0 + 0.0j
     conjugate = "x" if quadrature == "p" else "p"
-    k = 2.0 * abs(_mean(beta_i, conjugate) - _mean(beta_j, conjugate))
+    k = 2.0 * abs(quadrature_mean(beta_i, conjugate) - quadrature_mean(beta_j, conjugate))
     panels = min(GL_MAX_PANELS, max(1, math.ceil(k * (hi - lo) / 64.0)))
     edges = np.linspace(lo, hi, panels + 1)
     mids, halves = 0.5 * (edges[1:] + edges[:-1]), 0.5 * np.diff(edges)
 
     def gauss_legendre(n):
-        nodes, weights = _legendre_rule(n)
+        nodes, weights = np.polynomial.legendre.leggauss(n)
         q = mids[:, None] + halves[:, None] * nodes
         v = quadrature_wavefunction(beta_i, quadrature, q) * \
             np.conj(quadrature_wavefunction(beta_j, quadrature, q))
@@ -369,10 +392,12 @@ def window_cross_integral_loop(beta_i: complex, beta_j: complex, quadrature: str
 def offdiag_bound_loop(d: int, alpha: float, channel: ChannelParams, delta_frac: float,
                        tol: float = 1e-10) -> float:
     """`homodyne_report`'s offdiag_bound from one integral at a time,
-    0.0 when at or below `tol`."""
+    0.0 when at or below `tol`.  The qutrit windows are read on p of the
+    unturned ring, so this checks the library's quarter turn to x."""
     ws = window_geometry(d, alpha, channel.gamma, delta_frac)
     ring = ring_states(d, np.sqrt(channel.gamma) * alpha)
-    bound = max(abs(window_cross_integral_loop(ring[i], ring[j], ws.quadrature, bounds, tol))
+    quadrature = "p" if d == 3 else "x"
+    bound = max(abs(window_cross_integral_loop(ring[i], ring[j], quadrature, bounds, tol))
                 for bounds in ws.bounds for i in range(d) for j in range(i + 1, d))
     return bound if bound > tol else 0.0
 

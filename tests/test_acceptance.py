@@ -249,11 +249,12 @@ def test_criterion_08_wavefunction_convention():
         b2 = complex(*rng.uniform(-3, 3, 2))
         if abs(b1) > 3 or abs(b2) > 3:
             continue
-        re = quad(lambda p: (quadrature_wavefunction(b1, "p", p)
-                             * np.conj(quadrature_wavefunction(b2, "p", p))).real,
+        # p of beta is read as x of -1j beta
+        re = quad(lambda p: (quadrature_wavefunction(-1j * b1, p)
+                             * np.conj(quadrature_wavefunction(-1j * b2, p))).real,
                   -np.inf, np.inf, epsabs=1e-12, limit=200)[0]
-        im = quad(lambda p: (quadrature_wavefunction(b1, "p", p)
-                             * np.conj(quadrature_wavefunction(b2, "p", p))).imag,
+        im = quad(lambda p: (quadrature_wavefunction(-1j * b1, p)
+                             * np.conj(quadrature_wavefunction(-1j * b2, p))).imag,
                   -np.inf, np.inf, epsabs=1e-12, limit=200)[0]
         assert abs(complex(re, im) - overlap(b2, b1)) < 1e-8
         checked += 1

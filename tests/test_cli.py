@@ -11,7 +11,7 @@ import pytest
 
 from hqrsim.cli import (ALPHA_RANGE_MAX_COUNT, UsageError, _build_parser, load_config, main,
                         parse, run)
-from hqrsim.coherent import AMPLITUDE_MAX
+from hqrsim.coherent import AMPLITUDE_MAX, RING_MAX_D
 from hqrsim.rates import MAX_PURIFICATION_ROUNDS
 from test_cli_golden import CASES, golden_path
 
@@ -398,6 +398,25 @@ class TestMainProcess:
         assert captured.out == ""
         assert captured.err == ("hqrsim: invalid input: purification rounds must lie in "
                                 f"[0, {MAX_PURIFICATION_ROUNDS}], got 100000000\n")
+
+    @pytest.mark.parametrize("argv", [
+        "constants --d {d} --alpha 30",
+        "usd --d {d} --L0 5 --alpha 30",
+        "entangle --d {d} --L0 5 --alpha 30",
+        "rate --scheme usd --d {d} --L0 5 --alpha 30 --span 10",
+    ])
+    def test_ring_dimension_cap(self, capsys, argv):
+        # alpha^2 above the cap keeps the USD probability of the ring nonzero
+        # d = 10^7 ended in a MemoryError traceback (a 1.4 PiB d x d array)
+        for d in (RING_MAX_D + 1, 10 ** 7):
+            start = time.perf_counter()
+            assert main(argv.format(d=d).split()) == 2
+            assert time.perf_counter() - start < 1.0
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == ("hqrsim: invalid input: ring dimension must lie in "
+                                    f"[2, {RING_MAX_D}], got {d}\n")
+        assert main(argv.format(d=RING_MAX_D).split()) == 0
 
     def test_purification_rounds_cap_is_reachable(self, capsys):
         start = time.perf_counter()

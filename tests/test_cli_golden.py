@@ -22,9 +22,11 @@ NOISE = 1e-12
 CASES = {
     "constants": "constants --d 3 --alpha 0.8",
     "constants_closed_form": "constants --d 3 --alpha 0.8 --model closed-form",
+    "constants_d2_closed_form": "constants --d 2 --alpha 0.6 --model closed-form",
     "constants_d5": "constants --d 5 --alpha 0.9",
     "entangle": "entangle --d 3 --L0 20 --alpha 0.5",
     "entangle_d4_gram": "entangle --d 4 --L0 10 --alpha 0.9 --model gram",
+    "entangle_d2": "entangle --d 2 --L0 10 --alpha 0.7",
     "negativity_scan": "negativity-scan --d 3 --L0 5 --alpha-range 0:2.5:100",
     "negativity_scan_d8_gram":
         "negativity-scan --d 8 --L0 10 --alpha-range 0.1:2.9:100 --model gram",
@@ -33,6 +35,8 @@ CASES = {
     "negativity_scan_d4_closed_form":
         "negativity-scan --d 4 --L0 5 --alpha-range 0:2.5:50 --model closed-form",
     "homodyne": "homodyne --d 3 --L0 5 --alpha 1.0 --delta-frac 0.2",
+    "homodyne_d2": "homodyne --d 2 --L0 5 --alpha 1.0 --delta-frac 0.2",
+    "homodyne_d4": "homodyne --d 4 --L0 10 --alpha 1.3 --delta-frac 0.3",
     "usd": "usd --d 3 --L0 20 --alpha 0.5",
     "purify": "purify --weights 0.7494,0.0942,0.1564 --rounds 3",
     "rate": "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --rounds 2 --span 10",

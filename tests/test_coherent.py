@@ -1,5 +1,6 @@
 import pathlib
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from hqrsim import coherent
-from hqrsim.coherent import WEIGHT_MODELS, norm_constants, ring_states
+from hqrsim.coherent import RING_MAX_D, WEIGHT_MODELS, norm_constants, ring_states
 from hqrsim.detection import quadrature_wavefunction
 from oracles import gram_matrix, overlap, ring_to_orthonormal
 
@@ -41,15 +42,16 @@ class TestOverlap:
             assert abs(overlap(a, b)) <= 1 + 1e-12
 
     def test_quadrature_oracle(self):
-        # integral of psi_a(p) psi_b*(p) over the line reproduces overlap(b, a)
+        # integral of psi_a(p) psi_b*(p) over the line reproduces overlap(b, a);
+        # p of beta is read as x of -1j beta
         rng = np.random.default_rng(1)
         for _ in range(5):
             a, b = (complex(*rng.uniform(-1.8, 1.8, 2)) for _ in range(2))
-            re = quad(lambda p: (quadrature_wavefunction(a, "p", p)
-                                 * np.conj(quadrature_wavefunction(b, "p", p))).real,
+            re = quad(lambda p: (quadrature_wavefunction(-1j * a, p)
+                                 * np.conj(quadrature_wavefunction(-1j * b, p))).real,
                       -np.inf, np.inf, epsabs=1e-12)[0]
-            im = quad(lambda p: (quadrature_wavefunction(a, "p", p)
-                                 * np.conj(quadrature_wavefunction(b, "p", p))).imag,
+            im = quad(lambda p: (quadrature_wavefunction(-1j * a, p)
+                                 * np.conj(quadrature_wavefunction(-1j * b, p))).imag,
                       -np.inf, np.inf, epsabs=1e-12)[0]
             assert abs(complex(re, im) - overlap(b, a)) < 1e-8
 
@@ -123,8 +125,20 @@ class TestNormConstantProperties:
 class TestClosedFormVariant:
     def test_d2_identical(self):
         for alpha in (0.0, 0.3, 1.1, 2.5):
-            assert np.allclose(norm_constants(2, alpha, "closed-form"), norm_constants(2, alpha),
-                               atol=1e-12)
+            assert np.array_equal(norm_constants(2, alpha, "closed-form"), norm_constants(2, alpha))
+
+    def test_d2_matches_mpmath(self):
+        # at d = 2 both models are the DFT, 2(1 +- e^{-2 alpha^2}); the m = 1
+        # value is a difference, so its relative error grows as eps / alpha^2
+        # toward small alpha: 1.0e-14 at alpha = 0.051, 2.5e-15 above 0.1
+        alphas = np.geomspace(0.05, 40.0, 400)
+        got = norm_constants(2, alphas, "closed-form")
+        assert np.array_equal(got, norm_constants(2, alphas))
+        with mpmath.workdps(40):
+            for a, row in zip(alphas, got):
+                e = mpmath.exp(-2 * mpmath.mpf(a) ** 2)
+                for value, want in zip(row, (2 * (1 + e), 2 * (1 - e))):
+                    assert abs(value - want) <= 2e-14 * want
 
     def test_d3_structure(self):
         # m=0 agrees with the Gram constants; the variant sums to 9 and stays
@@ -224,6 +238,16 @@ class TestValidation:
     def test_rejects_bad_ring(self, call, d, alpha):
         with pytest.raises(ValueError, match="dimension|amplitude"):
             call(d, alpha)
+
+    def test_ring_dimension_cap(self):
+        # at the cap the DFT passes its residue check on an alpha grid over [0, 40]
+        alphas = np.concatenate([[0.001, 0.01, 0.1], np.linspace(0.0, 40.0, 401)])
+        for chunk in np.array_split(alphas, 8):
+            n = norm_constants(RING_MAX_D, chunk)
+            assert np.abs(n.sum(axis=-1) - RING_MAX_D ** 2).max() <= 1e-10 * RING_MAX_D ** 2
+        for d in (RING_MAX_D + 1, 10 ** 7):
+            with pytest.raises(ValueError, match=rf"\[2, {RING_MAX_D}\], got {d}"):
+                norm_constants(d, 0.5)
 
     def test_unknown_model_raises_in_coherent(self):
         with pytest.raises(ValueError, match="unknown weight model 'bogus'") as info:

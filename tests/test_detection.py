@@ -5,11 +5,15 @@ from scipy.integrate import quad
 
 from hqrsim import detection
 from hqrsim.coherent import norm_constants, ring_states
-from hqrsim.detection import (_cross_integrals, _pair_integrals, homodyne_report,
-                              offdiag_weight, quadrature_wavefunction, usd_bound,
-                              window_geometry, window_mass)
+from hqrsim.detection import (_cross_integrals, _measured_ring, _pair_integrals,
+                              homodyne_report, offdiag_weight, quadrature_wavefunction,
+                              usd_bound, window_geometry, window_mass)
 from hqrsim.states import ChannelParams
-from oracles import gram_matrix, offdiag_bound_loop, overlap, quadrature_pdf
+from oracles import gram_matrix, offdiag_bound_loop, overlap, quadrature_mean, quadrature_pdf
+from oracles import quadrature_wavefunction as oracle_wavefunction
+
+# the library reads p of beta as x of -1j beta
+TURN = {"x": 1, "p": -1j}
 
 
 class TestQuadraturePdf:
@@ -40,12 +44,12 @@ class TestWavefunction:
         rng = np.random.default_rng(3)
         for quadr in ("x", "p"):
             for _ in range(5):
-                a, b = (complex(*rng.uniform(-2, 2, 2)) for _ in range(2))
-                re = quad(lambda t: (quadrature_wavefunction(a, quadr, t)
-                                     * np.conj(quadrature_wavefunction(b, quadr, t))).real,
+                a, b = (complex(*rng.uniform(-2, 2, 2)) * TURN[quadr] for _ in range(2))
+                re = quad(lambda t: (quadrature_wavefunction(a, t)
+                                     * np.conj(quadrature_wavefunction(b, t))).real,
                           -np.inf, np.inf, epsabs=1e-12)[0]
-                im = quad(lambda t: (quadrature_wavefunction(a, quadr, t)
-                                     * np.conj(quadrature_wavefunction(b, quadr, t))).imag,
+                im = quad(lambda t: (quadrature_wavefunction(a, t)
+                                     * np.conj(quadrature_wavefunction(b, t))).imag,
                           -np.inf, np.inf, epsabs=1e-12)[0]
                 assert abs(complex(re, im) - overlap(b, a)) < 1e-8
 
@@ -53,14 +57,23 @@ class TestWavefunction:
         beta = 0.8 + 0.5j
         for quadr in ("x", "p"):
             for t in (-1.0, 0.0, 0.4):
-                assert abs(quadrature_wavefunction(beta, quadr, t)) ** 2 == \
+                assert abs(quadrature_wavefunction(TURN[quadr] * beta, t)) ** 2 == \
                     pytest.approx(quadrature_pdf(beta, quadr, t), abs=1e-12)
+
+    def test_turned_state_is_p_wavefunction_exactly(self):
+        # x of -1j beta is the p wavefunction of beta term by term, so the
+        # quarter turn moves no bit of any result
+        rng = np.random.default_rng(14)
+        beta = rng.uniform(-30, 30, 200) + 1j * rng.uniform(-30, 30, 200)
+        t = rng.uniform(-40, 40, 200)
+        assert np.array_equal(quadrature_wavefunction(-1j * beta, t),
+                              oracle_wavefunction(beta, "p", t))
+        assert np.array_equal(quadrature_wavefunction(beta, t), oracle_wavefunction(beta, "x", t))
 
 
 class TestWindowGeometry:
     def test_d2_full_width_tiles_line(self):
         ws = window_geometry(2, 1.0, np.exp(-5 / 22), 1.0)
-        assert ws.quadrature == "x"
         assert ws.bounds[0][0] == pytest.approx(0.0)
         assert ws.bounds[1][1] == pytest.approx(0.0)
         # the failure gap between the windows is degenerate
@@ -70,8 +83,6 @@ class TestWindowGeometry:
         g = np.exp(-5 / 22)
         ws = window_geometry(3, 1.0, g, 1.0)
         c1 = np.sqrt(3) / 2 * np.sqrt(g)
-        assert ws.quadrature == "p"
-        assert ws.delta_max == pytest.approx(np.sqrt(3) / 4 * np.sqrt(g))
         assert ws.bounds[0] == (pytest.approx(-c1 / 2), pytest.approx(c1 / 2))
         # at the maximum width the failure gaps close to zero measure
         assert ws.bounds[1][0] - ws.bounds[0][1] == pytest.approx(0.0)
@@ -79,7 +90,6 @@ class TestWindowGeometry:
 
     def test_d4_middle_states_unassigned(self):
         ws = window_geometry(4, 1.0, 0.8, 0.5)
-        assert ws.quadrature == "x"
         assert ws.dominant_ring == (0, 2)
         assert len(ws.bounds) == 2  # the +-i alpha states get no window
 
@@ -154,11 +164,11 @@ class TestOffdiagWeight:
         # stretching the window over the whole line turns the cross term
         # into the plain coherent overlap
         ch = ChannelParams(5.0)
-        ring = ring_states(3, np.sqrt(ch.gamma) * 1.0)
+        ring = -1j * ring_states(3, np.sqrt(ch.gamma) * 1.0)  # p read as x
         got = offdiag_weight(3, 1.0, ch, 1, 1.0 - 1e-12)
-        # window w1 at full width starts at delta_max; compare against the
-        # largest half-line cross integral computed directly
-        best = max(abs(_cross_integrals(ring[i], ring[j], "p",
+        # window w1 at full width starts at half the ring's p spacing;
+        # compare against the largest half-line cross integral computed directly
+        best = max(abs(_cross_integrals(ring[i], ring[j],
                                         np.sqrt(3) / 4 * np.sqrt(ch.gamma), np.inf, 1e-10))
                    for i in range(3) for j in range(3) if i != j)
         assert got == pytest.approx(best, abs=1e-10)
@@ -166,7 +176,7 @@ class TestOffdiagWeight:
     def test_equal_amplitudes_reduce_to_window_mass(self):
         beta = 0.6 + 0.3j
         for bounds in ((-0.5, 0.5), (0.2, np.inf)):
-            val = _cross_integrals(beta, beta, "p", *bounds, 1e-10)
+            val = _cross_integrals(-1j * beta, -1j * beta, *bounds, 1e-10)
             assert abs(val.imag) < 1e-10
             assert val.real == pytest.approx(window_mass(bounds, beta.imag), abs=1e-10)
 
@@ -174,7 +184,7 @@ class TestOffdiagWeight:
         rng = np.random.default_rng(5)
         for _ in range(5):
             a, b = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(2))
-            val = _cross_integrals(a, b, "p", -np.inf, np.inf, 1e-10)
+            val = _cross_integrals(a, b, -np.inf, np.inf, 1e-10)
             assert abs(val - overlap(b, a)) < 1e-8
 
     def test_reference_window_value(self):
@@ -197,16 +207,15 @@ class TestOffdiagWeight:
         for d, alpha in ((2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0)):
             ch = ChannelParams(5.0)
             ws = window_geometry(d, alpha, ch.gamma, 0.2)
-            ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
+            ring = _measured_ring(d, alpha, ch.gamma)
             for w, bounds in enumerate(ws.bounds):
-                direct = max(abs(_cross_integrals(ring[i], ring[j], ws.quadrature,
-                                                  *bounds, 1e-10))
+                direct = max(abs(_cross_integrals(ring[i], ring[j], *bounds, 1e-10))
                              for i in range(d) for j in range(d) if i != j)
                 assert offdiag_weight(d, alpha, ch, w, 0.2) == pytest.approx(direct, abs=1e-14)
 
     def test_unconverged_quadrature_raises(self):
         with pytest.raises(ArithmeticError, match="did not converge"):
-            _cross_integrals(1.0 + 0.5j, -1.0 + 0.5j, "p", -1.0, 1.0, -1.0)
+            _cross_integrals(1.0 + 0.5j, -1.0 + 0.5j, -1.0, 1.0, -1.0)
 
     def test_window_index_validation(self):
         with pytest.raises(ValueError):
@@ -215,7 +224,7 @@ class TestOffdiagWeight:
 
 def _mp_cross_integral(beta_i, beta_j, quadrature, bounds):
     """The window cross integral by mpmath tanh-sinh quadrature at 30 digits,
-    from the closed-form wavefunctions in the detection module docstring."""
+    from the closed-form x and p wavefunctions (`oracles.quadrature_wavefunction`)."""
     with mpmath.workdps(30):
         bi, bj = mpmath.mpc(beta_i), mpmath.mpc(beta_j)
         if quadrature == "p":
@@ -235,14 +244,17 @@ class TestCrossIntegralOracle:
     @pytest.mark.parametrize("alpha", [1.1, 5.0])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_matches_mpmath(self, d, alpha):
+        # the reference reads the qutrit ring on p directly, unturned
         ch = ChannelParams(5.0)
         ws = window_geometry(d, alpha, ch.gamma, 0.2)
         ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
+        measured = _measured_ring(d, alpha, ch.gamma)
+        quadrature = "p" if d == 3 else "x"
         for bounds in ws.bounds:
             for i in range(d):
                 for j in range(i + 1, d):
-                    got = _cross_integrals(ring[i], ring[j], ws.quadrature, *bounds, 1e-10)
-                    ref = _mp_cross_integral(ring[i], ring[j], ws.quadrature, bounds)
+                    got = _cross_integrals(measured[i], measured[j], *bounds, 1e-10)
+                    ref = _mp_cross_integral(ring[i], ring[j], quadrature, bounds)
                     assert abs(got - ref) < 1e-12
 
     @pytest.mark.parametrize("sa", [10.0, 35.0, 90.0])
@@ -250,7 +262,7 @@ class TestCrossIntegralOracle:
         # the +-i sa pair of d = 4 shares x-mean 0 and oscillates as
         # exp(4i sa x); over x >= 0 the integral is
         # exp(-k^2/8)/2 + i D(k/(2 sqrt 2))/sqrt(pi), k = 4 sa, D = Dawson
-        got = _cross_integrals(1j * sa, -1j * sa, "x", 0.0, np.inf, 1e-10)
+        got = _cross_integrals(1j * sa, -1j * sa, 0.0, np.inf, 1e-10)
         with mpmath.workdps(30):
             x = 4 * mpmath.mpf(sa) / (2 * mpmath.sqrt(2))
             dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x ** 2) * mpmath.erfi(x)
@@ -261,14 +273,14 @@ class TestCrossIntegralOracle:
 def _quad_cross_integral(beta_i, beta_j, quadrature, bounds):
     """The window cross integral by scipy quad over the part of the window
     within 7 of the envelope center (mi + mj)/2, where the magnitude
-    sqrt(2/pi) exp(-2 (q - c)^2 - (mi - mj)^2 / 2) is above 1e-42."""
-    mean = (lambda b: b.real) if quadrature == "x" else (lambda b: b.imag)
-    c = (mean(complex(beta_i)) + mean(complex(beta_j))) / 2
+    sqrt(2/pi) exp(-2 (q - c)^2 - (mi - mj)^2 / 2) is above 1e-42.  The
+    wavefunctions are the oracle's own x and p ones."""
+    c = (quadrature_mean(beta_i, quadrature) + quadrature_mean(beta_j, quadrature)) / 2
     lo, hi = max(bounds[0], c - 7.0), min(bounds[1], c + 7.0)
     if lo >= hi:
         return 0j
-    f = lambda q: (quadrature_wavefunction(beta_i, quadrature, q)
-                   * np.conj(quadrature_wavefunction(beta_j, quadrature, q)))
+    f = lambda q: (oracle_wavefunction(beta_i, quadrature, q)
+                   * np.conj(oracle_wavefunction(beta_j, quadrature, q)))
     re = quad(lambda q: f(q).real, lo, hi, epsabs=1e-13, epsrel=0, limit=500)[0]
     im = quad(lambda q: f(q).imag, lo, hi, epsabs=1e-13, epsrel=0, limit=500)[0]
     return complex(re, im)
@@ -279,9 +291,9 @@ def wavefunction_calls(monkeypatch):
     """Records the value-array shape of every quadrature_wavefunction call."""
     shapes = []
 
-    def spy(beta, quadrature, value):
+    def spy(beta, value):
         shapes.append(np.shape(value))
-        return quadrature_wavefunction(beta, quadrature, value)
+        return quadrature_wavefunction(beta, value)
 
     monkeypatch.setattr(detection, "quadrature_wavefunction", spy)
     return shapes
@@ -294,11 +306,12 @@ class TestBatchedCrossIntegrals:
         ch = ChannelParams(5.0)
         ws = window_geometry(d, alpha, ch.gamma, 0.2)
         ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
-        got = _pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10)
+        got = _pair_integrals(_measured_ring(d, alpha, ch.gamma), ws.bounds, 1e-10)
         assert got.shape == (len(ws.bounds), d * (d - 1) // 2)
+        quadrature = "p" if d == 3 else "x"  # the unturned ring, read directly
         for w, bounds in enumerate(ws.bounds):
             for p, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
-                ref = _quad_cross_integral(ring[i], ring[j], ws.quadrature, bounds)
+                ref = _quad_cross_integral(ring[i], ring[j], quadrature, bounds)
                 assert abs(got[w, p] - ref) < 1e-12
         if d > 2 and alpha == 5.0:
             # k * width > 64 here, so some integral has several panels
@@ -310,22 +323,22 @@ class TestBatchedCrossIntegrals:
         beta_i = np.array([2.0 + 0j, 10j, 0.3 + 0.2j])
         beta_j = np.array([2.0 + 0j, -10j, -0.4 + 1j])
         lo, hi = np.array([-30.0, 0.0, -1.0]), np.array([30.0, np.inf, 0.5])
-        got = detection._cross_integrals(beta_i, beta_j, "x", lo, hi, 1e-10)
+        got = detection._cross_integrals(beta_i, beta_j, lo, hi, 1e-10)
         rows = [shape[0] for shape in wavefunction_calls[::2]]
         orders = [shape[1] for shape in wavefunction_calls[::2]]
         assert orders == [64, 128, 256] and rows == [7, 7, 1]
         for k in range(3):
             ref = _quad_cross_integral(beta_i[k], beta_j[k], "x", (lo[k], hi[k]))
             assert abs(got[k] - ref) < 1e-12
-            alone = _cross_integrals(beta_i[k], beta_j[k], "x", lo[k], hi[k], 1e-10)
+            alone = _cross_integrals(beta_i[k], beta_j[k], lo[k], hi[k], 1e-10)
             assert abs(got[k] - alone) < 1e-14
 
     @pytest.mark.parametrize("d, alpha", [(2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0), (4, 5.0)])
     def test_offdiag_weight_is_batched_window_max(self, d, alpha):
         ch = ChannelParams(5.0)
         ws = window_geometry(d, alpha, ch.gamma, 0.3)
-        ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
-        batch = np.abs(_pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10))
+        ring = _measured_ring(d, alpha, ch.gamma)
+        batch = np.abs(_pair_integrals(ring, ws.bounds, 1e-10))
         for w in range(len(ws.bounds)):
             assert abs(offdiag_weight(d, alpha, ch, w, 0.3) - batch[w].max()) <= 1e-14
         assert homodyne_report(d, alpha, ch, 0.3).offdiag_bound == batch.max()
@@ -344,8 +357,8 @@ class TestBatchedCrossIntegrals:
     def test_bound_at_or_below_tolerance_reads_zero(self):
         d, alpha, ch, delta_frac = 4, 26.99, ChannelParams(2.144), 0.6703
         ws = window_geometry(d, alpha, ch.gamma, delta_frac)
-        ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
-        noise = np.abs(_pair_integrals(ring, ws.quadrature, ws.bounds, 1e-10)).max()
+        ring = _measured_ring(d, alpha, ch.gamma)
+        noise = np.abs(_pair_integrals(ring, ws.bounds, 1e-10)).max()
         assert 0.0 < noise <= 1e-10
         assert homodyne_report(d, alpha, ch, delta_frac).offdiag_bound == 0.0
         # one rule for the per-window value and the report
