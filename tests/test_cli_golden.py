@@ -42,6 +42,8 @@ CASES = {
     "rate": "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --rounds 2 --span 10",
     "rate_homodyne": "rate --scheme homodyne --d 3 --L0 10 --alpha 1.0 --span 80 --rounds 3",
     "mc": "mc --n 1 --p 0.6427 --trials 1000000 --seed 7",
+    "mc_rounds3": "mc --n 1 --p 0.4 --trials 100000 --seed 3 --round-p 0.8,0.85,0.8",
+    "mc_rounds2_exponential": "mc --n 2 --p 0.25 --trials 20000 --seed 5 --round-p 0.3,0.9",
     "table_I": "table --id I",
     "table_II": "table --id II",
     "table_III": "table --id III",
