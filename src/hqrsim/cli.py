@@ -33,11 +33,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent import WEIGHT_MODELS, norm_constants
-from .detection import homodyne_report, usd_bound
+from .coherent import RING_MAX_D, WEIGHT_MODELS, norm_constants
+from .detection import HOMODYNE_DIMS, homodyne_report, usd_bound
 from .rates import (FIBER_SPEED_KM_S, SCHEMES, RepeaterConfig, monte_carlo_waiting, predict,
                     purification_chain, reproduce_table, z_attempts)
-from .states import (L_ATT_KM, ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL,
+from .states import (L_ATT_KM, SCAN_MAX_D, ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL,
                      loss_weights, negativity_scan)
 
 __all__ = ["Settings", "RunSpec", "load_config", "parse", "run", "main"]
@@ -234,9 +234,13 @@ class Command(NamedTuple):
     run: Callable  # (params, settings) -> (columns, rows)
 
 
-_D = ("--d", {"type": _int_at_least(2), "required": True, "help": "qudit dimension (>= 2)"})
+_D, _D_SCAN, _D_HOMODYNE, _D_RATE = (
+    ("--d", {"type": _int_at_least(2), "required": True, "help": f"qudit dimension {dims}"})
+    for dims in (f"2 to {RING_MAX_D}", f"2 to {SCAN_MAX_D}", f"in {HOMODYNE_DIMS}",
+                 f"2 to {RING_MAX_D}, or in {HOMODYNE_DIMS} with --scheme homodyne"))
 _L0 = ("--L0", {"type": float, "required": True})
 _ALPHA = ("--alpha", {"type": float, "required": True})
+_ALPHA_RANGE = ("--alpha-range", {"type": _alpha_range, "required": True, "metavar": "A:B:N"})
 _DELTA_FRAC = ("--delta-frac", {"type": float, "default": 0.2})
 
 
@@ -249,18 +253,16 @@ COMMANDS = {
                          (_D, _ALPHA, _model("gram")), _constants),
     "entangle": Command("matter-matter mixture components",
                         (_D, _L0, _ALPHA, _model("closed-form")), _entangle),
-    "negativity-scan": Command(
-        "entanglement negativity over an amplitude grid",
-        (_D, _L0, ("--alpha-range", {"type": _alpha_range, "required": True, "metavar": "A:B:N"}),
-         _model("gram")), _negativity_scan),
+    "negativity-scan": Command("entanglement negativity over an amplitude grid",
+                               (_D_SCAN, _L0, _ALPHA_RANGE, _model("gram")), _negativity_scan),
     "homodyne": Command("windowed homodyne probabilities and fidelities",
-                        (_D, _L0, _ALPHA, _DELTA_FRAC), _homodyne),
+                        (_D_HOMODYNE, _L0, _ALPHA, _DELTA_FRAC), _homodyne),
     "usd": Command("unambiguous-discrimination success bound", (_D, _L0, _ALPHA), _usd),
     "purify": Command("iterate two-copy purification on a weight vector",
                       (("--weights", {"type": _weights, "required": True, "metavar": "W0,W1,..."}),
                        ("--rounds", {"type": _int_at_least(0), "default": 1})), _purify),
     "rate": Command("repeater rate and fidelity prediction",
-                    (_D, ("--scheme", {"choices": SCHEMES, "required": True}),
+                    (_D_RATE, ("--scheme", {"choices": SCHEMES, "required": True}),
                      _L0, _ALPHA, ("--span", {"type": float, "required": True}),
                      ("--rounds", {"type": int, "default": 0}), _DELTA_FRAC), _rate),
     "mc": Command("Monte Carlo waiting-time validation",

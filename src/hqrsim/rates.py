@@ -59,17 +59,16 @@ MAX_PURIFICATION_ROUNDS = 64
 # largest p at which z_attempts uses the Euler-Maclaurin closed form
 EM_MAX_P = 1e-4
 
-# expected geometric(p0) waits per monte_carlo_waiting chunk, whatever the
-# rounds and trials; with rounds, 2^15 ran 5% faster than 2^14 and 20-30%
-# faster than 2^16 or 2^17, whose temporaries page-fault
+# expected geometric(p0) waits per monte_carlo_waiting chunk, whatever the rounds
+# and trials; seeded results with rounds depend on it, so it stays at 2^15
 MC_CHUNK = 2 ** 15
 
 # largest expected number of geometric(p0) waits monte_carlo_waiting accepts
 # for min(trials per shard, max(1, 2^14 / 2^n)) trials; about 400 MB drawn at once
 MC_MAX_WAITS = 2 ** 25
 
-# smallest p0 monte_carlo_waiting accepts: a wait, at most about 37 / p0,
-# stays below 2^53, so no sum loses integers and int64 draws cannot saturate
+# smallest p0 monte_carlo_waiting accepts: a wait, at most about 37 / p0, stays
+# below 2^53, so every draw is an exact integer as a float
 MC_MIN_P0 = 1e-13
 
 SCHEMES = ("usd", "homodyne")
@@ -249,15 +248,17 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
 
     Each segment waits a geometric(p0) time per pair; every purification
     round consumes two pairs (max of two independent waits) and repeats on
-    failure (probability 1 - p_round).  Results are identical for a fixed seed.
+    failure (probability 1 - p_round).
 
     Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected
     geometric(p0) waits, and a chunk holds max(1, MC_CHUNK // w) trials.
     Draw the attempt counts K ~ geometric(p_round) of rounds R..1 top-down
     (depth d - 1 has 2 K.sum() elements), then each depth-1 attempt, the
     maximum of two geometric(p0) waits, by inversion from one uniform u:
-    M = max(1, ceil(log(1 - sqrt(u)) / log q)).  Sum bottom-up with
-    `np.add.reduceat` and pair maxima, up to each trial's maximum.  Raises
+    M = max(1, ceil(log(1 - sqrt(u)) / log q)).  Sum bottom-up, as running-sum
+    differences at the cumsum(K) bounds (`np.add.reduceat` once a chunk's sum
+    reaches 2^53), and take pair maxima up to each trial's maximum.  Draws are
+    floats (`_geometric`); chunk arrays come from a per-call pool.  Raises
     ValueError before any draw for p0 < MC_MIN_P0 or work above MC_MAX_WAITS.
     Without rounds the draws are one geometric(p0) stream for any chunking
     and the sums exact integers below 2^53, so seeded results equal those of
@@ -283,42 +284,59 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     segments = 2 ** n
     per_chunk = min(max(1, int(MC_CHUNK / 2 ** (n + round_log2))), trials)
     log_q = math.log1p(-p0) if p0 < 1 else -math.inf
+    pool = {}  # zeroed chunk arrays by key, allocated only when a chunk needs more
 
-    def sample(rng, count):
-        if not round_probs:
-            return rng.geometric(p0, size=count)
-        starts = []  # first attempt of every element, top depth first
-        for p_round in reversed(round_probs):
-            k = rng.geometric(p_round, size=count)
-            starts.append(np.cumsum(k))
-            count = 2 * int(starts[-1][-1])
-            starts[-1] -= k
-        # depth-1 attempts: 1 - sqrt(u) = (1 - u) / (1 + sqrt(u)), and 1 - u > 0
-        u = rng.random(count // 2)
-        root = np.sqrt(u)
-        root += 1.0
-        waits = np.log(np.divide(np.subtract(1.0, u, out=u), root, out=u), out=u)
-        waits /= log_q
-        np.maximum(np.ceil(waits, out=waits), 1.0, out=waits)
-        for depth, first in enumerate(reversed(starts)):
-            if depth:
-                waits = np.maximum(waits[0::2], waits[1::2])
-            waits = np.add.reduceat(waits, first)
-        return waits
+    def buffer(key, size, dtype=float):
+        if key not in pool or pool[key].size < size:
+            pool[key] = np.zeros(size + size // 8, dtype)
+        return pool[key][:size]
 
     sum_x = sum_x2 = 0.0
     rng = np.random.default_rng([int(seed), 0])  # [seed, 0], not seed: same seeded results
     for done in range(0, trials, per_chunk):
-        waits = sample(rng, min(per_chunk, trials - done) * segments)
+        count = min(per_chunk, trials - done) * segments
+        bounds = []  # [0, cumsum(K)] of every depth, top first: the attempts of each element
+        for p_round in reversed(round_probs):
+            k = _geometric(rng, p_round, buffer("k", count))
+            bounds.append(buffer(len(bounds), count + 1, np.int64))  # [0] is never written
+            count = 2 * int(np.cumsum(k, dtype=np.int64, out=bounds[-1][1:])[-1])
+        spare = buffer("root", count // 2)
+        if round_probs:  # depth-1 attempts: 1 - sqrt(u) = (1 - u) / (1 + sqrt(u)), and 1 - u > 0
+            waits = rng.random(out=buffer("u", count // 2))
+            np.add(np.sqrt(waits, out=spare), 1.0, out=spare)
+            np.log(np.divide(np.subtract(1.0, waits, out=waits), spare, out=waits), out=waits)
+            np.maximum(np.ceil(np.divide(waits, log_q, out=waits), out=waits), 1.0, out=waits)
+        else:
+            waits = _geometric(rng, p0, buffer("u", count))
+        for depth, bound in enumerate(reversed(bounds)):
+            if depth:  # pair maxima go to the free buffer, which then holds the old waits
+                waits, spare = np.maximum(waits[0::2], waits[1::2],
+                                          out=spare[:waits.size // 2]), waits
+            sums = spare[:bound.size - 1]  # running-sum differences at each element's bounds
+            if np.cumsum(waits, out=buffer("running", waits.size + 1)[1:])[-1] < 2 ** 53:  # exact
+                at = np.take(pool["running"], bound, out=buffer("at", bound.size), mode="clip")
+                np.subtract(at[1:], at[:-1], out=sums)
+            else:  # running sums would round: add up each element's attempts in turn
+                np.add.reduceat(waits, bound[:-1], out=sums)
+            waits, spare = sums, waits
         for _ in range(n):
-            waits = np.maximum(waits[0::2], waits[1::2])
-        waits = waits.astype(float, copy=False)
+            waits, spare = np.maximum(waits[0::2], waits[1::2], out=spare[:waits.size // 2]), waits
         sum_x += float(waits.sum())
         # einsum, not waits @ waits: BLAS may thread a long dot product
         sum_x2 += float(np.einsum("i,i->", waits, waits))
     mean = sum_x / trials
     var = max(sum_x2 - trials * mean ** 2, 0.0) / (trials - 1) if trials > 1 else math.nan
     return mean, math.sqrt(var / trials)
+
+
+def _geometric(rng, p: float, out: np.ndarray) -> np.ndarray:
+    """`rng.geometric(p, out.size)` as floats in `out`: numpy's exponential inversion for p < 1/3,
+    else ceil(log1p(-u) / log q), equal to numpy's search on u but for an ulp tie."""
+    log_q = math.log1p(-p) if p < 1 else -math.inf
+    if p < 1 / 3:
+        return np.ceil(np.divide(rng.standard_exponential(out=out), -log_q, out=out), out=out)
+    np.divide(np.log1p(np.negative(rng.random(out=out), out=out), out=out), log_q, out=out)
+    return np.maximum(np.ceil(out, out=out), 1.0, out=out)
 
 
 # --- benchmark-table reproduction -------------------------------------------

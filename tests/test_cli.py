@@ -88,6 +88,16 @@ class TestParse:
             parse(["--format", "json", "mc", "--n", "1", "--p", "0.5",
                    "--trials", trials, "--seed", "1"])
 
+    @pytest.mark.parametrize("command, dims", [
+        ("constants", "2 to 195"), ("usd", "2 to 195"), ("negativity-scan", "2 to 16"),
+        ("homodyne", "in (2, 3, 4)"), ("rate", "2 to 195, or in (2, 3, 4)")])
+    def test_d_help_states_the_range(self, command, dims, capsys):
+        # the text is built from RING_MAX_D, SCAN_MAX_D and HOMODYNE_DIMS
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert f"qudit dimension {dims}" in " ".join(capsys.readouterr().out.split())
+
 
 class TestParserReuse:
     # one golden argv per subcommand

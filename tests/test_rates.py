@@ -263,8 +263,8 @@ class TestMonteCarlo:
 
     @pytest.mark.parametrize("round_probs", [(), (0.5,)])
     def test_vanishing_p0(self, round_probs):
-        # below MC_MIN_P0 a wait could pass 2^53; at 1e-300 rng.geometric
-        # saturates at int64 and the depth-1 inversion overflows
+        # below MC_MIN_P0 a wait could pass 2^53, where float draws and sums
+        # stop being exact integers; at 1e-300 the depth-1 inversion overflows
         for p0 in (1e-300, MC_MIN_P0 / 2):
             with pytest.raises(ValueError, match="p0"):
                 monte_carlo_waiting(0, p0, round_probs, trials=10, seed=1)
@@ -341,6 +341,16 @@ class TestMonteCarlo:
             results.add(monte_carlo_waiting(n, 0.3, trials=30_001, seed=5))
         assert len(results) == 1
 
+    @pytest.mark.parametrize("args, want", [
+        ((1, 2e-13, (0.02, 0.05, 0.2), 2, 3), (3.2532911270529224e+16, 5715944785807102.0)),
+        ((0, MC_MIN_P0, (0.01, 0.01, 0.1), 2, 1), (2.619318902576412e+18, 1.5393183745296873e+18)),
+    ])
+    def test_sums_past_2_53_add_attempts_in_turn(self, args, want):
+        # a chunk's running sum passes 2^53 here, so its differences would round;
+        # the values were written from a tree that summed every chunk with
+        # np.add.reduceat, whose rounding the fallback keeps
+        assert monte_carlo_waiting(*args) == want
+
     def test_rounds_do_not_grow_memory(self):
         # a chunk holds about MC_CHUNK expected waits whatever the rounds
         def peak(round_probs):
@@ -351,6 +361,20 @@ class TestMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peak((0.75, 0.75, 0.75)) <= 1.5 * peak((0.75,))
+
+
+class TestGeometricDraws:
+    # numpy inverts a standard exponential for p < 1/3 and searches on one
+    # uniform from 1/3 up; if a numpy release changes either, seeded mc
+    # results change, and this names the cause
+    @pytest.mark.parametrize("p", [1e-6, 0.05, 0.3, float(np.nextafter(1 / 3, 0)), 1 / 3, 0.5,
+                                   0.6427, 0.9, 1.0])
+    def test_equals_numpy_geometric(self, p):
+        ours, numpys = np.random.default_rng([17, 0]), np.random.default_rng([17, 0])
+        got = rates._geometric(ours, p, np.empty(10 ** 5))
+        want = numpys.geometric(p, 10 ** 5)
+        assert got.dtype == float and np.array_equal(got, want)
+        assert ours.random() == numpys.random()  # both streams consumed alike
 
 
 def recursive_waiting(n, p0, round_probs, trials, seed):
