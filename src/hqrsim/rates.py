@@ -248,16 +248,15 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
 
     Each segment waits a geometric(p0) time per pair; every purification
     round consumes two pairs (max of two independent waits) and repeats on
-    failure (probability 1 - p_round).
+    failure (probability 1 - p_round).  Results are identical for a fixed seed.
 
     Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected
     geometric(p0) waits, and a chunk holds max(1, MC_CHUNK // w) trials.
     Draw the attempt counts K ~ geometric(p_round) of rounds R..1 top-down
     (depth d - 1 has 2 K.sum() elements), then each depth-1 attempt, the
     maximum of two geometric(p0) waits, by inversion from one uniform u:
-    M = max(1, ceil(log(1 - sqrt(u)) / log q)).  Sum bottom-up, as running-sum
-    differences at the cumsum(K) bounds (`np.add.reduceat` once a chunk's sum
-    reaches 2^53), and take pair maxima up to each trial's maximum.  Draws are
+    M = max(1, ceil(log(1 - sqrt(u)) / log q)).  Sum bottom-up with
+    `np.add.reduceat` and pair maxima, up to each trial's maximum.  Draws are
     floats (`_geometric`); chunk arrays come from a per-call pool.  Raises
     ValueError before any draw for p0 < MC_MIN_P0 or work above MC_MAX_WAITS.
     Without rounds the draws are one geometric(p0) stream for any chunking
@@ -312,13 +311,7 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
             if depth:  # pair maxima go to the free buffer, which then holds the old waits
                 waits, spare = np.maximum(waits[0::2], waits[1::2],
                                           out=spare[:waits.size // 2]), waits
-            sums = spare[:bound.size - 1]  # running-sum differences at each element's bounds
-            if np.cumsum(waits, out=buffer("running", waits.size + 1)[1:])[-1] < 2 ** 53:  # exact
-                at = np.take(pool["running"], bound, out=buffer("at", bound.size), mode="clip")
-                np.subtract(at[1:], at[:-1], out=sums)
-            else:  # running sums would round: add up each element's attempts in turn
-                np.add.reduceat(waits, bound[:-1], out=sums)
-            waits, spare = sums, waits
+            waits, spare = np.add.reduceat(waits, bound[:-1], out=spare[:bound.size - 1]), waits
         for _ in range(n):
             waits, spare = np.maximum(waits[0::2], waits[1::2], out=spare[:waits.size // 2]), waits
         sum_x += float(waits.sum())
@@ -331,7 +324,8 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
 
 def _geometric(rng, p: float, out: np.ndarray) -> np.ndarray:
     """`rng.geometric(p, out.size)` as floats in `out`: numpy's exponential inversion for p < 1/3,
-    else ceil(log1p(-u) / log q), equal to numpy's search on u but for an ulp tie."""
+    else ceil(log1p(-u) / log q) of numpy's one uniform u, which differs from numpy's search on u
+    only where u ties one of the search's rounded partial sums (README)."""
     log_q = math.log1p(-p) if p < 1 else -math.inf
     if p < 1 / 3:
         return np.ceil(np.divide(rng.standard_exponential(out=out), -log_q, out=out), out=out)

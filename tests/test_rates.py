@@ -341,16 +341,6 @@ class TestMonteCarlo:
             results.add(monte_carlo_waiting(n, 0.3, trials=30_001, seed=5))
         assert len(results) == 1
 
-    @pytest.mark.parametrize("args, want", [
-        ((1, 2e-13, (0.02, 0.05, 0.2), 2, 3), (3.2532911270529224e+16, 5715944785807102.0)),
-        ((0, MC_MIN_P0, (0.01, 0.01, 0.1), 2, 1), (2.619318902576412e+18, 1.5393183745296873e+18)),
-    ])
-    def test_sums_past_2_53_add_attempts_in_turn(self, args, want):
-        # a chunk's running sum passes 2^53 here, so its differences would round;
-        # the values were written from a tree that summed every chunk with
-        # np.add.reduceat, whose rounding the fallback keeps
-        assert monte_carlo_waiting(*args) == want
-
     def test_rounds_do_not_grow_memory(self):
         # a chunk holds about MC_CHUNK expected waits whatever the rounds
         def peak(round_probs):
