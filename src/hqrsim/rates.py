@@ -63,8 +63,8 @@ EM_MAX_P = 1e-4
 # and trials; seeded results with rounds depend on it, so it stays at 2^15
 MC_CHUNK = 2 ** 15
 
-# largest expected number of geometric(p0) waits monte_carlo_waiting accepts
-# for min(trials per shard, max(1, 2^14 / 2^n)) trials; about 400 MB drawn at once
+# largest expected number of geometric(p0) waits monte_carlo_waiting accepts for
+# min(trials, max(1, 2^14 / 2^n)) trials; a chunk that large peaks near 1 GB (README)
 MC_MAX_WAITS = 2 ** 25
 
 # smallest p0 monte_carlo_waiting accepts: a wait, at most about 37 / p0, stays
@@ -246,23 +246,21 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
                         seed: int = 0) -> tuple[float, float]:
     """Empirical mean attempts (and standard error) until all segments are filled.
 
-    Each segment waits a geometric(p0) time per pair; every purification
-    round consumes two pairs (max of two independent waits) and repeats on
-    failure (probability 1 - p_round).  Results are identical for a fixed seed.
+    Each segment waits a geometric(p0) time per pair; every purification round consumes two
+    pairs (max of two independent waits) and repeats on failure (probability 1 - p_round).
 
-    Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected
-    geometric(p0) waits, and a chunk holds max(1, MC_CHUNK // w) trials.
-    Draw the attempt counts K ~ geometric(p_round) of rounds R..1 top-down
-    (depth d - 1 has 2 K.sum() elements), then each depth-1 attempt, the
-    maximum of two geometric(p0) waits, by inversion from one uniform u:
-    M = max(1, ceil(log(1 - sqrt(u)) / log q)).  Sum bottom-up with
-    `np.add.reduceat` and pair maxima, up to each trial's maximum.  Draws are
-    floats (`_geometric`); chunk arrays come from a per-call pool.  Raises
-    ValueError before any draw for p0 < MC_MIN_P0 or work above MC_MAX_WAITS.
-    Without rounds the draws are one geometric(p0) stream for any chunking
-    and the sums exact integers below 2^53, so seeded results equal those of
-    the recursive sampler this replaced; with rounds (`mc --round-p`) they
-    have its distribution but other values.
+    Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected geometric(p0) waits, and
+    a chunk holds max(1, MC_CHUNK // w) trials.  Draw the attempt counts K ~ geometric(p_round)
+    of rounds R..1 top-down, each element's id repeated K times as the owner of its attempts
+    (depth d - 1 has 2 K.sum() elements), then each depth-1 attempt, the maximum of two
+    geometric(p0) waits, by inversion from one uniform u: M = max(1, ceil(log(1 - sqrt(u)) /
+    log q)).  Sum bottom-up with `np.bincount` over the owners and pair maxima, up to each
+    trial's maximum.  Draws are floats (`_geometric`) in a per-call pool; owners and sums are
+    new arrays.  Raises ValueError before any draw for p0 < MC_MIN_P0 or work above
+    MC_MAX_WAITS.  Sums are exact integers below 2^53; above, bincount adds in turn (README).
+    A fixed seed gives identical results.  Without rounds the draws are one geometric(p0)
+    stream for any chunking, so seeded results equal those of the recursive sampler this
+    replaced; with rounds (`mc --round-p`) they have its distribution but other values.
     """
     for name, value, low in (("n", n, 0), ("trials", trials, 1)):
         if int(value) != value or value < low:
@@ -285,20 +283,22 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     log_q = math.log1p(-p0) if p0 < 1 else -math.inf
     pool = {}  # zeroed chunk arrays by key, allocated only when a chunk needs more
 
-    def buffer(key, size, dtype=float):
+    def buffer(key, size):
         if key not in pool or pool[key].size < size:
-            pool[key] = np.zeros(size + size // 8, dtype)
+            pool[key] = np.zeros(size + size // 8)
         return pool[key][:size]
 
+    ids = np.arange(0)  # 0, 1, 2, ...: element ids, grown like the pool
     sum_x = sum_x2 = 0.0
     rng = np.random.default_rng([int(seed), 0])  # [seed, 0], not seed: same seeded results
     for done in range(0, trials, per_chunk):
         count = min(per_chunk, trials - done) * segments
-        bounds = []  # [0, cumsum(K)] of every depth, top first: the attempts of each element
+        owners = []  # every depth's attempt owners, top first; K >= 1, so every id occurs
         for p_round in reversed(round_probs):
+            ids = ids if ids.size >= count else np.arange(count + count // 8)
             k = _geometric(rng, p_round, buffer("k", count))
-            bounds.append(buffer(len(bounds), count + 1, np.int64))  # [0] is never written
-            count = 2 * int(np.cumsum(k, dtype=np.int64, out=bounds[-1][1:])[-1])
+            owners.append(np.repeat(ids[:count], k.astype(np.intp)))
+            count = 2 * owners[-1].size
         spare = buffer("root", count // 2)
         if round_probs:  # depth-1 attempts: 1 - sqrt(u) = (1 - u) / (1 + sqrt(u)), and 1 - u > 0
             waits = rng.random(out=buffer("u", count // 2))
@@ -307,11 +307,11 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
             np.maximum(np.ceil(np.divide(waits, log_q, out=waits), out=waits), 1.0, out=waits)
         else:
             waits = _geometric(rng, p0, buffer("u", count))
-        for depth, bound in enumerate(reversed(bounds)):
+        for depth, owner in enumerate(reversed(owners)):
             if depth:  # pair maxima go to the free buffer, which then holds the old waits
                 waits, spare = np.maximum(waits[0::2], waits[1::2],
                                           out=spare[:waits.size // 2]), waits
-            waits, spare = np.add.reduceat(waits, bound[:-1], out=spare[:bound.size - 1]), waits
+            waits, spare = np.bincount(owner, waits), waits
         for _ in range(n):
             waits, spare = np.maximum(waits[0::2], waits[1::2], out=spare[:waits.size // 2]), waits
         sum_x += float(waits.sum())

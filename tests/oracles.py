@@ -27,6 +27,7 @@ import numpy as np
 
 from hqrsim.coherent import basis_amplitudes, ring_states
 from hqrsim.detection import GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, window_geometry
+from hqrsim import rates
 from hqrsim.numerics import DensityMatrix, _as_square_complex
 from hqrsim.rates import (RepeaterConfig, initial_segment_state, monte_carlo_waiting,
                           purification_chain)
@@ -424,3 +425,43 @@ def monte_carlo_attempts(config: RepeaterConfig, trials: int, seed: int) -> tupl
     chain = purification_chain(p0, weights, config.purification_rounds)
     round_probs = tuple(st.success_probability for st in chain[1:])
     return monte_carlo_waiting(config.n, p0, round_probs, trials, seed)
+
+
+def monte_carlo_waiting_reduceat(n: int, p0: float, round_probs, trials: int,
+                                 seed: int) -> tuple[float, float]:
+    """`monte_carlo_waiting` with its attempt sums taken the earlier way.
+
+    Same stream, chunks and draws (`rates._geometric`, `rates.MC_CHUNK`), but
+    each depth's attempts are summed with `np.add.reduceat` between the int64
+    `[0, cumsum(K)]` bounds instead of `np.bincount` over owner ids, into
+    fresh arrays.  Takes valid arguments only: no checks and no work cap.
+    """
+    segments = 2 ** n
+    round_log2 = sum(math.log2(2 / p) for p in round_probs)
+    per_chunk = min(max(1, int(rates.MC_CHUNK / 2 ** (n + round_log2))), trials)
+    log_q = math.log1p(-p0) if p0 < 1 else -math.inf
+    sum_x = sum_x2 = 0.0
+    rng = np.random.default_rng([int(seed), 0])
+    for done in range(0, trials, per_chunk):
+        count = min(per_chunk, trials - done) * segments
+        bounds = []
+        for p_round in reversed(round_probs):
+            k = rates._geometric(rng, p_round, np.empty(count))
+            bounds.append(np.concatenate(([0], np.cumsum(k, dtype=np.int64))))
+            count = 2 * int(bounds[-1][-1])
+        if round_probs:  # the maximum of two geometric(p0) waits from one uniform
+            u = rng.random(count // 2)
+            waits = np.maximum(np.ceil(np.log((1.0 - u) / (1.0 + np.sqrt(u))) / log_q), 1.0)
+        else:
+            waits = rates._geometric(rng, p0, np.empty(count))
+        for depth, bound in enumerate(reversed(bounds)):
+            if depth:
+                waits = np.maximum(waits[0::2], waits[1::2])
+            waits = np.add.reduceat(waits, bound[:-1])
+        for _ in range(n):
+            waits = np.maximum(waits[0::2], waits[1::2])
+        sum_x += float(waits.sum())
+        sum_x2 += float(np.einsum("i,i->", waits, waits))
+    mean = sum_x / trials
+    var = max(sum_x2 - trials * mean ** 2, 0.0) / (trials - 1) if trials > 1 else math.nan
+    return mean, math.sqrt(var / trials)

@@ -1,4 +1,5 @@
 import math
+import random
 import time
 import tracemalloc
 
@@ -13,7 +14,7 @@ from hqrsim.rates import (EM_MAX_P, MAX_PURIFICATION_ROUNDS, MC_MIN_P0, Repeater
                           effective_probability, initial_segment_state, monte_carlo_waiting,
                           predict, purification_chain, reproduce_table, z_attempts)
 from hqrsim.states import PhaseMixtureWeights
-from oracles import monte_carlo_attempts, z_attempts_series
+from oracles import monte_carlo_attempts, monte_carlo_waiting_reduceat, z_attempts_series
 
 
 class TestZAttempts:
@@ -351,6 +352,48 @@ class TestMonteCarlo:
             finally:
                 tracemalloc.stop()
         assert peak((0.75, 0.75, 0.75)) <= 1.5 * peak((0.75,))
+
+
+def _sum_sweep(count):
+    """(n, p0, round_probs, trials, seed) with n 0-4, 0-3 rounds, p0 >= 1e-6 and
+    round p >= 0.05, at most about 2^18 expected waits a call."""
+    rng = random.Random(1605)
+    cases = []
+    while len(cases) < count:
+        n, rounds = rng.randrange(5), rng.randrange(4)
+        p0 = 10 ** rng.uniform(-6, 0)
+        round_probs = tuple(rng.uniform(0.05, 1.0) for _ in range(rounds))
+        trials = rng.choice((2, 3, 100, 2000, 20_000))
+        if trials * 2 ** n * math.prod(2 / p for p in round_probs) <= 2 ** 18:
+            cases.append((n, p0, round_probs, trials, rng.randrange(10 ** 6)))
+    return cases
+
+
+class TestOwnerIdSums:
+    # the attempt sums (np.bincount over owner ids) against the earlier
+    # np.add.reduceat over int64 [0, cumsum(K)] bounds: below 2^53 every sum is
+    # an exact integer in any order, so seeded results are equal
+    @pytest.mark.parametrize("args", [
+        (n, p0, round_probs, 100_000, seed)  # the waiting workload's mc shapes
+        for n, p0, round_probs in ((2, 0.3, ()), (2, 0.4, (0.82,)), (1, 0.4, (0.8, 0.85)),
+                                   (1, 0.4, (0.8, 0.85, 0.8)))
+        for seed in (0, 41, 977)
+    ] + [
+        (1, 0.4, (0.8, 0.85, 0.8), 100_000, 3),  # golden mc_rounds3
+        (2, 0.25, (0.3, 0.9), 20_000, 5),  # golden mc_rounds2_exponential
+    ] + _sum_sweep(48))
+    def test_equals_reduceat(self, args):
+        assert monte_carlo_waiting(*args) == monte_carlo_waiting_reduceat(*args)
+
+    def test_sums_past_2_53(self):
+        # at p0 = 1e-13 an attempt is about 1.5e13 and round p 0.002 sums about
+        # 500 of them, past 2^53, where a sum rounds: bincount adds each
+        # element's attempts in turn and reduceat in another order, so the last
+        # bits differ (here by 4e-16 and 8e-16 relative) and == cannot hold
+        args = (0, 1e-13, (0.002,), 50, 1)
+        got, want = monte_carlo_waiting(*args), monte_carlo_waiting_reduceat(*args)
+        assert got == pytest.approx(want, rel=1e-14, abs=0)
+        assert want[0] > 2 ** 53
 
 
 class TestGeometricDraws:
