@@ -2,9 +2,8 @@
 
 from .coherent import NEGLIGIBLE_NORM, norm_constants, ring_states
 from .detection import (DetectionReport, WindowSet, homodyne_report,
-                        offdiag_weight, quadrature_wavefunction,
-                        usd_bound, window_geometry)
-from .logic import purify_step, swap_phase_mixture
+                        quadrature_wavefunction, usd_bound, window_geometry)
+from .logic import purify_step
 from .numerics import DensityMatrix
 from .rates import (RateResult, RepeaterConfig, effective_probability,
                     monte_carlo_waiting, predict, purification_chain,

@@ -38,7 +38,6 @@ __all__ = [
     "window_mass",
     "window_geometry",
     "homodyne_report",
-    "offdiag_weight",
     "usd_bound",
 ]
 
@@ -142,8 +141,11 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
         fids.append(f)
     p_succ = float(sum(probs))
     f_av = float(sum(p * f for p, f in zip(probs, fids)) / p_succ) if p_succ > 0 else 0.0
-    bound = _offdiag_max(ring, ws.bounds, quadrature_tol) if include_offdiag else 0.0
-    return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av, bound)
+    bound = 0.0
+    if include_offdiag:
+        bound = float(np.max(abs(_pair_integrals(ring, ws.bounds, quadrature_tol))))
+    return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av,
+                           bound if bound > quadrature_tol else 0.0)
 
 
 def _measured_ring(d: int, alpha: float, gamma: float) -> np.ndarray:
@@ -214,30 +216,6 @@ def _pair_integrals(ring, bounds, tol: float) -> np.ndarray:
     i, j = np.triu_indices(len(ring), 1)
     lo, hi = np.array(bounds, dtype=float).T[:, :, None]
     return _cross_integrals(ring[i], ring[j], lo, hi, tol)
-
-
-def _offdiag_max(ring, bounds, tol: float) -> float:
-    """Largest |cross integral| of `_pair_integrals`; 0.0 at or below `tol`,
-    where the quadrature fixes no digit of the value."""
-    bound = float(np.max(abs(_pair_integrals(ring, bounds, tol))))
-    return bound if bound > tol else 0.0
-
-
-def offdiag_weight(d: int, alpha: float, channel: ChannelParams, window: int,
-                   delta_frac: float, quadrature_tol: float = 1e-10) -> float:
-    """Largest cross term |integral psi_beta psi*_beta'| over one window.
-
-    Bounds the coherences the diagonal-mixture approximation drops; taking
-    the whole line as the window recovers |overlap(beta', beta)|.  The
-    (j, i) integral is the conjugate of the (i, j) one, so only i < j is
-    evaluated.  Like `homodyne_report`'s bound, it reads 0.0 at or below
-    `quadrature_tol`.
-    """
-    ws = window_geometry(d, alpha, channel.gamma, delta_frac)
-    if not 0 <= window < len(ws.bounds):
-        raise ValueError(f"window index {window} out of range")
-    ring = _measured_ring(d, alpha, channel.gamma)
-    return _offdiag_max(ring, [ws.bounds[window]], quadrature_tol)
 
 
 def usd_bound(d: int, alpha: float, gamma: float) -> float:

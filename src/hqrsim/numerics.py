@@ -6,7 +6,9 @@ robust validation win over asymptotics.  `states.negativity_scan` does
 not build these matrices: its symmetry blocks w_m c c^T are Hermitian and
 positive semidefinite by construction, so it checks only their trace,
 against TRACE_TOL.  The negativity of the full matrix, its test oracle,
-lives with the other oracles in `tests/oracles.py`.
+lives with the other oracles in `tests/oracles.py`.  `DensityMatrix` has
+no caller in the package; it stays here because the benchmark's tracer
+imports this module and counts `DensityMatrix` constructions.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ EM_MAX_P = 1e-4
 MC_CHUNK = 2 ** 15
 
 # largest expected number of geometric(p0) waits monte_carlo_waiting accepts for
-# min(trials, max(1, 2^14 / 2^n)) trials; a chunk that large peaks near 1 GB (README)
+# min(trials, max(1, 2^14 / 2^n)) trials; a chunk that large peaks near 0.9 GB (README)
 MC_MAX_WAITS = 2 ** 25
 
 # smallest p0 monte_carlo_waiting accepts: a wait, at most about 37 / p0, stays
@@ -262,7 +262,7 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     stream for any chunking, so seeded results equal those of the recursive sampler this
     replaced; with rounds (`mc --round-p`) they have its distribution but other values.
     """
-    for name, value, low in (("n", n, 0), ("trials", trials, 1)):
+    for name, value, low in (("n", n, 0), ("trials", trials, 1), ("seed", seed, 0)):
         if int(value) != value or value < low:
             raise ValueError(f"{name} must be an integer >= {low}")
     n, trials = int(n), int(trials)
@@ -299,7 +299,7 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
             k = _geometric(rng, p_round, buffer("k", count))
             owners.append(np.repeat(ids[:count], k.astype(np.intp)))
             count = 2 * owners[-1].size
-        spare = buffer("root", count // 2)
+        spare = buffer("k", count // 2)  # the K draws are dead once the owners exist
         if round_probs:  # depth-1 attempts: 1 - sqrt(u) = (1 - u) / (1 + sqrt(u)), and 1 - u > 0
             waits = rng.random(out=buffer("u", count // 2))
             np.add(np.sqrt(waits, out=spare), 1.0, out=spare)

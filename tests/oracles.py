@@ -287,6 +287,20 @@ def purify_circuit_sim(d: int, w: PhaseMixtureWeights) -> tuple[float, PhaseMixt
     return success, PhaseMixtureWeights(d, new / new.sum())
 
 
+def swap_phase_mixture(a: PhaseMixtureWeights, b: PhaseMixtureWeights) -> PhaseMixtureWeights:
+    """Weights after connecting two segments by a Bell measurement.
+
+    Phase-error indices add modulo d, so the weight vectors convolve
+    cyclically: w_k = sum_j a_j b_{(k-j) mod d}.  The leading weight is
+    a_0 b_0 + sum_{j != 0} a_j b_{d-j} >= a_0 b_0.
+    """
+    if a.d != b.d:
+        raise ValueError("mixtures have different dimensions")
+    d = a.d
+    w = np.array([sum(a.p[j] * b.p[(k - j) % d] for j in range(d)) for k in range(d)])
+    return PhaseMixtureWeights(d, w)
+
+
 @dataclass(frozen=True)
 class BellMeasurement:
     """Outcome distribution plus the per-outcome recovery operations.

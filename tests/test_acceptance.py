@@ -24,11 +24,11 @@ from scipy.integrate import quad
 
 from hqrsim.coherent import norm_constants
 from hqrsim.detection import homodyne_report, quadrature_wavefunction, usd_bound
-from hqrsim.logic import purify_step, swap_phase_mixture
+from hqrsim.logic import purify_step
 from hqrsim.rates import monte_carlo_waiting, reproduce_table, z_attempts
 from hqrsim.states import ChannelParams, PhaseMixtureWeights, negativity_scan
 from oracles import (bell_state, cshift_decomposition_check, gates, overlap,
-                     phase_bell_state, purify_circuit_sim)
+                     phase_bell_state, purify_circuit_sim, swap_phase_mixture)
 
 
 def report(criterion, name):

@@ -471,6 +471,13 @@ class TestMainProcess:
         assert captured.err.startswith("hqrsim: invalid input: p0")
         assert captured.out == ""
 
+    def test_mc_negative_seed_names_seed(self, capsys):
+        # numpy's own message, "expected non-negative integer", names no input
+        assert main("mc --n 1 --p 0.5 --trials 10 --seed -1".split()) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hqrsim: invalid input: seed")
+        assert captured.out == ""
+
     def test_runtime_does_not_import_scipy(self):
         code = ("import sys, hqrsim.cli; "
                 "hqrsim.cli.main(['homodyne', '--d', '3', '--L0', '5', '--alpha', '1.0']); "

@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from hqrsim import detection
 from hqrsim.coherent import norm_constants, ring_states
 from hqrsim.detection import (_cross_integrals, _measured_ring, _pair_integrals,
-                              homodyne_report, offdiag_weight, quadrature_wavefunction,
+                              homodyne_report, quadrature_wavefunction,
                               usd_bound, window_geometry, window_mass)
 from hqrsim.states import ChannelParams
 from oracles import gram_matrix, offdiag_bound_loop, overlap, quadrature_mean, quadrature_pdf
@@ -14,6 +14,13 @@ from oracles import quadrature_wavefunction as oracle_wavefunction
 
 # the library reads p of beta as x of -1j beta
 TURN = {"x": 1, "p": -1j}
+
+
+def window_max(d, alpha, gamma, delta_frac, w):
+    """Largest |cross integral| over window w, one window of the maximum
+    that `homodyne_report` reports as `offdiag_bound`."""
+    bounds = window_geometry(d, alpha, gamma, delta_frac).bounds
+    return np.abs(_pair_integrals(_measured_ring(d, alpha, gamma), [bounds[w]], 1e-10)).max()
 
 
 class TestQuadraturePdf:
@@ -165,7 +172,7 @@ class TestOffdiagWeight:
         # into the plain coherent overlap
         ch = ChannelParams(5.0)
         ring = -1j * ring_states(3, np.sqrt(ch.gamma) * 1.0)  # p read as x
-        got = offdiag_weight(3, 1.0, ch, 1, 1.0 - 1e-12)
+        got = window_max(3, 1.0, ch.gamma, 1.0 - 1e-12, 1)
         # window w1 at full width starts at half the ring's p spacing;
         # compare against the largest half-line cross integral computed directly
         best = max(abs(_cross_integrals(ring[i], ring[j],
@@ -195,7 +202,7 @@ class TestOffdiagWeight:
         # sandwich the coherences to zero) but matters when modelling the
         # post-selected state for purification.
         ch = ChannelParams(5.0)
-        val = offdiag_weight(3, 1.0, ch, 0, 0.2)
+        val = window_max(3, 1.0, ch.gamma, 0.2, 0)
         assert val == pytest.approx(0.0672762660207136, abs=1e-10)
         diag = window_mass((-0.2 * np.sqrt(3) / 4 * np.sqrt(ch.gamma),
                             0.2 * np.sqrt(3) / 4 * np.sqrt(ch.gamma)), 0.0)
@@ -211,15 +218,11 @@ class TestOffdiagWeight:
             for w, bounds in enumerate(ws.bounds):
                 direct = max(abs(_cross_integrals(ring[i], ring[j], *bounds, 1e-10))
                              for i in range(d) for j in range(d) if i != j)
-                assert offdiag_weight(d, alpha, ch, w, 0.2) == pytest.approx(direct, abs=1e-14)
+                assert window_max(d, alpha, ch.gamma, 0.2, w) == pytest.approx(direct, abs=1e-14)
 
     def test_unconverged_quadrature_raises(self):
         with pytest.raises(ArithmeticError, match="did not converge"):
             _cross_integrals(1.0 + 0.5j, -1.0 + 0.5j, -1.0, 1.0, -1.0)
-
-    def test_window_index_validation(self):
-        with pytest.raises(ValueError):
-            offdiag_weight(3, 1.0, ChannelParams(5.0), 4, 0.2)
 
 
 def _mp_cross_integral(beta_i, beta_j, quadrature, bounds):
@@ -339,8 +342,6 @@ class TestBatchedCrossIntegrals:
         ws = window_geometry(d, alpha, ch.gamma, 0.3)
         ring = _measured_ring(d, alpha, ch.gamma)
         batch = np.abs(_pair_integrals(ring, ws.bounds, 1e-10))
-        for w in range(len(ws.bounds)):
-            assert abs(offdiag_weight(d, alpha, ch, w, 0.3) - batch[w].max()) <= 1e-14
         assert homodyne_report(d, alpha, ch, 0.3).offdiag_bound == batch.max()
 
     def test_bound_matches_per_integral_loop(self):
@@ -361,8 +362,6 @@ class TestBatchedCrossIntegrals:
         noise = np.abs(_pair_integrals(ring, ws.bounds, 1e-10)).max()
         assert 0.0 < noise <= 1e-10
         assert homodyne_report(d, alpha, ch, delta_frac).offdiag_bound == 0.0
-        # one rule for the per-window value and the report
-        assert offdiag_weight(d, alpha, ch, 0, delta_frac) == 0.0
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_two_wavefunction_calls_per_order(self, d, wavefunction_calls):

@@ -8,16 +8,26 @@ modules, rebinds each module global bound to one of them and patches
 while the CLI reaches the library, and the library reaches `norm_constants`,
 through module globals at call time.  Nothing else in the repository runs
 perfbench automatically.
+
+Every other exported name has a caller in the package itself, so the
+tracer's per-function counters count work the CLI and library do.
 """
 
+import ast
+import importlib
 import pathlib
 
 import pytest
 
+import hqrsim
 from hqrsim import cli
 from test_cli_golden import CASES, cells, golden_path, same_cell
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+# only tests construct DensityMatrix; it stays exported because the tracer
+# patches its __init__ (CLASS_INITS)
+TRACER_ONLY = {("numerics", "DensityMatrix")}
 
 
 @pytest.fixture
@@ -51,3 +61,24 @@ def test_traced_cli_counts_norm_constants_span(tracer, capsys, case):
     assert cli.main(CASES[case].split()) == 0
     capsys.readouterr()
     assert "coherent.norm_constants" in {name for _, name in tracer.take_stats()}
+
+
+def test_exported_names_have_a_caller_in_the_package():
+    # a name is used when some module other than __init__.py loads it, reads
+    # it as an attribute or imports it; a name only tests use belongs in
+    # tests/oracles.py
+    src = pathlib.Path(hqrsim.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py") if path.name != "__init__.py"}
+    used = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    unused = {(module, name) for module in trees
+              for name in getattr(importlib.import_module(f"hqrsim.{module}"), "__all__", ())
+              if name not in used}
+    assert unused == TRACER_ONLY

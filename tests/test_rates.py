@@ -14,7 +14,8 @@ from hqrsim.rates import (EM_MAX_P, MAX_PURIFICATION_ROUNDS, MC_MIN_P0, Repeater
                           effective_probability, initial_segment_state, monte_carlo_waiting,
                           predict, purification_chain, reproduce_table, z_attempts)
 from hqrsim.states import PhaseMixtureWeights
-from oracles import monte_carlo_attempts, monte_carlo_waiting_reduceat, z_attempts_series
+from oracles import (monte_carlo_attempts, monte_carlo_waiting_reduceat, swap_phase_mixture,
+                     z_attempts_series)
 
 
 class TestZAttempts:
@@ -204,7 +205,6 @@ class TestPredict:
 
     def test_bound_below_exact_convolution(self):
         # the (F0)^(2^n) bound never exceeds the exact convolution fidelity
-        from hqrsim.logic import swap_phase_mixture
         cfg = RepeaterConfig(d=3, L0_km=5, span_km=5, alpha=1.2, scheme="usd",
                              purification_rounds=1)
         _, w = initial_segment_state(cfg)
