@@ -41,6 +41,10 @@ CASES = {
     "purify": "purify --weights 0.7494,0.0942,0.1564 --rounds 3",
     "rate": "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --rounds 2 --span 10",
     "rate_homodyne": "rate --scheme homodyne --d 3 --L0 10 --alpha 1.0 --span 80 --rounds 3",
+    "rate_n5_q2e-4": "rate --scheme usd --d 3 --L0 50 --alpha 0.4 --span 1600 --rounds 1",
+    "rate_n1_q5e-4": "rate --scheme usd --d 3 --L0 40 --alpha 0.4 --span 80 --rounds 1",
+    "rate_n2_q6e-3": "rate --scheme usd --d 3 --L0 30 --alpha 0.5 --span 120 --rounds 0",
+    "rate_homodyne_n3": "rate --scheme homodyne --d 3 --L0 10 --alpha 1.0 --span 80 --rounds 2",
     "mc": "mc --n 1 --p 0.6427 --trials 1000000 --seed 7",
     "mc_rounds3": "mc --n 1 --p 0.4 --trials 100000 --seed 3 --round-p 0.8,0.85,0.8",
     "mc_rounds2_exponential": "mc --n 2 --p 0.25 --trials 20000 --seed 5 --round-p 0.3,0.9",
