@@ -44,9 +44,9 @@ def ring_amplitudes(d: int, amplitudes) -> np.ndarray:
     if not 2 <= d <= RING_MAX_D:
         raise ValueError(f"ring dimension must lie in [2, {RING_MAX_D}], got {d}")
     a = np.asarray(amplitudes, dtype=float)
-    bad = ~((a >= 0) & (a <= AMPLITUDE_MAX))  # NaN fails both
-    if bad.any():
-        raise ValueError(f"amplitude must lie in [0, {AMPLITUDE_MAX:.6g}], got {a[bad][0]}")
+    good = (a >= 0) & (a <= AMPLITUDE_MAX)  # NaN fails both
+    if not good.all():
+        raise ValueError(f"amplitude must lie in [0, {AMPLITUDE_MAX:.6g}], got {a[~good][0]}")
     return a
 
 

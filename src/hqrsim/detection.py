@@ -35,7 +35,6 @@ __all__ = [
     "WindowSet",
     "DetectionReport",
     "quadrature_wavefunction",
-    "window_mass",
     "window_geometry",
     "homodyne_report",
     "usd_bound",
@@ -81,21 +80,13 @@ def quadrature_wavefunction(beta, value):
     return (2 / np.pi) ** 0.25 * np.exp(-1j * a * b) * np.exp(-(value - a) ** 2 + 2j * b * value)
 
 
-def window_mass(bounds: tuple[float, float], center: float) -> float:
-    """Integral of the quadrature pdf with the given mean over [lo, hi]."""
-    lo, hi = bounds
-    # math.erf(+-inf) is +-1, so half-line windows need no special case
-    return 0.5 * (math.erf(math.sqrt(2.0) * (hi - center))
-                  - math.erf(math.sqrt(2.0) * (lo - center)))
-
-
 def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> WindowSet:
     """Acceptance-window geometry for the supported dimensions."""
     if d not in HOMODYNE_DIMS:
         raise ValueError(f"windowed homodyne discrimination supports d in {HOMODYNE_DIMS}")
     if not 0.0 < delta_frac <= 1.0:
         raise ValueError("delta_frac must lie in (0, 1]")
-    sa = float(np.sqrt(gamma) * alpha)
+    sa = float(math.sqrt(gamma) * alpha)
     if not sa > 0.0:
         # every ring state then sits at the origin and the windows collapse
         raise ValueError("homodyne windows need sqrt(gamma) * alpha > 0")
@@ -105,7 +96,7 @@ def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> Wi
             bounds=((edge, np.inf), (-np.inf, -edge)),
             dominant_ring=(0, d // 2),
         )
-    c1 = np.sqrt(3.0) / 2.0 * sa
+    c1 = math.sqrt(3.0) / 2.0 * sa
     delta = delta_frac * (0.5 * c1)
     return WindowSet(
         bounds=((-delta, delta), (c1 - delta, np.inf), (-np.inf, -(c1 - delta))),
@@ -126,21 +117,7 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
     separately as `offdiag_bound`, which reads 0.0 when it is at or below
     `quadrature_tol`: the quadrature fixes no digit of such a value.
     """
-    gamma = channel.gamma
-    ws = window_geometry(d, alpha, gamma, delta_frac)
-    lead = _loss_probabilities(d, alpha, channel, "gram")[0]  # names a bad alpha undamped
-    ring = _measured_ring(d, alpha, gamma)
-    means = ring.real.tolist()
-
-    probs, fids = [], []
-    for bounds, dom in zip(ws.bounds, ws.dominant_ring):
-        masses = [window_mass(bounds, c) for c in means]
-        p = sum(masses) / d
-        f = lead * (masses[dom] / d) / p if p > 0 else 0.0
-        probs.append(p)
-        fids.append(f)
-    p_succ = float(sum(probs))
-    f_av = float(sum(p * f for p, f in zip(probs, fids)) / p_succ) if p_succ > 0 else 0.0
+    [(ws, ring, probs, fids, p_succ, f_av)] = _window_stats(d, alpha, channel, delta_frac)
     bound = 0.0
     if include_offdiag:
         bound = float(np.max(abs(_pair_integrals(ring, ws.bounds, quadrature_tol))))
@@ -148,10 +125,39 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
                            bound if bound > quadrature_tol else 0.0)
 
 
+def _window_stats(d: int, alphas, channel: ChannelParams, delta_frac: float) -> list:
+    """(window geometry, measured ring, window probabilities and fidelities,
+    success probability, average fidelity) for each amplitude of a float or 1-D array.
+
+    Norm constants and rings take one numpy pass over all amplitudes.  Window
+    masses, (erf(sqrt(2) (hi - c)) - erf(sqrt(2) (lo - c))) / 2 at mean c, are
+    floats: numpy has no erf, and on a few elements its calls cost more.
+    """
+    gamma, root2, alphas = channel.gamma, math.sqrt(2.0), np.asarray(alphas, dtype=float)
+    windows = [window_geometry(d, a, gamma, delta_frac) for a in alphas.reshape(-1).tolist()]
+    leads = _loss_probabilities(d, alphas, channel, "gram")[..., 0]  # names a bad alpha undamped
+    rings = _measured_ring(d, alphas, gamma).reshape(-1, d)
+    stats = []
+    for ws, ring, lead, means in zip(windows, rings, leads.reshape(-1).tolist(),
+                                     rings.real.tolist()):
+        probs, fids = [], []
+        for (lo, hi), dom in zip(ws.bounds, ws.dominant_ring):
+            # math.erf(+-inf) is +-1, so half-line windows need no special case
+            masses = [0.5 * (math.erf(root2 * (hi - c)) - math.erf(root2 * (lo - c)))
+                      for c in means]
+            p = sum(masses) / d
+            probs.append(p)
+            fids.append(lead * (masses[dom] / d) / p if p > 0 else 0.0)
+        p_succ = sum(probs)
+        f_av = sum(p * f for p, f in zip(probs, fids)) / p_succ if p_succ > 0 else 0.0
+        stats.append((ws, ring, probs, fids, p_succ, f_av))
+    return stats
+
+
 def _measured_ring(d: int, alpha: float, gamma: float) -> np.ndarray:
     """The damped ring states as read on x: the qutrit ring, measured on p,
     turned a quarter (p of beta is x of -1j beta)."""
-    ring = ring_states(d, np.sqrt(gamma) * alpha)
+    ring = ring_states(d, math.sqrt(gamma) * alpha)
     return -1j * ring if d == 3 else ring
 
 

@@ -7,11 +7,11 @@ until every segment holds a pair is
     Z_n(P) = sum_{j=1}^{2^n} (-1)^{j+1} C(2^n, j) / (1 - (1-P)^j),
 
 the mean of the maximum of 2^n geometric variables.  The alternating sign
-is essential: without it Z_n(1) would be 2^{2^n} - 1 instead of 1.  The
-engine evaluates the numerically stable positive tail series
-sum_{t>=0} [1 - (1 - q^t)^{2^n}] instead of the alternating binomial sum,
-which cancels catastrophically for many segments, and replaces the series
-by its Euler-Maclaurin sum at small P (see `z_attempts`).
+is essential: without it Z_n(1) would be 2^{2^n} - 1 instead of 1.  The sum
+cancels catastrophically for many segments, so `z_attempts` never forms it:
+up to four segments it is one fraction in q = 1 - P with positive terms;
+above, the positive tail series sum_{t>=0} [1 - (1 - q^t)^{2^n}], by its
+Euler-Maclaurin sum wherever a computed error bound allows; bounded work at any P.
 
 Each purification round multiplies the effective per-segment probability by
 P_round * (2 - Q)/(3 - 2Q): a round consumes two pairs (mean waiting is the
@@ -28,10 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .detection import homodyne_report, usd_bound
+from .detection import _window_stats, homodyne_report, usd_bound
 from .logic import purify_step
 from .states import L_ATT_KM, ChannelParams, PhaseMixtureWeights, loss_weights
 from .tables import CellComparison, ROUNDS, TABLES, grade_cell
@@ -51,13 +52,11 @@ __all__ = [
 ]
 
 FIBER_SPEED_KM_S = 2.0e5
+EULER_GAMMA = 0.5772156649015329
 
 # most rounds purification_chain runs, at about 70 us each; from Q_0 = 1 (`purify`)
 # Q_k >= (2 / 3d)^k stays a positive float for d up to about 7e4
 MAX_PURIFICATION_ROUNDS = 64
-
-# largest p at which z_attempts uses the Euler-Maclaurin closed form
-EM_MAX_P = 1e-4
 
 # expected geometric(p0) waits per monte_carlo_waiting chunk, whatever the rounds
 # and trials; seeded results with rounds depend on it, so it stays at 2^15
@@ -128,17 +127,20 @@ class RateResult:
 
 
 def z_attempts(n: int, p: float) -> float:
-    """Expected attempt rounds until all 2^n segments hold a pair.
+    """Expected attempt rounds until all S = 2^n segments hold a pair.
 
-    n = 0 is the geometric mean 1/p.  For S = 2^n >= 2 segments and
-    p <= EM_MAX_P the tail series sum_t f(t), f(t) = 1 - (1 - e^{-lam t})^S
-    with lam = -log(1-p), is summed by Euler-Maclaurin: f(0) = 1 and
-    f^(k)(0) = 0 for 0 < k < S, so it equals H_S / lam + 1/2 up to a
-    relative O(lam^4) <= 1e-16.  Otherwise the series is summed until a term
-    is below 1e-18, which f(t) <= S e^{-lam t} bounds by (42 + ln S) / lam
-    terms: the first chunk has that many, capped at 4096 like later chunks.
-    Terms take q^t as e^{-lam t}, free of the eps / p relative error of a
-    rounded q = 1 - p.  Raises OverflowError where Z is not a finite float.
+    With lam = -log(1-p) this is the tail series sum_{t>=0} f(t),
+    f(t) = 1 - (1 - e^{-lam t})^S.  For S <= 4 the alternating sum over j of
+    (-1)^{j+1} C(S, j) / (1 - q^j) is one fraction N(q) / (p D(q)) with only
+    positive coefficients, so nothing cancels.  Above, Euler-Maclaurin gives
+    H_S / lam + 1/2 (f(0) = 1, f^(k)(0) = 0 for 0 < k < S) wherever the k = 1
+    Poisson-summation term, relative (lam / (pi H_S)) |phi(2 pi)|, is at most
+    2^-56; phi is the characteristic function of the maximum of S Exp(lam)
+    waits, |phi(w)| = prod_{j<=S} (1 + (w / (j lam))^2)^(-1/2).  H_S > ln S +
+    gamma and the first min(S, 64) factors can only enlarge the bound.  Else
+    lam is large: the series runs until a term (<= S e^{-lam t}) is below 1e-18,
+    (42 + ln S) / lam terms, one 4096-term chunk for S <= 2^63, with q^t as
+    e^{-lam t}, not a rounded q = 1 - p.  Raises OverflowError if Z overflows.
     """
     if not 0 < p <= 1:
         raise ValueError(f"probability must lie in (0, 1], got {p}")
@@ -148,32 +150,44 @@ def z_attempts(n: int, p: float) -> float:
         return 1.0
     segments = 2 ** int(n)
     lam = -math.log1p(-p)
-    if n == 0 or p <= EM_MAX_P:
-        z = 1.0 / p if n == 0 else _harmonic(segments) / lam + 0.5
-        if not math.isfinite(z):
-            raise OverflowError(f"expected attempts overflow at p = {p:g}")
-        return z
-    total = 1.0  # t = 0 term: P(T > 0) = 1
-    t = 1
+    if segments <= 4:
+        q = 1.0 - p
+        z = (1.0, (1 + 2 * q) / (1 + q), (1 + q * (5 + q * (3 + q * (10 + q * (2 + 4 * q)))))
+             / ((1 + q) * (1 + q * q) * (1 + q + q * q)))[int(n)] / p
+    else:
+        x, limit = 2 * math.pi / lam, -56 * math.log(2)  # x may be inf, which is fine
+        log_error = math.log(lam / (math.pi * (math.log(segments) + EULER_GAMMA)))
+        for j in range(1, min(segments, 64) + 1):  # factors after j: product > exp(-x^2 / 2j)
+            log_error -= math.log(math.hypot(1.0, x / j))
+            if log_error <= limit or log_error - x * x / (2 * j) > limit:
+                break
+        if log_error > limit:
+            return _tail_series(segments, lam)
+        z = _harmonic(segments) / lam + 0.5
+    if not math.isfinite(z):
+        raise OverflowError(f"expected attempts overflow at p = {p:g}")
+    return z
+
+
+def _tail_series(segments: int, lam: float) -> float:
+    total, t = 1.0, 1  # f(0) = 1
     chunk = min(4096, math.ceil((42 + math.log(segments)) / lam))
     while True:
         ts = np.arange(t, t + chunk, dtype=float)
-        terms = -np.expm1(segments * np.log1p(-np.exp(-lam * ts)))
+        terms = -np.expm1(float(segments) * np.log1p(-np.exp(-lam * ts)))
         total += float(terms.sum())
         if terms[-1] < 1e-18:
             return total
-        t += chunk
-        chunk = 4096
+        t, chunk = t + chunk, 4096
 
 
+@cache  # one value per n; a fresh sum up to s = 1024 costs about 0.1 ms
 def _harmonic(s: int) -> float:
-    """H_s = sum_{k<=s} 1/k, summed up to s = 1024 and from its asymptotic
-    series above (first omitted term below 1e-20)."""
+    """H_s = sum_{k<=s} 1/k, summed to s = 1024, then its asymptotic series (next term < 1e-20)."""
     if s <= 1024:
         return math.fsum(1.0 / k for k in range(1, s + 1))
-    euler_gamma = 0.5772156649015329
-    return (math.log(s) + euler_gamma + 1.0 / (2 * s) - 1.0 / (12 * s ** 2)
-            + 1.0 / (120 * s ** 4))
+    inv = 1.0 / s
+    return math.log(s) + EULER_GAMMA + inv / 2 - inv * inv / 12 + inv ** 4 / 120
 
 
 def effective_probability(q_prev: float, p_round: float) -> float:
@@ -344,10 +358,10 @@ def _homodyne_table_state(L0_km: float, target_f0: float) -> tuple[float, PhaseM
     runs at delta_frac = 0.001.
     """
     ch = ChannelParams(L0_km)
-    best = min((homodyne_report(3, float(alpha), ch, 0.001, include_offdiag=False)
-                for alpha in np.linspace(0.9, 1.1, 41)),
-               key=lambda report: abs(report.f_av - target_f0))
-    return _homodyne_state(3, best)
+    alphas = np.linspace(0.9, 1.1, 41)
+    f_av = [stats[-1] for stats in _window_stats(3, alphas, ch, 0.001)]
+    best = min(zip(f_av, alphas.tolist()), key=lambda fa: abs(fa[0] - target_f0))[1]  # first tie
+    return _homodyne_state(3, homodyne_report(3, best, ch, 0.001, include_offdiag=False))
 
 
 def reproduce_table(table_id: str) -> list[CellComparison]:

@@ -101,7 +101,7 @@ def _checked_weights(p: np.ndarray) -> np.ndarray:
 def _loss_probabilities(d: int, alphas, channel: ChannelParams, model: str) -> np.ndarray:
     """Unchecked weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2, shape alphas.shape + (d,)."""
     # checked before damping, which maps a negative amplitude to -0.0 when gamma = 1
-    a_loss = np.sqrt(max(1.0 - channel.gamma, 0.0)) * ring_amplitudes(d, alphas)
+    a_loss = math.sqrt(max(1.0 - channel.gamma, 0.0)) * ring_amplitudes(d, alphas)
     return norm_constants(d, a_loss, model) / d ** 2
 
 

@@ -26,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from hqrsim.coherent import basis_amplitudes, ring_states
-from hqrsim.detection import GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, window_geometry
+from hqrsim.detection import (GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, homodyne_report,
+                              window_geometry)
 from hqrsim import rates
 from hqrsim.numerics import DensityMatrix, _as_square_complex
 from hqrsim.rates import (RepeaterConfig, initial_segment_state, monte_carlo_waiting,
@@ -370,6 +371,14 @@ def quadrature_wavefunction(beta, quadrature: str, value):
     raise ValueError(f"unknown quadrature {quadrature!r}")
 
 
+def window_mass(bounds: tuple[float, float], center: float) -> float:
+    """Integral of the quadrature pdf with the given mean over [lo, hi]."""
+    lo, hi = bounds
+    # math.erf(+-inf) is +-1, so half-line windows need no special case
+    return 0.5 * (math.erf(math.sqrt(2.0) * (hi - center))
+                  - math.erf(math.sqrt(2.0) * (lo - center)))
+
+
 def window_cross_integral_loop(beta_i: complex, beta_j: complex, quadrature: str,
                                bounds: tuple[float, float], tol: float) -> complex:
     """One window cross integral on its own: the per-integral loop that the
@@ -415,6 +424,16 @@ def offdiag_bound_loop(d: int, alpha: float, channel: ChannelParams, delta_frac:
     bound = max(abs(window_cross_integral_loop(ring[i], ring[j], quadrature, bounds, tol))
                 for bounds in ws.bounds for i in range(d) for j in range(i + 1, d))
     return bound if bound > tol else 0.0
+
+
+def homodyne_table_state_loop(L0_km: float, target_f0: float) -> tuple[float, PhaseMixtureWeights]:
+    """`rates._homodyne_table_state` as one scalar `homodyne_report` per amplitude
+    of the 41-point grid: the first report whose F_av is nearest the target."""
+    ch = ChannelParams(L0_km)
+    best = min((homodyne_report(3, float(alpha), ch, 0.001, include_offdiag=False)
+                for alpha in np.linspace(0.9, 1.1, 41)),
+               key=lambda report: abs(report.f_av - target_f0))
+    return rates._homodyne_state(3, best)
 
 
 def z_attempts_series(n: int, p: float) -> float:

@@ -428,6 +428,17 @@ class TestMainProcess:
                                     f"[2, {RING_MAX_D}], got {d}\n")
         assert main(argv.format(d=RING_MAX_D).split()) == 0
 
+    def test_largest_span_has_finite_attempts(self, capsys):
+        # n = 255: H_S's tail formed s ** 4 as an int and exited 1 with
+        # "int too large to convert to float"
+        argv = ("rate --scheme usd --d 3 --L0 100 --alpha 0.3 --span 5.78960446186581e+78 "
+                "--rounds 0")
+        assert main(argv.split()) == 0
+        _, rows = rows_of(capsys.readouterr().out)
+        values = dict(rows)
+        assert values["segments"] == str(2 ** 255)
+        assert math.isfinite(float(values["z_attempts"]))
+
     def test_purification_rounds_cap_is_reachable(self, capsys):
         start = time.perf_counter()
         assert main(["purify", "--weights", "0.5,0.5",

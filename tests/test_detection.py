@@ -7,9 +7,10 @@ from hqrsim import detection
 from hqrsim.coherent import norm_constants, ring_states
 from hqrsim.detection import (_cross_integrals, _measured_ring, _pair_integrals,
                               homodyne_report, quadrature_wavefunction,
-                              usd_bound, window_geometry, window_mass)
+                              usd_bound, window_geometry)
 from hqrsim.states import ChannelParams
-from oracles import gram_matrix, offdiag_bound_loop, overlap, quadrature_mean, quadrature_pdf
+from oracles import (gram_matrix, offdiag_bound_loop, overlap, quadrature_mean, quadrature_pdf,
+                     window_mass)
 from oracles import quadrature_wavefunction as oracle_wavefunction
 
 # the library reads p of beta as x of -1j beta
@@ -111,6 +112,31 @@ class TestWindowGeometry:
             window_geometry(3, 1.0, 0.8, 0.0)
         with pytest.raises(ValueError):
             window_geometry(3, 1.0, 0.8, 1.2)
+
+
+class TestWindowStats:
+    """The amplitude-array pass behind `homodyne_report`."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_elements_equal_scalar_reports(self, d):
+        # batched norm constants and rings change no bit of any amplitude's numbers
+        ch = ChannelParams(7.0)
+        alphas = np.linspace(0.2, 3.0, 12)
+        for alpha, (_, _, *stats) in zip(alphas, detection._window_stats(d, alphas, ch, 0.3)):
+            rep = homodyne_report(d, float(alpha), ch, 0.3, include_offdiag=False)
+            probs, fids, p_succ, f_av = stats
+            assert rep.window_probs == tuple(probs) and rep.window_fidelities == tuple(fids)
+            assert (rep.p_succ, rep.f_av) == (p_succ, f_av)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_probabilities_are_window_mass_sums(self, d):
+        # the per-window, per-state erf loop, summed in the same order
+        ch = ChannelParams(5.0)
+        rep = homodyne_report(d, 1.1, ch, 0.25, include_offdiag=False)
+        means = _measured_ring(d, 1.1, ch.gamma).real.tolist()
+        bounds = window_geometry(d, 1.1, ch.gamma, 0.25).bounds
+        assert rep.window_probs == tuple(sum(window_mass(b, c) for c in means) / d
+                                         for b in bounds)
 
 
 class TestHomodyneReport:

@@ -2,6 +2,7 @@ import math
 import random
 import time
 import tracemalloc
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,12 +11,35 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hqrsim import rates
-from hqrsim.rates import (EM_MAX_P, MAX_PURIFICATION_ROUNDS, MC_MIN_P0, RepeaterConfig,
+from hqrsim.rates import (MAX_PURIFICATION_ROUNDS, MC_MIN_P0, RepeaterConfig,
                           effective_probability, initial_segment_state, monte_carlo_waiting,
                           predict, purification_chain, reproduce_table, z_attempts)
-from hqrsim.states import PhaseMixtureWeights
-from oracles import (monte_carlo_attempts, monte_carlo_waiting_reduceat, swap_phase_mixture,
-                     z_attempts_series)
+from hqrsim.detection import homodyne_report
+from hqrsim.states import ChannelParams, PhaseMixtureWeights
+from hqrsim.tables import TABLES
+from oracles import (homodyne_table_state_loop, monte_carlo_attempts,
+                     monte_carlo_waiting_reduceat, swap_phase_mixture, z_attempts_series)
+
+
+def takes_series(n, p):
+    """Whether z_attempts(n, p) sums the tail series rather than a closed form."""
+    with mock.patch.object(rates, "_tail_series", wraps=rates._tail_series) as series:
+        z_attempts(n, p)
+    return series.called
+
+
+def switch_point(n):
+    """Largest p at which z_attempts(n, p) takes a closed form; above it, the series."""
+    lo, hi = 1e-300, 1.0 - 2 ** -53
+    assert not takes_series(n, lo) and takes_series(n, hi)
+    while math.nextafter(lo, 1.0) < hi:
+        mid = math.sqrt(lo * hi) if hi > 4 * lo else 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if takes_series(n, mid) else (mid, hi)
+    return lo
+
+
+# n <= 2 has no series branch; every larger n switches once
+SWITCH_P = {n: switch_point(n) for n in range(3, 10)}
 
 
 class TestZAttempts:
@@ -46,17 +70,39 @@ class TestZAttempts:
             assert all(a < b for a, b in zip(vals, vals[1:]))
             assert all(v >= 1 / p - 1e-9 for v in vals)
 
-    @pytest.mark.parametrize("p", [1e-4, 1e-5, 1e-7, 1e-9, 1.01e-4, 3.3e-4, 1.7e-3, 0.0137, 0.3])
-    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
+    @pytest.mark.parametrize("p", [1e-4, 1e-5, 1e-7, 1e-9, 1.01e-4, 3.3e-4, 1.7e-3, 0.0137, 0.3,
+                                   0.958, *np.logspace(-12, math.log10(0.999), 40).tolist()])
+    @pytest.mark.parametrize("n", range(9))
     def test_small_p_matches_mpmath(self, n, p):
-        # inclusion-exclusion at 60 digits, exact in the binary value of p; just
-        # above EM_MAX_P the series' terms from a rounded q = 1 - p were 2e-13 off
-        with mpmath.workdps(60):
+        # inclusion-exclusion, exact in the binary value of p, with digits to spare
+        # over the cancellation of C(S, S/2); in floats, the alternating sum over
+        # j <= 4 lost 1.1e-15 near p = 0.958, and the series with a rounded
+        # q = 1 - p 2e-13 just above 1e-4
+        s = 2 ** n
+        with mpmath.workdps(40 + math.log10(math.comb(s, s // 2))):
             q = 1 - mpmath.mpf(p)
-            s = 2 ** n
             want = float(mpmath.fsum((-1) ** (j + 1) * mpmath.binomial(s, j) / (1 - q ** j)
                                      for j in range(1, s + 1)))
-        assert z_attempts(n, p) == pytest.approx(want, rel=2e-15)
+        assert z_attempts(n, p) == pytest.approx(want, rel=1e-15)
+
+    def test_largest_reachable_n(self):
+        # span / L0 reaches at most 2^1023; H_S ~ ln S + gamma, and no int passes 2^1024
+        lam = -math.log1p(-1e-5)
+        want = (1023 * math.log(2) + 0.5772156649015329) / lam + 0.5
+        assert z_attempts(1023, 1e-5) == pytest.approx(want, rel=1e-15)
+        for p in (1e-300, 1e-5, 0.2, 0.5, 0.999):
+            assert math.isfinite(z_attempts(1023, p))
+
+    def test_series_work_is_one_chunk(self):
+        # the series runs only where lam is large: (42 + ln S) / lam terms fit
+        # the first 4096-term chunk, for every n up to 63
+        for n in range(3, 64):
+            p = SWITCH_P[n] if n in SWITCH_P else switch_point(n)
+            lam = -math.log1p(-math.nextafter(p, 1.0))
+            assert (42 + n * math.log(2)) / lam <= 4096, n
+            assert not takes_series(n, p) and takes_series(n, math.nextafter(p, 1.0))
+        for n in range(3):
+            assert not any(takes_series(n, float(p)) for p in np.logspace(-300, -1e-9, 50))
 
     @pytest.mark.parametrize("n", [0, 3])
     def test_overflow_raises(self, n):
@@ -77,23 +123,42 @@ class TestZAttempts:
             z_attempts(-1, 0.5)
 
 
-class TestZAttemptsProperties:
-    # p straddles EM_MAX_P, where z_attempts switches from the summed series
-    # to its Euler-Maclaurin closed form
-    probabilities = st.one_of(st.floats(1e-7, 1.0), st.floats(EM_MAX_P / 4, 4 * EM_MAX_P))
+def at_switch_points(**kwargs):
+    """An example on each side of every n's switch point."""
+    def add_examples(test):
+        for n, p in SWITCH_P.items():
+            test = example(case=(n, p), **kwargs)(test)
+            test = example(case=(n, p * (1 + 1e-9)), **kwargs)(test)
+        return test
+    return add_examples
 
+
+@st.composite
+def near_switch(draw):
+    """(n, p): p anywhere in [1e-7, 1], or within a factor 4 of the switch point of n
+    (for test_non_decreasing_in_n also of n + 1), so the draws cross every branch boundary."""
+    n = draw(st.integers(0, 8))
+    switches = [SWITCH_P[m] for m in (n, n + 1) if m in SWITCH_P]
+    if not switches or draw(st.booleans()):
+        return n, draw(st.floats(1e-7, 1.0))
+    p = draw(st.sampled_from(switches))
+    return n, draw(st.floats(p / 4, min(4 * p, 1.0)))
+
+
+class TestZAttemptsProperties:
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 8), p=probabilities, ratio=st.floats(1 + 1e-9, 4.0))
-    @example(n=3, p=EM_MAX_P, ratio=1 + 1e-9)
-    @example(n=3, p=EM_MAX_P / (1 + 1e-9), ratio=1 + 1e-9)
-    def test_non_increasing_in_p(self, n, p, ratio):
+    @given(case=near_switch(), ratio=st.floats(1 + 1e-9, 4.0))
+    @at_switch_points(ratio=1 + 1e-9)
+    def test_non_increasing_in_p(self, case, ratio):
         # a relative step of 1e-9 in p moves Z far more than the sums' rounding
+        n, p = case
         assert z_attempts(n, min(1.0, p * ratio)) <= z_attempts(n, p)
 
     @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(0, 8), p=probabilities)
-    @example(n=0, p=EM_MAX_P)
-    def test_non_decreasing_in_n(self, n, p):
+    @given(case=near_switch())
+    @at_switch_points()
+    def test_non_decreasing_in_n(self, case):
+        n, p = case
         assert z_attempts(n + 1, p) >= z_attempts(n, p)
 
     @settings(max_examples=200, deadline=None)
@@ -433,6 +498,32 @@ def recursive_waiting(n, p0, round_probs, trials, seed):
     waits = sample_round(trials * segments, len(round_probs))
     waits = waits.reshape(trials, segments).max(axis=1).astype(float)
     return waits.mean(), waits.std(ddof=1) / math.sqrt(trials)
+
+
+class TestHomodyneTableSearch:
+    """`_homodyne_table_state` against the scalar search it replaced, under ==."""
+
+    @pytest.mark.parametrize("table_id", ["III", "IV"])
+    def test_tables(self, table_id):
+        spec = TABLES[table_id]
+        args = (spec["L0_km"], spec["initial_fidelity"][0])
+        (p0, weights), (want_p0, want) = rates._homodyne_table_state(*args), \
+            homodyne_table_state_loop(*args)
+        assert p0 == want_p0 and weights.p.tolist() == want.p.tolist()
+
+    @pytest.mark.parametrize("L0", [2.0, 5.0, 10.0, 20.0])
+    def test_target_sweep(self, L0):
+        f_av = [homodyne_report(3, float(a), ChannelParams(L0), 0.001, include_offdiag=False).f_av
+                for a in np.linspace(0.9, 1.1, 41)]
+        for target in np.linspace(min(f_av), max(f_av), 10):
+            (p0, weights), (want_p0, want) = rates._homodyne_table_state(L0, target), \
+                homodyne_table_state_loop(L0, target)
+            assert p0 == want_p0 and weights.p.tolist() == want.p.tolist(), target
+
+    def test_one_scalar_report(self):
+        with mock.patch.object(rates, "homodyne_report", wraps=rates.homodyne_report) as report:
+            rates._homodyne_table_state(10.0, 0.73)
+        assert report.call_count == 1
 
 
 class TestReproduceTable:
