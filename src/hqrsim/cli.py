@@ -306,21 +306,23 @@ def parse(argv) -> RunSpec:
                    format=ns.format, settings=settings)
 
 
-def _fmt(value) -> str:
+def _six_digits(value) -> str | None:
+    """A float's six-significant-digit text (CSV prints it, JSON rounds to it); else None."""
     if isinstance(value, float) or isinstance(value, np.floating):
         return f"{float(value):.6g}"
-    return str(value)
+    return None
 
 
 def _emit(columns, rows, fmt: str) -> str:
     if fmt == "json":
-        doc = [{c: (float(f"{v:.6g}") if isinstance(v, (float, np.floating)) else v)
+        doc = [{c: v if (text := _six_digits(v)) is None else float(text)
                 for c, v in zip(columns, row)} for row in rows]
         return json.dumps(doc, indent=2) + "\n"
     buf = io.StringIO()
     buf.write(",".join(columns) + "\n")
     for row in rows:
-        buf.write(",".join(_fmt(v) for v in row) + "\n")
+        buf.write(",".join(str(v) if (text := _six_digits(v)) is None else text
+                           for v in row) + "\n")
     return buf.getvalue()
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "quadrature_wavefunction",
     "window_geometry",
     "homodyne_report",
+    "window_stats",
     "usd_bound",
 ]
 
@@ -105,29 +106,29 @@ def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> Wi
 
 
 def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: float,
-                    include_offdiag: bool = True,
                     quadrature_tol: float = 1e-10) -> DetectionReport:
-    """Window probabilities, fidelities, total success and average fidelity.
+    """Window probabilities, fidelities, total success and average fidelity of
+    one amplitude (the `window_stats` row), plus the off-diagonal bound.
 
-    p_{w_i} sums the quadrature masses of all d ring states over window i;
-    the fidelity of window i keeps the leading mixture component
-    N_{v_0}(sqrt(1-gamma) alpha)/d^2 and the window's own dominant-state
-    mass.  Off-diagonal leakage (coherences between Bell components inside a
-    window) does not enter these numbers at all; its magnitude is reported
-    separately as `offdiag_bound`, which reads 0.0 when it is at or below
-    `quadrature_tol`: the quadrature fixes no digit of such a value.
+    Off-diagonal leakage (coherences between Bell components inside a
+    window) does not enter the window numbers at all; its magnitude is
+    reported separately as `offdiag_bound`, which reads 0.0 when it is at or
+    below `quadrature_tol`: the quadrature fixes no digit of such a value.
     """
-    [(ws, ring, probs, fids, p_succ, f_av)] = _window_stats(d, alpha, channel, delta_frac)
-    bound = 0.0
-    if include_offdiag:
-        bound = float(np.max(abs(_pair_integrals(ring, ws.bounds, quadrature_tol))))
+    [(ws, ring, probs, fids, p_succ, f_av)] = window_stats(d, alpha, channel, delta_frac)
+    bound = float(np.max(abs(_pair_integrals(ring, ws.bounds, quadrature_tol))))
     return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av,
                            bound if bound > quadrature_tol else 0.0)
 
 
-def _window_stats(d: int, alphas, channel: ChannelParams, delta_frac: float) -> list:
+def window_stats(d: int, alphas, channel: ChannelParams, delta_frac: float) -> list:
     """(window geometry, measured ring, window probabilities and fidelities,
     success probability, average fidelity) for each amplitude of a float or 1-D array.
+
+    p_{w_i} sums the quadrature masses of all d ring states over window i;
+    the fidelity of window i keeps the leading mixture component
+    N_{v_0}(sqrt(1-gamma) alpha)/d^2 and the window's own dominant-state
+    mass.
 
     Norm constants and rings take one numpy pass over all amplitudes.  Window
     masses, (erf(sqrt(2) (hi - c)) - erf(sqrt(2) (lo - c))) / 2 at mean c, are

@@ -1,5 +1,9 @@
 """Repeater performance: waiting times, purification recursion, rates.
 
+Every chain starts from one segment state, `initial_segment_state`: P0 and
+the phase-Bell weights from the USD bound and the loss mixture, or from one
+`detection.window_stats` row.  `predict` and the benchmark tables both read it.
+
 A span of 2^n elementary segments is filled by repeated heralded attempts
 (per-segment success probability P); the expected number of attempt rounds
 until every segment holds a pair is
@@ -32,7 +36,7 @@ from functools import cache
 
 import numpy as np
 
-from .detection import _window_stats, homodyne_report, usd_bound
+from .detection import usd_bound, window_stats
 from .logic import purify_step
 from .states import L_ATT_KM, ChannelParams, PhaseMixtureWeights, loss_weights
 from .tables import CellComparison, ROUNDS, TABLES, grade_cell
@@ -144,8 +148,9 @@ def z_attempts(n: int, p: float) -> float:
     """
     if not 0 < p <= 1:
         raise ValueError(f"probability must lie in (0, 1], got {p}")
-    if int(n) != n or n < 0:
-        raise ValueError("n must be a nonnegative integer")
+    # RepeaterConfig forms n <= 1023 (span / L0 < 2^1024); checked before 2 ** n exists
+    if not 0 <= n <= 1023 or int(n) != n:
+        raise ValueError(f"n must be an integer in [0, 1023], got {n}")
     if p == 1.0:
         return 1.0
     segments = 2 ** int(n)
@@ -197,22 +202,16 @@ def effective_probability(q_prev: float, p_round: float) -> float:
     return q_prev * p_round * (2.0 - q_prev) / (3.0 - 2.0 * q_prev)
 
 
-def _homodyne_state(d: int, report) -> tuple[float, PhaseMixtureWeights]:
-    """(P0, weights) of the effective state: leading weight F_av, rest split equally."""
-    p = np.full(d, (1.0 - report.f_av) / (d - 1))
-    p[0] = report.f_av
-    return report.p_succ, PhaseMixtureWeights(d, p)
-
-
 def initial_segment_state(config: RepeaterConfig) -> tuple[float, PhaseMixtureWeights]:
-    """Generation probability P0 and initial mixture weights for one segment."""
-    ch = ChannelParams(config.L0_km, config.L_att_km)
+    """Generation probability P0 and initial mixture weights for one segment: the USD
+    bound and the loss mixture, or the windows' P_succ and (F_av, rest split equally)."""
+    d, ch = config.d, ChannelParams(config.L0_km, config.L_att_km)
     if config.scheme == "usd":
-        p0 = usd_bound(config.d, config.alpha, ch.gamma)
-        return p0, loss_weights(config.d, config.alpha, ch)
-    report = homodyne_report(config.d, config.alpha, ch, config.delta_frac,
-                             include_offdiag=False)
-    return _homodyne_state(config.d, report)
+        return usd_bound(d, config.alpha, ch.gamma), loss_weights(d, config.alpha, ch)
+    [(*_, p_succ, f_av)] = window_stats(d, config.alpha, ch, config.delta_frac)
+    p = np.full(d, (1.0 - f_av) / (d - 1))
+    p[0] = f_av
+    return p_succ, PhaseMixtureWeights(d, p)
 
 
 def purification_chain(p0: float, weights: PhaseMixtureWeights,
@@ -349,19 +348,16 @@ def _geometric(rng, p: float, out: np.ndarray) -> np.ndarray:
 
 # --- benchmark-table reproduction -------------------------------------------
 
-def _homodyne_table_state(L0_km: float, target_f0: float) -> tuple[float, PhaseMixtureWeights]:
-    """(P0, weights) of the alpha in [0.9, 1.1] whose effective-state fidelity
-    best hits the printed initial fidelity.
+def _homodyne_table_alpha(L0_km: float, target_f0: float) -> float:
+    """The first alpha of 41 in [0.9, 1.1] whose effective-state fidelity F_av
+    at delta_frac = 0.001 is nearest the printed initial fidelity.
 
     The printed homodyne operating points correspond to the narrow-window
-    limit (they are reproduced at delta_frac -> 0, not at 0.2), so the scan
-    runs at delta_frac = 0.001.
+    limit (they are reproduced at delta_frac -> 0, not at 0.2).
     """
-    ch = ChannelParams(L0_km)
     alphas = np.linspace(0.9, 1.1, 41)
-    f_av = [stats[-1] for stats in _window_stats(3, alphas, ch, 0.001)]
-    best = min(zip(f_av, alphas.tolist()), key=lambda fa: abs(fa[0] - target_f0))[1]  # first tie
-    return _homodyne_state(3, homodyne_report(3, best, ch, 0.001, include_offdiag=False))
+    f_av = [stats[-1] for stats in window_stats(3, alphas, ChannelParams(L0_km), 0.001)]
+    return min(zip(f_av, alphas.tolist()), key=lambda fa: abs(fa[0] - target_f0))[1]
 
 
 def reproduce_table(table_id: str) -> list[CellComparison]:
@@ -370,11 +366,10 @@ def reproduce_table(table_id: str) -> list[CellComparison]:
         raise ValueError(f"unknown table {table_id!r}; choose from {sorted(TABLES)}")
     spec = TABLES[table_id]
     L0 = spec["L0_km"]
-    if spec["scheme"] == "homodyne":
-        p0, weights = _homodyne_table_state(L0, spec["initial_fidelity"][0])
-    else:
-        p0, weights = initial_segment_state(RepeaterConfig(d=3, L0_km=L0, span_km=L0,
-                                                           alpha=spec["alpha"], scheme="usd"))
+    alpha = (spec["alpha"] if spec["scheme"] == "usd"
+             else _homodyne_table_alpha(L0, spec["initial_fidelity"][0]))
+    p0, weights = initial_segment_state(RepeaterConfig(d=3, L0_km=L0, span_km=L0, alpha=alpha,
+                                                       scheme=spec["scheme"], delta_frac=0.001))
     chain = purification_chain(p0, weights, spec["rounds"] - 1)
     # (Z, rate, bound) per round, once per span of either section
     spans = {span: _span_model(chain, L0, span)

@@ -7,8 +7,8 @@ cell and grades it against these numbers.
 Statuses:
 
   match       computed value agrees within the table tolerance plus the
-              print-resolution allowance (half a unit in the last printed
-              digit; printed cells are rounded, sometimes truncated).
+              print-resolution allowance (one unit in the last printed
+              digit: printed cells are rounded, sometimes truncated).
   known-typo  catalogued internal inconsistency of the benchmark data
               (e.g. Table V's no-purification fidelity column duplicates
               Table IV's homodyne column), never matched.

@@ -26,8 +26,8 @@ from typing import NamedTuple
 import numpy as np
 
 from hqrsim.coherent import basis_amplitudes, ring_states
-from hqrsim.detection import (GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, homodyne_report,
-                              window_geometry)
+from hqrsim.detection import (GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, window_geometry,
+                              window_stats)
 from hqrsim import rates
 from hqrsim.numerics import DensityMatrix, _as_square_complex
 from hqrsim.rates import (RepeaterConfig, initial_segment_state, monte_carlo_waiting,
@@ -427,13 +427,14 @@ def offdiag_bound_loop(d: int, alpha: float, channel: ChannelParams, delta_frac:
 
 
 def homodyne_table_state_loop(L0_km: float, target_f0: float) -> tuple[float, PhaseMixtureWeights]:
-    """`rates._homodyne_table_state` as one scalar `homodyne_report` per amplitude
-    of the 41-point grid: the first report whose F_av is nearest the target."""
+    """The Table III/IV homodyne segment state from one scalar `window_stats`
+    row per amplitude of the 41-point grid: the first row whose F_av is nearest
+    the target, as P0 = P_succ and weights (F_av, rest split equally)."""
     ch = ChannelParams(L0_km)
-    best = min((homodyne_report(3, float(alpha), ch, 0.001, include_offdiag=False)
-                for alpha in np.linspace(0.9, 1.1, 41)),
-               key=lambda report: abs(report.f_av - target_f0))
-    return rates._homodyne_state(3, best)
+    *_, p_succ, f_av = min((window_stats(3, float(alpha), ch, 0.001)[0]
+                            for alpha in np.linspace(0.9, 1.1, 41)),
+                           key=lambda row: abs(row[-1] - target_f0))
+    return p_succ, PhaseMixtureWeights(3, [f_av] + 2 * [(1.0 - f_av) / 2])
 
 
 def z_attempts_series(n: int, p: float) -> float:

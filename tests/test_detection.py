@@ -1,3 +1,6 @@
+from dataclasses import astuple
+from typing import NamedTuple
+
 import mpmath
 import numpy as np
 import pytest
@@ -7,7 +10,7 @@ from hqrsim import detection
 from hqrsim.coherent import norm_constants, ring_states
 from hqrsim.detection import (_cross_integrals, _measured_ring, _pair_integrals,
                               homodyne_report, quadrature_wavefunction,
-                              usd_bound, window_geometry)
+                              usd_bound, window_geometry, window_stats)
 from hqrsim.states import ChannelParams
 from oracles import (gram_matrix, offdiag_bound_loop, overlap, quadrature_mean, quadrature_pdf,
                      window_mass)
@@ -15,6 +18,19 @@ from oracles import quadrature_wavefunction as oracle_wavefunction
 
 # the library reads p of beta as x of -1j beta
 TURN = {"x": 1, "p": -1j}
+
+
+class Row(NamedTuple):
+    window_probs: tuple
+    window_fidelities: tuple
+    p_succ: float
+    f_av: float
+
+
+def window_row(d, alpha, channel, delta_frac) -> Row:
+    """The scalar `window_stats` row: the window numbers without the off-diagonal bound."""
+    [(_, _, probs, fids, p_succ, f_av)] = window_stats(d, alpha, channel, delta_frac)
+    return Row(tuple(probs), tuple(fids), p_succ, f_av)
 
 
 def window_max(d, alpha, gamma, delta_frac, w):
@@ -115,24 +131,29 @@ class TestWindowGeometry:
 
 
 class TestWindowStats:
-    """The amplitude-array pass behind `homodyne_report`."""
+    """The amplitude-array pass behind `homodyne_report` and the rates."""
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_elements_equal_scalar_reports(self, d):
         # batched norm constants and rings change no bit of any amplitude's numbers
+        # against the scalar row (`homodyne_report`'s window numbers, next test)
         ch = ChannelParams(7.0)
         alphas = np.linspace(0.2, 3.0, 12)
-        for alpha, (_, _, *stats) in zip(alphas, detection._window_stats(d, alphas, ch, 0.3)):
-            rep = homodyne_report(d, float(alpha), ch, 0.3, include_offdiag=False)
-            probs, fids, p_succ, f_av = stats
-            assert rep.window_probs == tuple(probs) and rep.window_fidelities == tuple(fids)
-            assert (rep.p_succ, rep.f_av) == (p_succ, f_av)
+        for alpha, (_, _, probs, fids, p_succ, f_av) in zip(alphas,
+                                                             window_stats(d, alphas, ch, 0.3)):
+            want = Row(tuple(probs), tuple(fids), p_succ, f_av)
+            assert window_row(d, float(alpha), ch, 0.3) == want
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_report_is_scalar_row(self, d):
+        rep = homodyne_report(d, 1.3, ChannelParams(7.0), 0.3)
+        assert Row(*astuple(rep)[:4]) == window_row(d, 1.3, ChannelParams(7.0), 0.3)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_probabilities_are_window_mass_sums(self, d):
         # the per-window, per-state erf loop, summed in the same order
         ch = ChannelParams(5.0)
-        rep = homodyne_report(d, 1.1, ch, 0.25, include_offdiag=False)
+        rep = window_row(d, 1.1, ch, 0.25)
         means = _measured_ring(d, 1.1, ch.gamma).real.tolist()
         bounds = window_geometry(d, 1.1, ch.gamma, 0.25).bounds
         assert rep.window_probs == tuple(sum(window_mass(b, c) for c in means) / d
@@ -142,7 +163,7 @@ class TestWindowStats:
 class TestHomodyneReport:
     def test_d3_operating_point(self):
         # frozen from a 40-digit erf evaluation of the window integrals
-        rep = homodyne_report(3, 1.0, ChannelParams(5.0), 0.2, include_offdiag=False)
+        rep = window_row(3, 1.0, ChannelParams(5.0), 0.2)
         assert rep.window_probs[0] == pytest.approx(0.0659831157903435, abs=1e-12)
         assert rep.window_probs[1] == pytest.approx(0.215046275145199, abs=1e-12)
         assert rep.window_fidelities[0] == pytest.approx(0.507206635905806, abs=1e-12)
@@ -154,28 +175,28 @@ class TestHomodyneReport:
         assert 0.65 <= rep.f_av <= 0.75
 
     def test_d2_symmetric_windows(self):
-        rep = homodyne_report(2, 1.2, ChannelParams(5.0), 0.5, include_offdiag=False)
+        rep = window_row(2, 1.2, ChannelParams(5.0), 0.5)
         assert rep.window_probs[0] == pytest.approx(rep.window_probs[1], abs=1e-14)
         assert rep.p_succ == pytest.approx(0.85859363645997, abs=1e-12)
         assert rep.f_av == pytest.approx(0.777820524065525, abs=1e-12)
 
     def test_d2_full_width_unit_success(self):
-        rep = homodyne_report(2, 1.0, ChannelParams(5.0), 1.0, include_offdiag=False)
+        rep = window_row(2, 1.0, ChannelParams(5.0), 1.0)
         assert abs(rep.p_succ - 1.0) < 1e-10
 
     def test_d4_report(self):
-        rep = homodyne_report(4, 1.2, ChannelParams(5.0), 0.5, include_offdiag=False)
+        rep = window_row(4, 1.2, ChannelParams(5.0), 0.5)
         assert rep.p_succ == pytest.approx(0.571359284604291, abs=1e-12)
         assert rep.f_av == pytest.approx(0.560416432159028, abs=1e-12)
         assert rep.p_succ < 1.0  # the +-i alpha states mostly miss the windows
 
     def test_large_amplitude_fidelity_third(self):
-        rep = homodyne_report(3, 6.0, ChannelParams(5.0), 0.2, include_offdiag=False)
+        rep = window_row(3, 6.0, ChannelParams(5.0), 0.2)
         assert rep.f_av == pytest.approx(1 / 3, abs=1e-3)
 
     def test_probabilities_bounded(self):
         for d in (2, 3, 4):
-            rep = homodyne_report(d, 0.8, ChannelParams(10.0), 0.7, include_offdiag=False)
+            rep = window_row(d, 0.8, ChannelParams(10.0), 0.7)
             assert 0 <= rep.p_succ <= 1 + 1e-12
             assert all(0 <= p <= 1 for p in rep.window_probs)
             assert all(0 <= f <= 1 for f in rep.window_fidelities)
@@ -183,7 +204,7 @@ class TestHomodyneReport:
     def test_narrow_window_limits(self):
         # only the bounded center window vanishes as delta -> 0; the
         # half-line windows keep finite acceptance mass
-        rep = homodyne_report(3, 1.0, ChannelParams(5.0), 1e-6, include_offdiag=False)
+        rep = window_row(3, 1.0, ChannelParams(5.0), 1e-6)
         assert rep.window_probs[0] < 1e-6
         assert rep.window_probs[1] > 0.18
 

@@ -15,6 +15,7 @@ tracer's per-function counters count work the CLI and library do.
 
 import ast
 import importlib
+import math
 import pathlib
 
 import pytest
@@ -82,3 +83,45 @@ def test_exported_names_have_a_caller_in_the_package():
               for name in getattr(importlib.import_module(f"hqrsim.{module}"), "__all__", ())
               if name not in used}
     assert unused == TRACER_ONLY
+
+
+# defaulted parameters that no caller in the package sets: `main`'s argv is for
+# tests and embedding (the console entry point passes none), and DensityMatrix
+# has no caller at all (TRACER_ONLY)
+UNSET_BY_DESIGN = {("cli", "main", "argv")} | {
+    ("numerics", "DensityMatrix", name)
+    for name in ("bipartition", "hermiticity_tol", "trace_tol", "positivity_tol")}
+
+
+def test_defaulted_parameters_are_set_by_some_caller():
+    # an option no caller in the package sets is an option nothing uses; a call
+    # sets a parameter by keyword, by position or through *args / **kwargs
+    src = pathlib.Path(hqrsim.__file__).parent
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in src.glob("*.py")}
+    calls = {}  # callee name -> (positional count, keyword names) per call
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(name, []).append(
+                (math.inf if starred else len(node.args), {k.arg for k in node.keywords}))
+    unset = set()
+    for module, tree in trees.items():
+        defs = [(node.name, node, 0) for node in tree.body
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+        defs += [(node.name, init, 1) for node in tree.body if isinstance(node, ast.ClassDef)
+                 for init in node.body
+                 if isinstance(init, ast.FunctionDef) and init.name == "__init__"]
+        for name, fn, skip in defs:
+            positional = fn.args.posonlyargs + fn.args.args
+            defaulted = [(i - skip, a.arg) for i, a in
+                         enumerate(positional[len(positional) - len(fn.args.defaults):],
+                                   len(positional) - len(fn.args.defaults))]
+            defaulted += [(math.inf, a.arg) for a, default in
+                          zip(fn.args.kwonlyargs, fn.args.kw_defaults) if default is not None]
+            for index, arg in defaulted:
+                if not any(count > index or arg in keywords or None in keywords
+                           for count, keywords in calls.get(name, ())):
+                    unset.add((module, name, arg))
+    assert unset == UNSET_BY_DESIGN

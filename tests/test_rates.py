@@ -14,7 +14,8 @@ from hqrsim import rates
 from hqrsim.rates import (MAX_PURIFICATION_ROUNDS, MC_MIN_P0, RepeaterConfig,
                           effective_probability, initial_segment_state, monte_carlo_waiting,
                           predict, purification_chain, reproduce_table, z_attempts)
-from hqrsim.detection import homodyne_report
+from hqrsim import detection
+from hqrsim.detection import window_stats
 from hqrsim.states import ChannelParams, PhaseMixtureWeights
 from hqrsim.tables import TABLES
 from oracles import (homodyne_table_state_loop, monte_carlo_attempts,
@@ -121,6 +122,14 @@ class TestZAttempts:
             z_attempts(1, 0.0)
         with pytest.raises(ValueError):
             z_attempts(-1, 0.5)
+
+    @pytest.mark.parametrize("n", [1024, 10 ** 15, math.inf])
+    def test_n_beyond_reachable_range_rejected_at_once(self, n):
+        # rejected before 2 ** n (or int(inf)) is formed: no OverflowError, no huge int
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=r"\[0, 1023\]"):
+            z_attempts(n, 1e-5)
+        assert time.perf_counter() - start < 0.1
 
 
 def at_switch_points(**kwargs):
@@ -500,30 +509,46 @@ def recursive_waiting(n, p0, round_probs, trials, seed):
     return waits.mean(), waits.std(ddof=1) / math.sqrt(trials)
 
 
+def homodyne_table_state(L0, target):
+    """The table's segment state: `initial_segment_state` at the searched alpha."""
+    alpha = rates._homodyne_table_alpha(L0, target)
+    return initial_segment_state(RepeaterConfig(d=3, L0_km=L0, span_km=L0, alpha=alpha,
+                                                scheme="homodyne", delta_frac=0.001))
+
+
 class TestHomodyneTableSearch:
-    """`_homodyne_table_state` against the scalar search it replaced, under ==."""
+    """The table's homodyne segment state against one scalar window pass per
+    amplitude, under ==."""
 
     @pytest.mark.parametrize("table_id", ["III", "IV"])
     def test_tables(self, table_id):
         spec = TABLES[table_id]
         args = (spec["L0_km"], spec["initial_fidelity"][0])
-        (p0, weights), (want_p0, want) = rates._homodyne_table_state(*args), \
+        (p0, weights), (want_p0, want) = homodyne_table_state(*args), \
             homodyne_table_state_loop(*args)
         assert p0 == want_p0 and weights.p.tolist() == want.p.tolist()
 
     @pytest.mark.parametrize("L0", [2.0, 5.0, 10.0, 20.0])
     def test_target_sweep(self, L0):
-        f_av = [homodyne_report(3, float(a), ChannelParams(L0), 0.001, include_offdiag=False).f_av
+        f_av = [window_stats(3, float(a), ChannelParams(L0), 0.001)[0][-1]
                 for a in np.linspace(0.9, 1.1, 41)]
         for target in np.linspace(min(f_av), max(f_av), 10):
-            (p0, weights), (want_p0, want) = rates._homodyne_table_state(L0, target), \
+            (p0, weights), (want_p0, want) = homodyne_table_state(L0, target), \
                 homodyne_table_state_loop(L0, target)
             assert p0 == want_p0 and weights.p.tolist() == want.p.tolist(), target
 
-    def test_one_scalar_report(self):
-        with mock.patch.object(rates, "homodyne_report", wraps=rates.homodyne_report) as report:
-            rates._homodyne_table_state(10.0, 0.73)
-        assert report.call_count == 1
+    def test_one_grid_pass_and_one_segment_pass(self):
+        # one window pass over the 41-point grid, one at the chosen alpha, and
+        # no homodyne_report (whose off-diagonal bound the rates never read)
+        for table_id in ("III", "IV"):
+            with mock.patch.object(rates, "window_stats", wraps=rates.window_stats) as stats, \
+                    mock.patch.object(detection, "homodyne_report") as report:
+                reproduce_table(table_id)
+            grid, chosen = (call.args[1] for call in stats.call_args_list)
+            spec = TABLES[table_id]
+            assert np.asarray(grid).shape == (41,) and chosen == \
+                rates._homodyne_table_alpha(spec["L0_km"], spec["initial_fidelity"][0])
+            assert report.call_count == 0 and "homodyne_report" not in vars(rates)
 
 
 class TestReproduceTable:
