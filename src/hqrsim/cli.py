@@ -15,7 +15,8 @@ The argparse tree is built once per process (`_build_parser` is cached) and
 reused by every `parse`/`main` call, so it must hold no per-call state: no
 mutable defaults, and a failed parse or `--help` leaves it as it was.
 
-Exit status: 0 success, 1 numerical failure, 2 malformed input.
+Exit status: 0 success, 1 numerical failure, 2 malformed input (also a
+--config file that cannot be read or an --out path that cannot be written).
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coherent import RING_MAX_D, WEIGHT_MODELS, norm_constants
-from .detection import HOMODYNE_DIMS, homodyne_report, usd_bound
+from .detection import HOMODYNE_DIMS, QUADRATURE_TOL, homodyne_report, usd_bound
 from .rates import (FIBER_SPEED_KM_S, SCHEMES, RepeaterConfig, monte_carlo_waiting, predict,
                     purification_chain, reproduce_table, z_attempts)
 from .states import (L_ATT_KM, SCAN_MAX_D, ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL,
@@ -51,7 +52,7 @@ ALPHA_RANGE_MAX_COUNT = 10 ** 5
 class Settings:
     l_att_km: float = L_ATT_KM
     fiber_speed_km_s: float = FIBER_SPEED_KM_S
-    quadrature_tol: float = 1e-10
+    quadrature_tol: float = QUADRATURE_TOL
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(Settings))
@@ -72,24 +73,29 @@ class UsageError(ValueError):
 
 def load_config(path: str) -> dict:
     """Line-oriented `key = value` overrides; '#' starts a comment."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else "not UTF-8 text"
+        raise UsageError(f"--config: cannot read {path}: {reason}") from None
     overrides = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected 'key = value'")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            try:
-                overrides[key] = float(value)
-            except ValueError:
-                raise UsageError(f"{path}:{lineno}: invalid number {value!r}") from None
-            # NaN fails both comparisons, so it is rejected with inf
-            if key == "quadrature_tol" and not 0.0 < overrides[key] < np.inf:
-                raise UsageError(f"{path}:{lineno}: quadrature_tol must be finite and > 0")
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        try:
+            overrides[key] = float(value)
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: invalid number {value!r}") from None
+        # NaN fails both comparisons, so it is rejected with inf
+        if key == "quadrature_tol" and not 0.0 < overrides[key] < np.inf:
+            raise UsageError(f"{path}:{lineno}: quadrature_tol must be finite and > 0")
     return overrides
 
 
@@ -296,8 +302,6 @@ def parse(argv) -> RunSpec:
     ns = parser.parse_args(list(argv))
     settings = Settings()
     if ns.config is not None:
-        if not os.path.exists(ns.config):
-            raise UsageError(f"--config: no such file: {ns.config}")
         for key, value in load_config(ns.config).items():
             setattr(settings, key, value)
     params = {k: v for k, v in vars(ns).items()
@@ -362,7 +366,12 @@ def main(argv=None) -> int:
         sys.stderr.write(text)
         return status
     if spec.out:
-        _write_atomic(spec.out, text)
+        try:
+            _write_atomic(spec.out, text)
+        except OSError as exc:  # no such directory, a directory, no permission
+            print(f"hqrsim: error: --out: cannot write {spec.out}: {exc.strerror}",
+                  file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

@@ -4,7 +4,8 @@ Quadrature convention: x = (a + a^dag)/2, p = (a - a^dag)/(2i), vacuum
 variance 1/4, fixed by the quadrature density sqrt(2/pi) exp(-2 (q - c)^2)
 with c = Re(beta) for x and Im(beta) for p.
 
-Windowed homodyne discrimination is supported for d in {2, 3, 4}:
+Windowed homodyne discrimination is supported for d in {2, 3, 4}; the
+one window pass, `window_stats`, owns the geometry:
 
   d=2: x-quadrature, two half-line windows around +-sqrt(gamma) alpha.
   d=3: p-quadrature, symmetric interval around 0 plus two half-lines.
@@ -32,35 +33,21 @@ from .coherent import norm_constants, ring_amplitudes, ring_states
 from .states import ChannelParams, _loss_probabilities
 
 __all__ = [
-    "WindowSet",
     "DetectionReport",
     "quadrature_wavefunction",
-    "window_geometry",
     "homodyne_report",
     "window_stats",
     "usd_bound",
 ]
 
 HOMODYNE_DIMS = (2, 3, 4)
+# default absolute tolerance of the window cross integrals (`homodyne_report`)
+QUADRATURE_TOL = 1e-10
 # Gauss-Legendre orders tried by _cross_integrals (n and 2n from the
 # first up to the cap) and its panel count cap; the two caps bound the work
 GL_FIRST_ORDER = 64
 GL_MAX_ORDER = 512
 GL_MAX_PANELS = 64
-
-
-@dataclass(frozen=True)
-class WindowSet:
-    """Acceptance windows on x (for d = 3 on p, read as x of the turned ring).
-
-    `bounds[i]` is the closed acceptance interval for window i (infinite
-    endpoints allowed); `dominant_ring[i]` is the ring state it projects
-    onto.  The gaps between the windows are discarded; at delta_frac = 1
-    they degenerate to single points (zero measure, every result accepted).
-    """
-
-    bounds: tuple[tuple[float, float], ...]
-    dominant_ring: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -81,32 +68,8 @@ def quadrature_wavefunction(beta, value):
     return (2 / np.pi) ** 0.25 * np.exp(-1j * a * b) * np.exp(-(value - a) ** 2 + 2j * b * value)
 
 
-def window_geometry(d: int, alpha: float, gamma: float, delta_frac: float) -> WindowSet:
-    """Acceptance-window geometry for the supported dimensions."""
-    if d not in HOMODYNE_DIMS:
-        raise ValueError(f"windowed homodyne discrimination supports d in {HOMODYNE_DIMS}")
-    if not 0.0 < delta_frac <= 1.0:
-        raise ValueError("delta_frac must lie in (0, 1]")
-    sa = float(math.sqrt(gamma) * alpha)
-    if not sa > 0.0:
-        # every ring state then sits at the origin and the windows collapse
-        raise ValueError("homodyne windows need sqrt(gamma) * alpha > 0")
-    if d in (2, 4):
-        edge = sa - delta_frac * sa
-        return WindowSet(
-            bounds=((edge, np.inf), (-np.inf, -edge)),
-            dominant_ring=(0, d // 2),
-        )
-    c1 = math.sqrt(3.0) / 2.0 * sa
-    delta = delta_frac * (0.5 * c1)
-    return WindowSet(
-        bounds=((-delta, delta), (c1 - delta, np.inf), (-np.inf, -(c1 - delta))),
-        dominant_ring=(0, 1, 2),
-    )
-
-
 def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: float,
-                    quadrature_tol: float = 1e-10) -> DetectionReport:
+                    quadrature_tol: float = QUADRATURE_TOL) -> DetectionReport:
     """Window probabilities, fidelities, total success and average fidelity of
     one amplitude (the `window_stats` row), plus the off-diagonal bound.
 
@@ -115,34 +78,54 @@ def homodyne_report(d: int, alpha: float, channel: ChannelParams, delta_frac: fl
     reported separately as `offdiag_bound`, which reads 0.0 when it is at or
     below `quadrature_tol`: the quadrature fixes no digit of such a value.
     """
-    [(ws, ring, probs, fids, p_succ, f_av)] = window_stats(d, alpha, channel, delta_frac)
-    bound = float(np.max(abs(_pair_integrals(ring, ws.bounds, quadrature_tol))))
+    [(bounds, ring, probs, fids, p_succ, f_av)] = window_stats(d, alpha, channel, delta_frac)
+    bound = float(np.max(abs(_pair_integrals(ring, bounds, quadrature_tol))))
     return DetectionReport(tuple(probs), tuple(fids), p_succ, f_av,
                            bound if bound > quadrature_tol else 0.0)
 
 
 def window_stats(d: int, alphas, channel: ChannelParams, delta_frac: float) -> list:
-    """(window geometry, measured ring, window probabilities and fidelities,
+    """(window bounds, measured ring, window probabilities and fidelities,
     success probability, average fidelity) for each amplitude of a float or 1-D array.
 
+    Window i is a closed interval on x (d = 3: on p, read as x of the ring
+    turned a quarter) owned by ring state i (d = 4: states 0 and 2); the gaps
+    between windows are discarded and shrink to points at delta_frac = 1.
     p_{w_i} sums the quadrature masses of all d ring states over window i;
     the fidelity of window i keeps the leading mixture component
     N_{v_0}(sqrt(1-gamma) alpha)/d^2 and the window's own dominant-state
     mass.
 
-    Norm constants and rings take one numpy pass over all amplitudes.  Window
-    masses, (erf(sqrt(2) (hi - c)) - erf(sqrt(2) (lo - c))) / 2 at mean c, are
-    floats: numpy has no erf, and on a few elements its calls cost more.
+    d, delta_frac and sqrt(gamma) alpha > 0 (else the windows collapse onto
+    the origin) are checked once per call, then the amplitude cap.  Norm
+    constants and rings take one numpy pass over all amplitudes.  Window
+    masses, (erf(sqrt(2) (hi - c)) - erf(sqrt(2) (lo - c))) / 2 at mean c,
+    are floats: numpy has no erf, and on a few elements its calls cost more.
     """
-    gamma, root2, alphas = channel.gamma, math.sqrt(2.0), np.asarray(alphas, dtype=float)
-    windows = [window_geometry(d, a, gamma, delta_frac) for a in alphas.reshape(-1).tolist()]
+    if d not in HOMODYNE_DIMS:
+        raise ValueError(f"windowed homodyne discrimination supports d in {HOMODYNE_DIMS}")
+    if not 0.0 < delta_frac <= 1.0:
+        raise ValueError("delta_frac must lie in (0, 1]")
+    root2, alphas = math.sqrt(2.0), np.asarray(alphas, dtype=float)
+    sa = math.sqrt(channel.gamma) * alphas
+    if not (sa > 0.0).all():
+        raise ValueError("homodyne windows need sqrt(gamma) * alpha > 0")
     leads = _loss_probabilities(d, alphas, channel, "gram")[..., 0]  # names a bad alpha undamped
-    rings = _measured_ring(d, alphas, gamma).reshape(-1, d)
+    rings = ring_states(d, sa)
+    rings = (-1j * rings if d == 3 else rings).reshape(-1, d)  # p of beta is x of -1j beta
+    dominant = (0, 1, 2) if d == 3 else (0, d // 2)
     stats = []
-    for ws, ring, lead, means in zip(windows, rings, leads.reshape(-1).tolist(),
-                                     rings.real.tolist()):
+    for s, ring, lead, means in zip(sa.reshape(-1).tolist(), rings, leads.reshape(-1).tolist(),
+                                    rings.real.tolist()):
+        if d == 3:
+            c1 = math.sqrt(3.0) / 2.0 * s
+            delta = delta_frac * (0.5 * c1)
+            bounds = ((-delta, delta), (c1 - delta, math.inf), (-math.inf, -(c1 - delta)))
+        else:
+            edge = s - delta_frac * s
+            bounds = ((edge, math.inf), (-math.inf, -edge))
         probs, fids = [], []
-        for (lo, hi), dom in zip(ws.bounds, ws.dominant_ring):
+        for (lo, hi), dom in zip(bounds, dominant):
             # math.erf(+-inf) is +-1, so half-line windows need no special case
             masses = [0.5 * (math.erf(root2 * (hi - c)) - math.erf(root2 * (lo - c)))
                       for c in means]
@@ -151,15 +134,8 @@ def window_stats(d: int, alphas, channel: ChannelParams, delta_frac: float) -> l
             fids.append(lead * (masses[dom] / d) / p if p > 0 else 0.0)
         p_succ = sum(probs)
         f_av = sum(p * f for p, f in zip(probs, fids)) / p_succ if p_succ > 0 else 0.0
-        stats.append((ws, ring, probs, fids, p_succ, f_av))
+        stats.append((bounds, ring, probs, fids, p_succ, f_av))
     return stats
-
-
-def _measured_ring(d: int, alpha: float, gamma: float) -> np.ndarray:
-    """The damped ring states as read on x: the qutrit ring, measured on p,
-    turned a quarter (p of beta is x of -1j beta)."""
-    ring = ring_states(d, math.sqrt(gamma) * alpha)
-    return -1j * ring if d == 3 else ring
 
 
 @cache

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .states import TRACE_TOL
+
 __all__ = [
     "DensityMatrix",
 ]
-
-TRACE_TOL = 1e-10  # also the scan's trace test
 
 
 def _as_square_complex(m) -> np.ndarray:

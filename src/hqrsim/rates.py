@@ -142,9 +142,10 @@ def z_attempts(n: int, p: float) -> float:
     2^-56; phi is the characteristic function of the maximum of S Exp(lam)
     waits, |phi(w)| = prod_{j<=S} (1 + (w / (j lam))^2)^(-1/2).  H_S > ln S +
     gamma and the first min(S, 64) factors can only enlarge the bound.  Else
-    lam is large: the series runs until a term (<= S e^{-lam t}) is below 1e-18,
-    (42 + ln S) / lam terms, one 4096-term chunk for S <= 2^63, with q^t as
-    e^{-lam t}, not a rounded q = 1 - p.  Raises OverflowError if Z overflows.
+    lam is large: the series runs in one pass until a term (<= S e^{-lam t}) is
+    below 1e-18, (42 + ln S) / lam terms, at most 2,768 (n = 1023 at its switch
+    point), with q^t as e^{-lam t}, not a rounded q = 1 - p.  Raises
+    OverflowError if Z overflows.
     """
     if not 0 < p <= 1:
         raise ValueError(f"probability must lie in (0, 1], got {p}")
@@ -175,15 +176,9 @@ def z_attempts(n: int, p: float) -> float:
 
 
 def _tail_series(segments: int, lam: float) -> float:
-    total, t = 1.0, 1  # f(0) = 1
-    chunk = min(4096, math.ceil((42 + math.log(segments)) / lam))
-    while True:
-        ts = np.arange(t, t + chunk, dtype=float)
-        terms = -np.expm1(float(segments) * np.log1p(-np.exp(-lam * ts)))
-        total += float(terms.sum())
-        if terms[-1] < 1e-18:
-            return total
-        t, chunk = t + chunk, 4096
+    # f(0) = 1, then f(t) <= S e^{-lam t} up to e^-42 < 1e-18 at the last t
+    ts = np.arange(1, math.ceil((42 + math.log(segments)) / lam) + 1, dtype=float)
+    return 1.0 + float((-np.expm1(float(segments) * np.log1p(-np.exp(-lam * ts)))).sum())
 
 
 @cache  # one value per n; a fresh sum up to s = 1024 costs about 0.1 ms
@@ -276,7 +271,8 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     replaced; with rounds (`mc --round-p`) they have its distribution but other values.
     """
     for name, value, low in (("n", n, 0), ("trials", trials, 1), ("seed", seed, 0)):
-        if int(value) != value or value < low:
+        # the range first: int() of inf overflows and int() of nan names no argument
+        if not low <= value < math.inf or int(value) != value:
             raise ValueError(f"{name} must be an integer >= {low}")
     n, trials = int(n), int(trials)
     if not MC_MIN_P0 <= p0 <= 1:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coherent import basis_amplitudes, norm_constants, ring_amplitudes
-from .numerics import TRACE_TOL
 
 __all__ = [
     "ChannelParams",
@@ -42,6 +41,9 @@ L_ATT_KM = 22.0
 
 # largest |sum - 1| a phase-mixture weight vector may have
 WEIGHT_SUM_TOL = 1e-10
+
+# largest |trace - 1| of the scan's blocks; also numerics.DensityMatrix's default
+TRACE_TOL = 1e-10
 
 # floats in the (points, d, d, d) block array of one negativity_scan batch,
 # 1 MB: a batch holds max(1, SCAN_CHUNK_FLOATS // d^3) grid points
@@ -165,4 +167,6 @@ def _block_negativities(d: int, a: np.ndarray, ch: ChannelParams, model: str) ->
     blocks = w[:, idx]
     blocks *= c[:, None, :, None] * c[:, None, None, :]
     ev = np.linalg.eigvalsh(blocks)
-    return np.where(ev < 0, -ev, 0.0).sum(axis=(1, 2))
+    # each point's d^2 terms summed as one contiguous row: a sum over axes
+    # (1, 2) rounds differently with the number of points in the batch
+    return np.where(ev < 0, -ev, 0.0).reshape(len(a), -1).sum(axis=1)

@@ -26,8 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from hqrsim.coherent import basis_amplitudes, ring_states
-from hqrsim.detection import (GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, window_geometry,
-                              window_stats)
+from hqrsim.detection import GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, window_stats
 from hqrsim import rates
 from hqrsim.numerics import DensityMatrix, _as_square_complex
 from hqrsim.rates import (RepeaterConfig, initial_segment_state, monte_carlo_waiting,
@@ -413,16 +412,35 @@ def window_cross_integral_loop(beta_i: complex, beta_j: complex, quadrature: str
         n, coarse = 2 * n, fine
 
 
+def homodyne_windows(d: int, sa: float, delta_frac: float) -> list[tuple[float, float]]:
+    """The acceptance windows at damped amplitude sa = sqrt(gamma) alpha, from
+    their definitions, window i owned by ring state i (d = 4: states 0 and 2).
+
+    d = 2, 4, on x: the half-lines beyond +-(1 - delta_frac) sa.  d = 3, on p
+    of the unturned ring, whose means are 0 and +-s with s = (sqrt 3 / 2) sa:
+    the interval of half-width delta = delta_frac * s / 2 around 0 and the
+    half-lines beyond +-(s - delta).
+    """
+    if d == 3:
+        s = math.sqrt(3.0) * sa / 2.0
+        delta = delta_frac * s / 2.0
+        return [(-delta, delta), (s - delta, math.inf), (-math.inf, delta - s)]
+    edge = (1.0 - delta_frac) * sa
+    return [(edge, math.inf), (-math.inf, -edge)]
+
+
 def offdiag_bound_loop(d: int, alpha: float, channel: ChannelParams, delta_frac: float,
                        tol: float = 1e-10) -> float:
     """`homodyne_report`'s offdiag_bound from one integral at a time,
     0.0 when at or below `tol`.  The qutrit windows are read on p of the
-    unturned ring, so this checks the library's quarter turn to x."""
-    ws = window_geometry(d, alpha, channel.gamma, delta_frac)
-    ring = ring_states(d, np.sqrt(channel.gamma) * alpha)
+    unturned ring, so this checks the library's quarter turn to x, and the
+    windows are `homodyne_windows`, not the library's."""
+    sa = math.sqrt(channel.gamma) * alpha
+    ring = ring_states(d, sa)
     quadrature = "p" if d == 3 else "x"
     bound = max(abs(window_cross_integral_loop(ring[i], ring[j], quadrature, bounds, tol))
-                for bounds in ws.bounds for i in range(d) for j in range(i + 1, d))
+                for bounds in homodyne_windows(d, sa, delta_frac)
+                for i in range(d) for j in range(i + 1, d))
     return bound if bound > tol else 0.0
 
 

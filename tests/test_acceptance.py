@@ -7,7 +7,7 @@ percentage plus the print-quantization allowance of the benchmark data
 (integer-rounded cells only pin the true value to +-0.5).
 
 Criterion 4's success-probability clause is known-red: with the acceptance
-windows defined in `detection.window_geometry` and the full ring-state sum
+windows that `detection.window_stats` builds and the full ring-state sum
 in the window probabilities, P_succ at delta = 0.2 delta_max stays in
 [0.48, 0.51] for every amplitude in [0.9, 1.1]; the (F_av, P_succ) pair
 (0.7, 0.4) quoted for that operating point is instead reproduced in the

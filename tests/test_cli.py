@@ -502,3 +502,21 @@ class TestMainProcess:
         cp = run_cli("--config", "/nonexistent/cfg", "usd", "--d", "3",
                      "--L0", "20", "--alpha", "0.5")
         assert cp.returncode == 2
+
+    @pytest.mark.parametrize("case", ["config-directory", "config-not-utf8", "out-no-directory",
+                                      "out-is-directory"])
+    def test_unusable_file_is_two(self, tmp_path, case):
+        # each of these ended in an OSError or UnicodeDecodeError traceback, exit 1
+        (tmp_path / "existing").mkdir()
+        (tmp_path / "latin1.cfg").write_bytes(b"l_att_km = 22 # \xe9\n")
+        flag, path = {"config-directory": ("--config", tmp_path / "existing"),
+                      "config-not-utf8": ("--config", tmp_path / "latin1.cfg"),
+                      "out-no-directory": ("--out", tmp_path / "missing" / "x.csv"),
+                      "out-is-directory": ("--out", tmp_path / "existing")}[case]
+        cp = run_cli(flag, str(path), "usd", "--d", "3", "--L0", "20", "--alpha", "0.5")
+        assert cp.returncode == 2
+        assert cp.stdout == ""
+        assert cp.stderr.startswith(f"hqrsim: error: {flag}: ")
+        assert str(path) in cp.stderr
+        assert cp.stderr.count("\n") == 1 and "Traceback" not in cp.stderr
+        assert not list(tmp_path.rglob(".hqrsim-*"))

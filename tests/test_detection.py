@@ -8,12 +8,11 @@ from scipy.integrate import quad
 
 from hqrsim import detection
 from hqrsim.coherent import norm_constants, ring_states
-from hqrsim.detection import (_cross_integrals, _measured_ring, _pair_integrals,
-                              homodyne_report, quadrature_wavefunction,
-                              usd_bound, window_geometry, window_stats)
+from hqrsim.detection import (_cross_integrals, _pair_integrals, homodyne_report,
+                              quadrature_wavefunction, usd_bound, window_stats)
 from hqrsim.states import ChannelParams
-from oracles import (gram_matrix, offdiag_bound_loop, overlap, quadrature_mean, quadrature_pdf,
-                     window_mass)
+from oracles import (gram_matrix, homodyne_windows, offdiag_bound_loop, overlap, quadrature_mean,
+                     quadrature_pdf, window_mass)
 from oracles import quadrature_wavefunction as oracle_wavefunction
 
 # the library reads p of beta as x of -1j beta
@@ -33,11 +32,17 @@ def window_row(d, alpha, channel, delta_frac) -> Row:
     return Row(tuple(probs), tuple(fids), p_succ, f_av)
 
 
-def window_max(d, alpha, gamma, delta_frac, w):
+def geometry(d, alpha, channel, delta_frac):
+    """(window bounds, measured ring) of the scalar `window_stats` row."""
+    [(bounds, ring, *_)] = window_stats(d, alpha, channel, delta_frac)
+    return bounds, ring
+
+
+def window_max(d, alpha, channel, delta_frac, w):
     """Largest |cross integral| over window w, one window of the maximum
     that `homodyne_report` reports as `offdiag_bound`."""
-    bounds = window_geometry(d, alpha, gamma, delta_frac).bounds
-    return np.abs(_pair_integrals(_measured_ring(d, alpha, gamma), [bounds[w]], 1e-10)).max()
+    bounds, ring = geometry(d, alpha, channel, delta_frac)
+    return np.abs(_pair_integrals(ring, [bounds[w]], 1e-10)).max()
 
 
 class TestQuadraturePdf:
@@ -96,38 +101,74 @@ class TestWavefunction:
 
 
 class TestWindowGeometry:
+    """The bounds and measured ring that each `window_stats` row carries."""
+
     def test_d2_full_width_tiles_line(self):
-        ws = window_geometry(2, 1.0, np.exp(-5 / 22), 1.0)
-        assert ws.bounds[0][0] == pytest.approx(0.0)
-        assert ws.bounds[1][1] == pytest.approx(0.0)
+        bounds, _ = geometry(2, 1.0, ChannelParams(5.0), 1.0)
+        assert bounds[0][0] == pytest.approx(0.0)
+        assert bounds[1][1] == pytest.approx(0.0)
         # the failure gap between the windows is degenerate
-        assert ws.bounds[0][0] - ws.bounds[1][1] == pytest.approx(0.0)
+        assert bounds[0][0] - bounds[1][1] == pytest.approx(0.0)
 
     def test_d3_geometry(self):
         g = np.exp(-5 / 22)
-        ws = window_geometry(3, 1.0, g, 1.0)
+        bounds, _ = geometry(3, 1.0, ChannelParams(5.0), 1.0)
         c1 = np.sqrt(3) / 2 * np.sqrt(g)
-        assert ws.bounds[0] == (pytest.approx(-c1 / 2), pytest.approx(c1 / 2))
+        assert bounds[0] == (pytest.approx(-c1 / 2), pytest.approx(c1 / 2))
         # at the maximum width the failure gaps close to zero measure
-        assert ws.bounds[1][0] - ws.bounds[0][1] == pytest.approx(0.0)
-        assert ws.bounds[0][0] - ws.bounds[2][1] == pytest.approx(0.0)
+        assert bounds[1][0] - bounds[0][1] == pytest.approx(0.0)
+        assert bounds[0][0] - bounds[2][1] == pytest.approx(0.0)
 
     def test_d4_middle_states_unassigned(self):
-        ws = window_geometry(4, 1.0, 0.8, 0.5)
-        assert ws.dominant_ring == (0, 2)
-        assert len(ws.bounds) == 2  # the +-i alpha states get no window
+        ch, alpha = ChannelParams(5.0), 1.0
+        [(bounds, ring, probs, fids, *_)] = window_stats(4, alpha, ch, 0.5)
+        assert len(bounds) == 2  # the +-i alpha states get no window
+        assert np.abs(ring[[1, 3]].real).max() < 1e-15
+        # window w0 keeps the mass of ring state 0, window w1 that of state 2
+        lead = norm_constants(4, np.sqrt(1 - ch.gamma) * alpha)[0] / 16
+        means = ring.real.tolist()
+        for b, p, f, dom in zip(bounds, probs, fids, (0, 2)):
+            assert f == pytest.approx(lead * window_mass(b, means[dom]) / 4 / p, rel=1e-14)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_rows_match_definitions(self, d):
+        # the windows as `homodyne_windows` writes them, and the ring as read on x
+        ch = ChannelParams(7.0)
+        alphas = np.linspace(0.05, 4.0, 9)
+        for alpha, (bounds, ring, *_) in zip(alphas, window_stats(d, alphas, ch, 0.35)):
+            sa = np.sqrt(ch.gamma) * alpha
+            want = homodyne_windows(d, sa, 0.35)
+            assert len(bounds) == len(want)
+            for got, ref in zip(bounds, want):
+                assert got == (pytest.approx(ref[0], rel=1e-14), pytest.approx(ref[1], rel=1e-14))
+            turn = -1j if d == 3 else 1  # p of beta is x of -1j beta
+            assert np.allclose(ring, turn * sa * np.exp(2j * np.pi * np.arange(d) / d),
+                               rtol=1e-15, atol=0)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            window_geometry(5, 1.0, 0.8, 0.5)
-        # a vanishing damped amplitude collapses every window onto the origin
-        for alpha, gamma in ((0.0, 0.8), (1.0, 0.0)):
+        ch = ChannelParams(5.0)
+        with pytest.raises(ValueError, match="d in"):
+            window_stats(5, 1.0, ch, 0.5)
+        # a vanishing damped amplitude collapses every window onto the origin;
+        # gamma underflows to 0 at 10^5 km
+        for alpha, channel in ((0.0, ch), (1.0, ChannelParams(1e5))):
             with pytest.raises(ValueError, match="alpha > 0"):
-                window_geometry(3, alpha, gamma, 0.2)
-        with pytest.raises(ValueError):
-            window_geometry(3, 1.0, 0.8, 0.0)
-        with pytest.raises(ValueError):
-            window_geometry(3, 1.0, 0.8, 1.2)
+                window_stats(3, alpha, channel, 0.2)
+        for delta_frac in (0.0, 1.2):
+            with pytest.raises(ValueError, match="delta_frac"):
+                window_stats(3, 1.0, ch, delta_frac)
+
+    def test_checks_run_in_order_over_the_whole_array(self):
+        # d, then delta_frac, then sqrt(gamma) alpha > 0, then the amplitude cap
+        ch = ChannelParams(5.0)
+        for args, match in (((5, [1.0, -1.0], 0.0), "d in"),
+                            ((3, [1.0, -1.0], 0.0), "delta_frac"),
+                            ((3, [1.0, -1.0, np.inf], 0.2), "alpha > 0"),
+                            ((3, [1.0, np.nan], 0.2), "alpha > 0"),
+                            ((3, [1.0, np.inf], 0.2), "amplitude must lie")):
+            d, alphas, delta_frac = args
+            with pytest.raises(ValueError, match=match):
+                window_stats(d, np.array(alphas), ch, delta_frac)
 
 
 class TestWindowStats:
@@ -154,8 +195,8 @@ class TestWindowStats:
         # the per-window, per-state erf loop, summed in the same order
         ch = ChannelParams(5.0)
         rep = window_row(d, 1.1, ch, 0.25)
-        means = _measured_ring(d, 1.1, ch.gamma).real.tolist()
-        bounds = window_geometry(d, 1.1, ch.gamma, 0.25).bounds
+        bounds, ring = geometry(d, 1.1, ch, 0.25)
+        means = ring.real.tolist()
         assert rep.window_probs == tuple(sum(window_mass(b, c) for c in means) / d
                                          for b in bounds)
 
@@ -219,7 +260,7 @@ class TestOffdiagWeight:
         # into the plain coherent overlap
         ch = ChannelParams(5.0)
         ring = -1j * ring_states(3, np.sqrt(ch.gamma) * 1.0)  # p read as x
-        got = window_max(3, 1.0, ch.gamma, 1.0 - 1e-12, 1)
+        got = window_max(3, 1.0, ch, 1.0 - 1e-12, 1)
         # window w1 at full width starts at half the ring's p spacing;
         # compare against the largest half-line cross integral computed directly
         best = max(abs(_cross_integrals(ring[i], ring[j],
@@ -249,7 +290,7 @@ class TestOffdiagWeight:
         # sandwich the coherences to zero) but matters when modelling the
         # post-selected state for purification.
         ch = ChannelParams(5.0)
-        val = window_max(3, 1.0, ch.gamma, 0.2, 0)
+        val = window_max(3, 1.0, ch, 0.2, 0)
         assert val == pytest.approx(0.0672762660207136, abs=1e-10)
         diag = window_mass((-0.2 * np.sqrt(3) / 4 * np.sqrt(ch.gamma),
                             0.2 * np.sqrt(3) / 4 * np.sqrt(ch.gamma)), 0.0)
@@ -260,12 +301,11 @@ class TestOffdiagWeight:
         # still find the maximum over every ordered pair
         for d, alpha in ((2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0)):
             ch = ChannelParams(5.0)
-            ws = window_geometry(d, alpha, ch.gamma, 0.2)
-            ring = _measured_ring(d, alpha, ch.gamma)
-            for w, bounds in enumerate(ws.bounds):
+            all_bounds, ring = geometry(d, alpha, ch, 0.2)
+            for w, bounds in enumerate(all_bounds):
                 direct = max(abs(_cross_integrals(ring[i], ring[j], *bounds, 1e-10))
                              for i in range(d) for j in range(d) if i != j)
-                assert window_max(d, alpha, ch.gamma, 0.2, w) == pytest.approx(direct, abs=1e-14)
+                assert window_max(d, alpha, ch, 0.2, w) == pytest.approx(direct, abs=1e-14)
 
     def test_unconverged_quadrature_raises(self):
         with pytest.raises(ArithmeticError, match="did not converge"):
@@ -296,11 +336,10 @@ class TestCrossIntegralOracle:
     def test_matches_mpmath(self, d, alpha):
         # the reference reads the qutrit ring on p directly, unturned
         ch = ChannelParams(5.0)
-        ws = window_geometry(d, alpha, ch.gamma, 0.2)
+        all_bounds, measured = geometry(d, alpha, ch, 0.2)
         ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
-        measured = _measured_ring(d, alpha, ch.gamma)
         quadrature = "p" if d == 3 else "x"
-        for bounds in ws.bounds:
+        for bounds in all_bounds:
             for i in range(d):
                 for j in range(i + 1, d):
                     got = _cross_integrals(measured[i], measured[j], *bounds, 1e-10)
@@ -354,12 +393,12 @@ class TestBatchedCrossIntegrals:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_every_window_pair_matches_quad(self, d, alpha, wavefunction_calls):
         ch = ChannelParams(5.0)
-        ws = window_geometry(d, alpha, ch.gamma, 0.2)
+        all_bounds, measured = geometry(d, alpha, ch, 0.2)
         ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
-        got = _pair_integrals(_measured_ring(d, alpha, ch.gamma), ws.bounds, 1e-10)
-        assert got.shape == (len(ws.bounds), d * (d - 1) // 2)
+        got = _pair_integrals(measured, all_bounds, 1e-10)
+        assert got.shape == (len(all_bounds), d * (d - 1) // 2)
         quadrature = "p" if d == 3 else "x"  # the unturned ring, read directly
-        for w, bounds in enumerate(ws.bounds):
+        for w, bounds in enumerate(all_bounds):
             for p, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
                 ref = _quad_cross_integral(ring[i], ring[j], quadrature, bounds)
                 assert abs(got[w, p] - ref) < 1e-12
@@ -386,9 +425,8 @@ class TestBatchedCrossIntegrals:
     @pytest.mark.parametrize("d, alpha", [(2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0), (4, 5.0)])
     def test_offdiag_weight_is_batched_window_max(self, d, alpha):
         ch = ChannelParams(5.0)
-        ws = window_geometry(d, alpha, ch.gamma, 0.3)
-        ring = _measured_ring(d, alpha, ch.gamma)
-        batch = np.abs(_pair_integrals(ring, ws.bounds, 1e-10))
+        bounds, ring = geometry(d, alpha, ch, 0.3)
+        batch = np.abs(_pair_integrals(ring, bounds, 1e-10))
         assert homodyne_report(d, alpha, ch, 0.3).offdiag_bound == batch.max()
 
     def test_bound_matches_per_integral_loop(self):
@@ -404,9 +442,8 @@ class TestBatchedCrossIntegrals:
 
     def test_bound_at_or_below_tolerance_reads_zero(self):
         d, alpha, ch, delta_frac = 4, 26.99, ChannelParams(2.144), 0.6703
-        ws = window_geometry(d, alpha, ch.gamma, delta_frac)
-        ring = _measured_ring(d, alpha, ch.gamma)
-        noise = np.abs(_pair_integrals(ring, ws.bounds, 1e-10)).max()
+        bounds, ring = geometry(d, alpha, ch, delta_frac)
+        noise = np.abs(_pair_integrals(ring, bounds, 1e-10)).max()
         assert 0.0 < noise <= 1e-10
         assert homodyne_report(d, alpha, ch, delta_frac).offdiag_bound == 0.0
 

@@ -95,13 +95,16 @@ class TestZAttempts:
             assert math.isfinite(z_attempts(1023, p))
 
     def test_series_work_is_one_chunk(self):
-        # the series runs only where lam is large: (42 + ln S) / lam terms fit
-        # the first 4096-term chunk, for every n up to 63
-        for n in range(3, 64):
+        # the series runs only where lam is large: its one pass of (42 + ln S) / lam
+        # terms is longest at the switch point and grows with n, to 2,768 terms at
+        # n = 1023 (bisection over every n = 3..1023 gives no larger count)
+        terms = {}
+        for n in [*range(3, 64), 64, 100, 127, 128, 255, 256, 383, 511, 512, 767, 1000, 1022, 1023]:
             p = SWITCH_P[n] if n in SWITCH_P else switch_point(n)
             lam = -math.log1p(-math.nextafter(p, 1.0))
-            assert (42 + n * math.log(2)) / lam <= 4096, n
+            terms[n] = math.ceil((42 + n * math.log(2)) / lam)
             assert not takes_series(n, p) and takes_series(n, math.nextafter(p, 1.0))
+        assert max(terms.values()) == terms[1023] == 2768
         for n in range(3):
             assert not any(takes_series(n, float(p)) for p in np.logspace(-300, -1e-9, 50))
 
@@ -335,6 +338,14 @@ class TestMonteCarlo:
             kwargs = {"n": 1, "p0": 0.5, "trials": 10, "seed": 0, **bad}
             with pytest.raises(ValueError):
                 monte_carlo_waiting(**kwargs)
+
+    @pytest.mark.parametrize("name", ["n", "trials", "seed"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_counts_name_the_argument(self, name, value):
+        # int(inf) raised OverflowError and int(nan) a ValueError naming no argument
+        kwargs = {"n": 1, "p0": 0.5, "trials": 10, "seed": 0, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer >= "):
+            monte_carlo_waiting(**kwargs)
 
     @pytest.mark.parametrize("round_probs", [(), (0.5,)])
     def test_vanishing_p0(self, round_probs):

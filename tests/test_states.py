@@ -218,14 +218,18 @@ class TestNegativityScan:
         assert negativity_scan(6, 10.0, alphas) == whole
 
     def test_chunk_holds_at_least_one_point(self, monkeypatch):
-        # a budget below d^3 still takes one point per batch; the batched
-        # eigvalsh may then round the last bit differently
+        # a budget below d^3 still takes one point per batch, and every point's
+        # value is the same bit for bit: the batched eigvalsh is, and each
+        # point's d^2 terms are summed as one row (a sum over the (points, d, d)
+        # axes (1, 2) rounded by batch shape, up to 2.2e-16 at d = 4..7)
         alphas = np.linspace(0.0, 3.0, 5)
-        whole = np.array(negativity_scan(4, 10.0, alphas))
-        monkeypatch.setattr(states, "SCAN_CHUNK_FLOATS", 1)
-        single = np.array(negativity_scan(4, 10.0, alphas))
-        assert np.array_equal(single[:, 0], alphas)
-        assert np.abs(single - whole).max() <= 1e-15
+        for d in (2, 3, 4, 7, 16):
+            monkeypatch.setattr(states, "SCAN_CHUNK_FLOATS", 5 * d ** 3)
+            whole = np.array(negativity_scan(d, 10.0, alphas))
+            monkeypatch.setattr(states, "SCAN_CHUNK_FLOATS", 1)
+            single = np.array(negativity_scan(d, 10.0, alphas))
+            assert np.array_equal(single[:, 0], alphas)
+            assert np.array_equal(single, whole), d
 
     def test_largest_d_scans_and_next_is_refused_at_once(self):
         d = states.SCAN_MAX_D
