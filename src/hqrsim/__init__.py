@@ -1,7 +1,7 @@
 """Qudit hybrid quantum repeater analysis toolkit."""
 
 from .coherent import NEGLIGIBLE_NORM, norm_constants, ring_states
-from .detection import DetectionReport, homodyne_report, quadrature_wavefunction, usd_bound
+from .detection import DetectionReport, homodyne_report, usd_bound
 from .logic import purify_step
 from .numerics import DensityMatrix
 from .rates import (RateResult, RepeaterConfig, effective_probability,

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .coherent import RING_MAX_D, WEIGHT_MODELS, norm_constants
-from .detection import HOMODYNE_DIMS, QUADRATURE_TOL, homodyne_report, usd_bound
+from .detection import HOMODYNE_DIMS, homodyne_report, usd_bound
 from .rates import (FIBER_SPEED_KM_S, SCHEMES, RepeaterConfig, monte_carlo_waiting, predict,
                     purification_chain, reproduce_table, z_attempts)
 from .states import (L_ATT_KM, SCAN_MAX_D, ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL,
@@ -52,7 +52,6 @@ ALPHA_RANGE_MAX_COUNT = 10 ** 5
 class Settings:
     l_att_km: float = L_ATT_KM
     fiber_speed_km_s: float = FIBER_SPEED_KM_S
-    quadrature_tol: float = QUADRATURE_TOL
 
 
 CONFIG_KEYS = tuple(f.name for f in fields(Settings))
@@ -93,9 +92,6 @@ def load_config(path: str) -> dict:
             overrides[key] = float(value)
         except ValueError:
             raise UsageError(f"{path}:{lineno}: invalid number {value!r}") from None
-        # NaN fails both comparisons, so it is rejected with inf
-        if key == "quadrature_tol" and not 0.0 < overrides[key] < np.inf:
-            raise UsageError(f"{path}:{lineno}: quadrature_tol must be finite and > 0")
     return overrides
 
 
@@ -180,8 +176,7 @@ def _negativity_scan(p, s):
 
 
 def _homodyne(p, s):
-    rep = homodyne_report(p["d"], p["alpha"], ChannelParams(p["L0"], s.l_att_km),
-                          p["delta_frac"], quadrature_tol=s.quadrature_tol)
+    rep = homodyne_report(p["d"], p["alpha"], ChannelParams(p["L0"], s.l_att_km), p["delta_frac"])
     rows = [["p_w%d" % i, v] for i, v in enumerate(rep.window_probs)]
     rows += [["F_w%d" % i, v] for i, v in enumerate(rep.window_fidelities)]
     rows += [["P_succ", rep.p_succ], ["F_av", rep.f_av], ["offdiag_bound", rep.offdiag_bound]]
@@ -365,7 +360,7 @@ def main(argv=None) -> int:
     if status != 0:
         sys.stderr.write(text)
         return status
-    if spec.out:
+    if spec.out is not None:
         try:
             _write_atomic(spec.out, text)
         except OSError as exc:  # no such directory, a directory, no permission

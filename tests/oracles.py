@@ -26,12 +26,18 @@ from typing import NamedTuple
 import numpy as np
 
 from hqrsim.coherent import basis_amplitudes, ring_states
-from hqrsim.detection import GL_FIRST_ORDER, GL_MAX_ORDER, GL_MAX_PANELS, window_stats
+from hqrsim.detection import window_stats
 from hqrsim import rates
 from hqrsim.numerics import DensityMatrix, _as_square_complex
 from hqrsim.rates import (RepeaterConfig, initial_segment_state, monte_carlo_waiting,
                           purification_chain)
 from hqrsim.states import ChannelParams, PhaseMixtureWeights, loss_weights
+
+# Gauss-Legendre orders of `window_cross_integral_loop` (n and 2n from the
+# first up to the cap) and its panel count cap
+GL_FIRST_ORDER = 64
+GL_MAX_ORDER = 512
+GL_MAX_PANELS = 64
 
 
 def overlap(a: complex, b: complex) -> complex:
@@ -380,10 +386,12 @@ def window_mass(bounds: tuple[float, float], center: float) -> float:
 
 def window_cross_integral_loop(beta_i: complex, beta_j: complex, quadrature: str,
                                bounds: tuple[float, float], tol: float) -> complex:
-    """One window cross integral on its own: the per-integral loop that the
-    batched `detection._cross_integrals` replaced, with the same rule
-    (clip at 8 + |means|, panels of k * width <= 64, orders n and 2n from
-    GL_FIRST_ORDER until they agree within `tol`)."""
+    """One window cross integral by adaptive composite Gauss-Legendre sums
+    over the oracle's wavefunctions, independent of the closed form in
+    `detection._pair_integrals`: clip at 8 + |means| (beyond it the integrand
+    is below 1e-25), panels of k * width <= 64 for an integrand oscillating
+    as exp(i k x), orders n and 2n from GL_FIRST_ORDER until they agree
+    within `tol`."""
     cut = 8.0 + max(abs(quadrature_mean(beta_i, quadrature)),
                     abs(quadrature_mean(beta_j, quadrature)))
     lo, hi = max(bounds[0], -cut), min(bounds[1], cut)

