@@ -22,6 +22,7 @@ Exit status: 0 success, 1 numerical failure, 2 malformed input (also a
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
@@ -337,6 +338,8 @@ def run(spec: RunSpec) -> tuple[int, str]:
 
 
 def _write_atomic(path: str, text: str):
+    if not path:  # else the temp file lands in dirname(abspath("")), the parent of the cwd
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hqrsim-", suffix=".tmp")
     try:

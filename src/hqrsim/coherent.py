@@ -52,9 +52,12 @@ def ring_amplitudes(d: int, amplitudes) -> np.ndarray:
 
 def ring_states(d: int, amplitude) -> np.ndarray:
     """Complex amplitudes alpha e^{2 pi i k / d} of the d ring states:
-    shape amplitude.shape + (d,)."""
+    shape amplitude.shape + (d,); the quarter turns (4k/d an integer) are
+    exactly 1, i, -1 and -i, so no x- or p-mean is rounding noise for 0."""
     a = ring_amplitudes(d, amplitude)
-    return a[..., None] * np.exp(2j * np.pi * np.arange(d) / d)
+    k = np.arange(d)
+    quarter = np.array([1, 1j, -1, -1j])[4 * k // d % 4]
+    return a[..., None] * np.where(4 * k % d == 0, quarter, np.exp(2j * np.pi * k / d))
 
 
 def norm_constants(d: int, amplitudes, model: str = "gram") -> np.ndarray:

@@ -5,7 +5,8 @@ variance 1/4, fixed by the quadrature density sqrt(2/pi) exp(-2 (q - c)^2)
 with c = Re(beta) for x and Im(beta) for p.
 
 Windowed homodyne discrimination is supported for d in {2, 3, 4}; the
-one window pass, `window_stats`, owns the geometry:
+one window pass, `window_stats`, owns the geometry and reads the leading
+mixture weight of every amplitude from one `states.loss_weights` call:
 
   d=2: x-quadrature, two half-line windows around +-sqrt(gamma) alpha.
   d=3: p-quadrature, symmetric interval around 0 plus two half-lines.
@@ -30,7 +31,7 @@ from functools import cache
 import numpy as np
 
 from .coherent import norm_constants, ring_amplitudes, ring_states
-from .states import ChannelParams, _loss_probabilities
+from .states import ChannelParams, loss_weights
 
 __all__ = [
     "DetectionReport",
@@ -101,7 +102,7 @@ def window_stats(d: int, alphas, channel: ChannelParams, delta_frac: float) -> l
     sa = math.sqrt(channel.gamma) * alphas
     if not (sa > 0.0).all():
         raise ValueError("homodyne windows need sqrt(gamma) * alpha > 0")
-    leads = _loss_probabilities(d, alphas, channel, "gram")[..., 0]  # names a bad alpha undamped
+    leads = loss_weights(d, alphas, channel, "gram").p[..., 0]  # names a bad alpha undamped
     rings = ring_states(d, sa)
     rings = (-1j * rings if d == 3 else rings).reshape(-1, d)  # p of beta is x of -1j beta
     dominant = (0, 1, 2) if d == 3 else (0, d // 2)

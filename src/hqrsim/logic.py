@@ -24,7 +24,7 @@ def purify_step(w: PhaseMixtureWeights) -> tuple[float, PhaseMixtureWeights]:
 
     Success probability sum_j p_j^2; surviving weights p_j^2 / sum p_j^2.
     The leading weight strictly increases whenever 1/d < p_0 < 1 and
-    every other p_i < p_0.
+    every other p_i < p_0.  w must hold one weight vector.
     """
-    success = float(np.sum(w.p ** 2))
+    success = np.sum(w.p ** 2, axis=-1).item()  # ValueError for more than one vector
     return success, PhaseMixtureWeights(w.d, w.p ** 2 / success)

@@ -11,7 +11,9 @@ states and is represented in the orthonormal superposition basis, so no
 Fock-space truncation is involved anywhere.  `negativity_scan` works in the
 Z_d symmetry blocks of the matter-light state, for many amplitudes at once;
 the full d^2 x d^2 density matrix is built only by the test oracle
-`matter_light_mixture` in `tests/oracles.py`.
+`matter_light_mixture` in `tests/oracles.py`.  `loss_weights` and its
+`PhaseMixtureWeights` hold one amplitude's weights or many, shape (..., d):
+the rate chain, the scan and the homodyne window pass share them.
 
 Two weight models are available for the d=3 mixture (the `model` of
 `coherent.norm_constants`): "closed-form" keeps the benchmark tables
@@ -74,48 +76,37 @@ class ChannelParams:
 
 
 class PhaseMixtureWeights:
-    """Probability vector over the d phase-Bell mixture components."""
+    """Probability vectors p[..., :] over the d phase-Bell mixture components:
+    each weight >= -1e-12 and each sum within WEIGHT_SUM_TOL of 1 (NaN and
+    +-inf fail), or a ValueError names the first bad vector; then clipped at 0."""
 
     def __init__(self, d: int, p):
         p = np.asarray(p, dtype=float)
-        if p.shape != (d,):
+        if p.shape[-1:] != (d,):
             raise ValueError(f"expected {d} weights, got shape {p.shape}")
+        good = (p.min(axis=-1) >= -1e-12) & (abs(p.sum(axis=-1) - 1.0) <= WEIGHT_SUM_TOL)
+        if not good.all():
+            raise ValueError(f"weights {p[~good][0]} must be nonnegative and sum to 1")
         self.d = d
-        self.p = _checked_weights(p)
+        self.p = np.clip(p, 0.0, None)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"PhaseMixtureWeights(d={self.d}, p={np.array2string(self.p, precision=6)})"
 
 
-def _checked_weights(p: np.ndarray) -> np.ndarray:
-    """PhaseMixtureWeights' conditions on every weight vector p[..., :].
-
-    Returns p clipped at zero; raises ValueError naming the first bad vector.
-    """
-    for bad, msg in ((~np.isfinite(p).all(axis=-1), "weights must be finite, got {}"),
-                     (p.min(axis=-1) < -1e-12, "negative weight in {}"),
-                     (abs(p.sum(axis=-1) - 1.0) > WEIGHT_SUM_TOL, "weights {} do not sum to 1")):
-        if bad.any():
-            raise ValueError(msg.format(p[bad][0]))
-    return np.clip(p, 0.0, None)
-
-
-def _loss_probabilities(d: int, alphas, channel: ChannelParams, model: str) -> np.ndarray:
-    """Unchecked weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2, shape alphas.shape + (d,)."""
-    # checked before damping, which maps a negative amplitude to -0.0 when gamma = 1
-    a_loss = math.sqrt(max(1.0 - channel.gamma, 0.0)) * ring_amplitudes(d, alphas)
-    return norm_constants(d, a_loss, model) / d ** 2
-
-
-def loss_weights(d: int, alpha: float, channel: ChannelParams,
+def loss_weights(d: int, alpha, channel: ChannelParams,
                  model: str = "closed-form") -> PhaseMixtureWeights:
-    """Mixture weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2 after the loss trace.
+    """Mixture weights N_{v_m}(sqrt(1-gamma)*alpha) / d^2 after the loss trace,
+    for a float alpha (p of shape (d,)) or an amplitude array (p of shape
+    alpha.shape + (d,)).
 
     The inverse interaction is unitary on matter (x) light, so these are
     also the matter-matter weights: component m pairs the Bell state with
     phase index (d - m) mod d and shift index j with ring state j.
     """
-    return PhaseMixtureWeights(d, _loss_probabilities(d, alpha, channel, model))
+    # checked before damping, which maps a negative amplitude to -0.0 when gamma = 1
+    a_loss = math.sqrt(max(1.0 - channel.gamma, 0.0)) * ring_amplitudes(d, alpha)
+    return PhaseMixtureWeights(d, norm_constants(d, a_loss, model) / d ** 2)
 
 
 def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
@@ -157,7 +148,7 @@ def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
 
 def _block_negativities(d: int, a: np.ndarray, ch: ChannelParams, model: str) -> np.ndarray:
     """Negativity at every amplitude of a, from one batched eigvalsh of all P_k blocks."""
-    w = _checked_weights(_loss_probabilities(d, a, ch, model))
+    w = loss_weights(d, a, ch, model).p
     c = basis_amplitudes(d, np.sqrt(ch.gamma) * a)
     tr = w.sum(axis=1) * (c * c).sum(axis=1)  # trace of (+)_m w_m c c^T
     bad = tr[abs(tr - 1.0) > TRACE_TOL]

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import hqrsim.cli as cli
 from hqrsim.cli import (ALPHA_RANGE_MAX_COUNT, UsageError, _build_parser, load_config, main,
                         parse, run)
 from hqrsim.coherent import AMPLITUDE_MAX, RING_MAX_D
@@ -530,8 +531,8 @@ class TestMainProcess:
                       "out-no-directory": ("--out", tmp_path / "missing" / "x.csv"),
                       "out-is-directory": ("--out", tmp_path / "existing"),
                       "out-empty": ("--out", "")}[case]
-        # run in a subdirectory: for an empty path the temporary file goes to
-        # the parent of the working directory, tmp_path
+        # run in a subdirectory: a temporary file for an empty path would land
+        # in the parent of the working directory, tmp_path
         cp = run_cli(flag, str(path), "usd", "--d", "3", "--L0", "20", "--alpha", "0.5",
                      cwd=tmp_path / "existing")
         assert cp.returncode == 2
@@ -540,3 +541,13 @@ class TestMainProcess:
         assert str(path) in cp.stderr
         assert cp.stderr.count("\n") == 1 and "Traceback" not in cp.stderr
         assert not list(tmp_path.rglob(".hqrsim-*"))
+
+    def test_empty_out_makes_no_file(self, monkeypatch, capsys):
+        # the temporary file of --out "" went to the parent of the working directory
+        def refuse(*args, **kwargs):
+            raise AssertionError("mkstemp called for an empty --out")
+        monkeypatch.setattr(cli.tempfile, "mkstemp", refuse)
+        assert main(["--out", "", "usd", "--d", "3", "--L0", "20", "--alpha", "0.5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "hqrsim: error: --out: cannot write : No such file or directory\n"

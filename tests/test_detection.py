@@ -466,20 +466,35 @@ class TestLargeAmplitude:
     """The d = 4 +-i alpha pair at full width, where the Gauss-Legendre
     bound this closed form replaced did not converge."""
 
+    @staticmethod
+    def pair_closed_form(alpha):
+        """The +-i alpha pair over the half-line x >= 0: 1 / (2 sqrt(2 pi) alpha)."""
+        return 1.0 / (2.0 * math.sqrt(2.0 * math.pi) * alpha)
+
     @pytest.mark.parametrize("alpha, want", [(2e3, 9.97356e-05), (1e5, 1.99471e-06),
-                                             (2.16e8, 9.23478e-10), (2.5e16, 5.30632e-28)])
+                                             (2.16e8, 9.23478e-10), (2.5e16, 7.97885e-18)])
     def test_largest_pair_integral_matches_mpmath(self, alpha, want):
         bounds, ring = geometry(4, alpha, ChannelParams(0.0), 1.0)
         got = np.abs(_pair_integrals(ring, bounds)).max()
-        assert got == pytest.approx(_mp_pair_max(ring, bounds), rel=1e-6)
-        assert float(f"{got:.6g}") == want
+        assert got == pytest.approx(_mp_pair_max(ring, bounds), rel=1e-6, abs=0.0)
+        assert float(f"{got:.6g}") == float(f"{self.pair_closed_form(alpha):.6g}") == want
 
     def test_bound_below_floor_reads_zero(self):
-        # Gauss-Legendre noise read 1.03334e-10 here; mpmath gives 4.71911e-28
+        # Gauss-Legendre noise read 1.03334e-10 here
         alpha, ch = 2.5061179977470604e16, ChannelParams(0.0)
         bounds, ring = geometry(4, alpha, ch, 1.0)
-        assert _mp_pair_max(ring, bounds) == pytest.approx(4.71911e-28, rel=1e-6)
+        assert _mp_pair_max(ring, bounds) == pytest.approx(self.pair_closed_form(alpha),
+                                                           rel=1e-6, abs=0.0)
         assert homodyne_report(4, alpha, ch, 1.0).offdiag_bound == 0.0
+
+    def test_quarter_turns_split_the_windows_evenly(self):
+        # with e^{i pi/2} from np.exp the +-i alpha states sat at x = 6.1e-17 alpha
+        # and -1.8e-16 alpha, and the windows read 0.472441 / 0.527559, F_w0 0.529166
+        alpha, ch = 1e16, ChannelParams(0.0)
+        _, ring = geometry(4, alpha, ch, 1.0)
+        assert ring.real[1] == ring.real[3] == 0.0
+        rep = homodyne_report(4, alpha, ch, 1.0)
+        assert rep.window_probs == rep.window_fidelities == (0.5, 0.5)
 
     @settings(max_examples=300, deadline=None)
     @given(d=st.sampled_from([2, 3, 4]),

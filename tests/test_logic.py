@@ -155,6 +155,11 @@ class TestPurification:
         assert succ == 1.0
         assert np.allclose(out.p, [1, 0, 0])
 
+    def test_one_vector_only(self):
+        # a sum over the whole (2, d) array would mix both vectors into one success probability
+        with pytest.raises(ValueError):
+            purify_step(PhaseMixtureWeights(3, [[0.8, 0.1, 0.1], [1.0, 0.0, 0.0]]))
+
     def test_uniform_fixed_point(self):
         for d in (2, 3, 5):
             w = PhaseMixtureWeights(d, np.full(d, 1 / d))

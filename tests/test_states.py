@@ -34,6 +34,27 @@ class TestPhaseMixtureWeights:
         w = PhaseMixtureWeights(2, [0.25, 0.75])
         assert w.p.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0],
+                                     [1.0 + 2e-12, -2e-12, 0.0], [0.5, 0.25, 0.25 + 2e-10],
+                                     [0.5, 0.25, 0.25 - 2e-10]])
+    def test_rejects_bad_vector_of_many(self, bad):
+        p = np.array([[0.2, 0.3, 0.5], [1.0, 0.0, 0.0], bad, [0.5, 0.25, 0.25]])
+        with pytest.raises(ValueError, match="must be nonnegative and sum to 1") as exc:
+            PhaseMixtureWeights(3, p)
+        assert str(p[2]) in str(exc.value)
+
+    def test_accepts_many_vectors_and_clips(self):
+        p = np.array([[[0.2, 0.3, 0.5], [1.0 + 1e-13, -1e-13, 0.0]]])
+        w = PhaseMixtureWeights(3, p)
+        assert w.p.shape == (1, 2, 3)
+        assert w.p[0, 1, 1] == 0.0
+        assert np.array_equal(w.p[0, 0], p[0, 0])
+
+    @pytest.mark.parametrize("shape", [(), (2,), (3, 2)])
+    def test_rejects_wrong_last_axis(self, shape):
+        with pytest.raises(ValueError, match="expected 3 weights"):
+            PhaseMixtureWeights(3, np.full(shape, 0.5))
+
 
 class TestMatterLightPure:
     def test_d2_expansion(self):
@@ -139,6 +160,16 @@ class TestMatterMatterComponents:
         ch = ChannelParams(L0)
         _, w_light = matter_light_mixture(d, alpha, ch)
         assert np.allclose(w_light.p, loss_weights(d, alpha, ch).p, atol=1e-14)
+
+    @pytest.mark.parametrize("model", ["closed-form", "gram"])
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_loss_weights_over_amplitudes(self, d, model):
+        ch = ChannelParams(12.0)
+        alphas = np.array([[0.0, 0.3, 1.1], [2.0, 4.5, 40.0]])
+        w = loss_weights(d, alphas, ch, model)
+        assert w.p.shape == (2, 3, d)
+        for idx in np.ndindex(alphas.shape):
+            assert np.array_equal(w.p[idx], loss_weights(d, float(alphas[idx]), ch, model).p)
 
     def test_loss_weights_model_switch(self):
         ch = ChannelParams(5.0)
@@ -259,12 +290,12 @@ class TestNegativityScan:
             negativity_scan(3, 5.0, [0.5, 1.0])
 
     def test_keeps_weight_conditions(self, monkeypatch):
-        real = states._loss_probabilities
+        real = states.norm_constants
 
         def shifted(*args):
-            p = real(*args)
-            p[..., 0] += 1e-6
-            return p
-        monkeypatch.setattr(states, "_loss_probabilities", shifted)
+            n = real(*args)
+            n[..., 0] += 1e-6 * n.shape[-1] ** 2  # weight 0 moves by 1e-6
+            return n
+        monkeypatch.setattr(states, "norm_constants", shifted)
         with pytest.raises(ValueError, match="sum to 1"):
             negativity_scan(3, 5.0, [0.5, 1.0])
