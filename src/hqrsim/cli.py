@@ -38,9 +38,10 @@ import numpy as np
 from .coherent import RING_MAX_D, WEIGHT_MODELS, norm_constants
 from .detection import HOMODYNE_DIMS, homodyne_report, usd_bound
 from .rates import (FIBER_SPEED_KM_S, SCHEMES, RepeaterConfig, monte_carlo_waiting, predict,
-                    purification_chain, reproduce_table, z_attempts)
+                    purification_chain, z_attempts)
 from .states import (L_ATT_KM, SCAN_MAX_D, ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL,
                      loss_weights, negativity_scan)
+from .tables import reproduce_table
 
 __all__ = ["Settings", "RunSpec", "load_config", "parse", "run", "main"]
 
@@ -120,7 +121,7 @@ def _numbers(text: str):
 
 def _weights(text: str):
     w = _numbers(text)
-    if any(x < 0 for x in w) or abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
+    if any(not x >= 0 for x in w) or abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
         raise argparse.ArgumentTypeError("must be nonnegative and sum to 1")
     return w
 

@@ -2,7 +2,7 @@
 
 Every chain starts from one segment state, `initial_segment_state`: P0 and
 the phase-Bell weights from the USD bound and the loss mixture, or from one
-`detection.window_stats` row.  `predict` and the benchmark tables both read it.
+`detection.window_stats` row.  `predict` and `tables.reproduce_table` both read it.
 
 A span of 2^n elementary segments is filled by repeated heralded attempts
 (per-segment success probability P); the expected number of attempt rounds
@@ -39,7 +39,6 @@ import numpy as np
 from .detection import usd_bound, window_stats
 from .logic import purify_step
 from .states import L_ATT_KM, ChannelParams, PhaseMixtureWeights, loss_weights
-from .tables import CellComparison, ROUNDS, TABLES, grade_cell
 
 __all__ = [
     "FIBER_SPEED_KM_S",
@@ -50,9 +49,9 @@ __all__ = [
     "effective_probability",
     "initial_segment_state",
     "purification_chain",
+    "span_model",
     "predict",
     "monte_carlo_waiting",
-    "reproduce_table",
 ]
 
 FIBER_SPEED_KM_S = 2.0e5
@@ -231,7 +230,7 @@ def _doublings(L0_km: float, span_km: float) -> int:
     return round(math.log2(span_km / L0_km))  # span = 2^n L0
 
 
-def _span_model(chain, L0_km: float, span_km: float, speed: float = FIBER_SPEED_KM_S) -> list:
+def span_model(chain, L0_km: float, span_km: float, speed: float = FIBER_SPEED_KM_S) -> list:
     """(Z, rate, fidelity bound) of every round of `chain` over 2^n segments:
     Z = z_attempts(n, Q), rate = 1 / (T0 Z) with T0 = 2 L0 / c, bound F^(2^n)."""
     n = _doublings(L0_km, span_km)
@@ -245,8 +244,8 @@ def predict(config: RepeaterConfig) -> RateResult:
     if p0 <= 0:
         raise ArithmeticError("generation probability is zero for this configuration")
     stats = purification_chain(p0, weights, config.purification_rounds)
-    [(z, rate, bound)] = _span_model(stats[-1:], config.L0_km, config.span_km,
-                                     config.fiber_speed_km_s)
+    [(z, rate, bound)] = span_model(stats[-1:], config.L0_km, config.span_km,
+                                    config.fiber_speed_km_s)
     return RateResult(rounds=tuple(stats), z=z, rate_hz=rate, final_fidelity_bound=bound)
 
 
@@ -341,45 +340,3 @@ def _geometric(rng, p: float, out: np.ndarray) -> np.ndarray:
     np.divide(np.log1p(np.negative(rng.random(out=out), out=out), out=out), log_q, out=out)
     return np.maximum(np.ceil(out, out=out), 1.0, out=out)
 
-
-# --- benchmark-table reproduction -------------------------------------------
-
-def _homodyne_table_alpha(L0_km: float, target_f0: float) -> float:
-    """The first alpha of 41 in [0.9, 1.1] whose effective-state fidelity F_av
-    at delta_frac = 0.001 is nearest the printed initial fidelity.
-
-    The printed homodyne operating points correspond to the narrow-window
-    limit (they are reproduced at delta_frac -> 0, not at 0.2).
-    """
-    alphas = np.linspace(0.9, 1.1, 41)
-    f_av = [stats[-1] for stats in window_stats(3, alphas, ChannelParams(L0_km), 0.001)]
-    return min(zip(f_av, alphas.tolist()), key=lambda fa: abs(fa[0] - target_f0))[1]
-
-
-def reproduce_table(table_id: str) -> list[CellComparison]:
-    """Recompute one benchmark table cell by cell and grade the agreement."""
-    if table_id not in TABLES:
-        raise ValueError(f"unknown table {table_id!r}; choose from {sorted(TABLES)}")
-    spec = TABLES[table_id]
-    L0 = spec["L0_km"]
-    alpha = (spec["alpha"] if spec["scheme"] == "usd"
-             else _homodyne_table_alpha(L0, spec["initial_fidelity"][0]))
-    p0, weights = initial_segment_state(RepeaterConfig(d=3, L0_km=L0, span_km=L0, alpha=alpha,
-                                                       scheme=spec["scheme"], delta_frac=0.001))
-    chain = purification_chain(p0, weights, spec["rounds"] - 1)
-    # (Z, rate, bound) per round, once per span of either section
-    spans = {span: _span_model(chain, L0, span)
-             for span in spec["rate_hz"].keys() | spec["fidelity"].keys()}
-
-    # (section, span, printed row, computed row); a row has one value per round
-    sections = [("initial_fidelity", None, spec["initial_fidelity"],
-                 [st.fidelity for st in chain]),
-                ("effective_probability", None, spec["effective_probability"],
-                 [st.effective_probability for st in chain])]
-    sections += [(section, span, row, [cell[column] for cell in spans[span]])
-                 for column, section in ((1, "rate_hz"), (2, "fidelity"))
-                 for span, row in spec[section].items()]
-    return [CellComparison(table_id, section, span, label, printed, computed,
-                           grade_cell(table_id, section, span, label, printed, computed))
-            for section, span, row, values in sections
-            for label, printed, computed in zip(ROUNDS, row, values)]

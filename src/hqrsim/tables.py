@@ -1,8 +1,8 @@
 """Bundled benchmark tables and the cell-comparison machinery.
 
 Five rate/fidelity tables for the d=3 repeater ship with the package as
-frozen reference data; `hqrsim.rates.reproduce_table` recomputes every
-cell and grades it against these numbers.
+frozen reference data; `reproduce_table` recomputes every cell with the
+`rates` model and grades it against these numbers.
 
 Statuses:
 
@@ -23,6 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from .detection import window_stats
+from .rates import RepeaterConfig, initial_segment_state, purification_chain, span_model
+from .states import ChannelParams
+
 __all__ = [
     "TABLES",
     "TABLE_SETTINGS",
@@ -31,9 +37,11 @@ __all__ = [
     "CellComparison",
     "print_resolution",
     "grade_cell",
+    "reproduce_table",
 ]
 
 ROUNDS = ("no", "one", "two", "three")
+TABLE_DELTA_FRAC = 0.001  # delta / delta_max of every table; only homodyne ones read it
 
 # Each table: caption metadata, header rows (per purification round), and
 # the rate/fidelity grids keyed by total span in km.
@@ -227,3 +235,44 @@ def grade_cell(table: str, section: str, span, round_label: str,
         return "unresolved"
     tol = TABLE_SETTINGS[table]["rtol"] * abs(printed) + print_resolution(printed)
     return "match" if abs(computed - printed) <= tol else "unresolved"
+
+
+def _homodyne_table_alpha(L0_km: float, target_f0: float) -> float:
+    """The first alpha of 41 in [0.9, 1.1] whose effective-state fidelity F_av
+    at TABLE_DELTA_FRAC is nearest the printed initial fidelity.
+
+    The printed homodyne operating points correspond to the narrow-window
+    limit (they are reproduced at delta_frac -> 0, not at 0.2).
+    """
+    alphas = np.linspace(0.9, 1.1, 41)
+    f_av = [stats[-1] for stats in window_stats(3, alphas, ChannelParams(L0_km), TABLE_DELTA_FRAC)]
+    return min(zip(f_av, alphas.tolist()), key=lambda fa: abs(fa[0] - target_f0))[1]
+
+
+def reproduce_table(table_id: str) -> list[CellComparison]:
+    """Recompute one benchmark table cell by cell and grade the agreement."""
+    if table_id not in TABLES:
+        raise ValueError(f"unknown table {table_id!r}; choose from {sorted(TABLES)}")
+    spec = TABLES[table_id]
+    L0 = spec["L0_km"]
+    alpha = (spec["alpha"] if spec["scheme"] == "usd"
+             else _homodyne_table_alpha(L0, spec["initial_fidelity"][0]))
+    config = RepeaterConfig(d=3, L0_km=L0, span_km=L0, alpha=alpha, scheme=spec["scheme"],
+                            delta_frac=TABLE_DELTA_FRAC)
+    chain = purification_chain(*initial_segment_state(config), spec["rounds"] - 1)
+    # (Z, rate, bound) per round, once per span of either section
+    spans = {span: span_model(chain, L0, span)
+             for span in spec["rate_hz"].keys() | spec["fidelity"].keys()}
+
+    # (section, span, printed row, computed row); a row has one value per round
+    sections = [("initial_fidelity", None, spec["initial_fidelity"],
+                 [st.fidelity for st in chain]),
+                ("effective_probability", None, spec["effective_probability"],
+                 [st.effective_probability for st in chain])]
+    sections += [(section, span, row, [cell[column] for cell in spans[span]])
+                 for column, section in ((1, "rate_hz"), (2, "fidelity"))
+                 for span, row in spec[section].items()]
+    return [CellComparison(table_id, section, span, label, printed, computed,
+                           grade_cell(table_id, section, span, label, printed, computed))
+            for section, span, row, values in sections
+            for label, printed, computed in zip(ROUNDS, row, values)]

@@ -25,8 +25,9 @@ from scipy.integrate import quad
 from hqrsim.coherent import norm_constants
 from hqrsim.detection import usd_bound, window_stats
 from hqrsim.logic import purify_step
-from hqrsim.rates import monte_carlo_waiting, reproduce_table, z_attempts
+from hqrsim.rates import monte_carlo_waiting, z_attempts
 from hqrsim.states import ChannelParams, PhaseMixtureWeights, negativity_scan
+from hqrsim.tables import reproduce_table
 from oracles import (bell_state, cshift_decomposition_check, gates, overlap,
                      phase_bell_state, purify_circuit_sim, quadrature_wavefunction,
                      swap_phase_mixture)

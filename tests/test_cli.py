@@ -75,6 +75,9 @@ class TestParse:
             parse(["purify", "--weights", "0.5,0.4"])
         with pytest.raises(UsageError, match="--weights"):
             parse(["purify", "--weights", "0.5,0.5000000005"])
+        for text in ("nan,1", "1,nan"):  # the parser's usage error, not the library's
+            with pytest.raises(UsageError, match="--weights: must be nonnegative"):
+                parse(["purify", "--weights", text])
 
     def test_round_p_default_is_not_shared(self):
         # the parser outlives each call, so a mutable default would be shared

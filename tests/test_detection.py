@@ -137,7 +137,8 @@ class TestWindowGeometry:
         lead = norm_constants(4, np.sqrt(1 - ch.gamma) * alpha)[0] / 16
         means = ring.real.tolist()
         for b, p, f, dom in zip(bounds, probs, fids, (0, 2)):
-            assert f == pytest.approx(lead * window_mass(b, means[dom]) / 4 / p, rel=1e-14)
+            assert f == pytest.approx(lead * window_mass(b, means[dom]) / 4 / p, rel=1e-14,
+                                      abs=0.0)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_rows_match_definitions(self, d):
@@ -149,7 +150,8 @@ class TestWindowGeometry:
             want = homodyne_windows(d, sa, 0.35)
             assert len(bounds) == len(want)
             for got, ref in zip(bounds, want):
-                assert got == (pytest.approx(ref[0], rel=1e-14), pytest.approx(ref[1], rel=1e-14))
+                assert got == (pytest.approx(ref[0], rel=1e-14, abs=0.0),
+                               pytest.approx(ref[1], rel=1e-14, abs=0.0))
             turn = -1j if d == 3 else 1  # p of beta is x of -1j beta
             assert np.allclose(ring, turn * sa * np.exp(2j * np.pi * np.arange(d) / d),
                                rtol=1e-15, atol=0)

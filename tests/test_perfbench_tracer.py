@@ -45,7 +45,8 @@ def tracer(monkeypatch):
 
 
 @pytest.mark.parametrize("case, span", [("negativity_scan", "states.negativity_scan"),
-                                        ("homodyne", "detection.homodyne_report")])
+                                        ("homodyne", "detection.homodyne_report"),
+                                        ("table_I", "tables.reproduce_table")])
 def test_traced_cli_matches_golden_and_counts_library_span(tracer, capsys, case, span):
     assert cli.main(CASES[case].split()) == 0
     got = cells(case, capsys.readouterr().out)

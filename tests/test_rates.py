@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 from hqrsim import rates
 from hqrsim.rates import (MAX_PURIFICATION_ROUNDS, MC_MIN_P0, RepeaterConfig,
                           effective_probability, initial_segment_state, monte_carlo_waiting,
-                          predict, purification_chain, reproduce_table, z_attempts)
-from hqrsim import detection
+                          predict, purification_chain, z_attempts)
+from hqrsim import detection, tables
 from hqrsim.detection import window_stats
 from hqrsim.states import ChannelParams, PhaseMixtureWeights
-from hqrsim.tables import TABLES
+from hqrsim.tables import TABLES, reproduce_table
 from oracles import (homodyne_table_state_loop, monte_carlo_attempts,
                      monte_carlo_waiting_reduceat, swap_phase_mixture, z_attempts_series)
 
@@ -55,7 +55,7 @@ class TestZAttempts:
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     def test_matches_alternating_series(self, n):
         for p in (0.05, 0.3, 0.6427, 0.95):
-            assert z_attempts(n, p) == pytest.approx(z_attempts_series(n, p), rel=1e-12)
+            assert z_attempts(n, p) == pytest.approx(z_attempts_series(n, p), rel=1e-12, abs=0)
 
     def test_two_segment_closed_form(self):
         # E[max(G1, G2)] = 2/p - 1/(1 - (1-p)^2)
@@ -84,13 +84,13 @@ class TestZAttempts:
             q = 1 - mpmath.mpf(p)
             want = float(mpmath.fsum((-1) ** (j + 1) * mpmath.binomial(s, j) / (1 - q ** j)
                                      for j in range(1, s + 1)))
-        assert z_attempts(n, p) == pytest.approx(want, rel=1e-15)
+        assert z_attempts(n, p) == pytest.approx(want, rel=1e-15, abs=0)
 
     def test_largest_reachable_n(self):
         # span / L0 reaches at most 2^1023; H_S ~ ln S + gamma, and no int passes 2^1024
         lam = -math.log1p(-1e-5)
         want = (1023 * math.log(2) + 0.5772156649015329) / lam + 0.5
-        assert z_attempts(1023, 1e-5) == pytest.approx(want, rel=1e-15)
+        assert z_attempts(1023, 1e-5) == pytest.approx(want, rel=1e-15, abs=0)
         for p in (1e-300, 1e-5, 0.2, 0.5, 0.999):
             assert math.isfinite(z_attempts(1023, p))
 
@@ -177,7 +177,7 @@ class TestZAttemptsProperties:
     @given(n=st.integers(0, 3), p=st.floats(0.01, 1.0))
     def test_matches_series(self, n, p):
         # below p ~ 0.01 the series' 1 - q^j loses digits, not z_attempts
-        assert z_attempts(n, p) == pytest.approx(z_attempts_series(n, p), rel=1e-12)
+        assert z_attempts(n, p) == pytest.approx(z_attempts_series(n, p), rel=1e-12, abs=0)
 
 
 class TestPurificationChain:
@@ -522,7 +522,7 @@ def recursive_waiting(n, p0, round_probs, trials, seed):
 
 def homodyne_table_state(L0, target):
     """The table's segment state: `initial_segment_state` at the searched alpha."""
-    alpha = rates._homodyne_table_alpha(L0, target)
+    alpha = tables._homodyne_table_alpha(L0, target)
     return initial_segment_state(RepeaterConfig(d=3, L0_km=L0, span_km=L0, alpha=alpha,
                                                 scheme="homodyne", delta_frac=0.001))
 
@@ -549,17 +549,21 @@ class TestHomodyneTableSearch:
             assert p0 == want_p0 and weights.p.tolist() == want.p.tolist(), target
 
     def test_one_grid_pass_and_one_segment_pass(self):
-        # one window pass over the 41-point grid, one at the chosen alpha, and
-        # no homodyne_report (whose off-diagonal bound the rates never read)
+        # one window pass over the 41-point grid (in tables), one at the chosen
+        # alpha (in rates.initial_segment_state), and no homodyne_report (whose
+        # off-diagonal bound the tables never read)
         for table_id in ("III", "IV"):
-            with mock.patch.object(rates, "window_stats", wraps=rates.window_stats) as stats, \
+            with mock.patch.object(tables, "window_stats", wraps=window_stats) as grid_pass, \
+                    mock.patch.object(rates, "window_stats", wraps=window_stats) as segment, \
                     mock.patch.object(detection, "homodyne_report") as report:
                 reproduce_table(table_id)
-            grid, chosen = (call.args[1] for call in stats.call_args_list)
+            [grid], [chosen] = ([call.args[1] for call in stats.call_args_list]
+                                for stats in (grid_pass, segment))
             spec = TABLES[table_id]
             assert np.asarray(grid).shape == (41,) and chosen == \
-                rates._homodyne_table_alpha(spec["L0_km"], spec["initial_fidelity"][0])
-            assert report.call_count == 0 and "homodyne_report" not in vars(rates)
+                tables._homodyne_table_alpha(spec["L0_km"], spec["initial_fidelity"][0])
+            assert report.call_count == 0
+            assert "homodyne_report" not in vars(rates) and "homodyne_report" not in vars(tables)
 
 
 class TestReproduceTable:
