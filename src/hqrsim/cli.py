@@ -172,8 +172,8 @@ def _entangle(p, s):
 
 
 def _negativity_scan(p, s):
-    pts = negativity_scan(p["d"], p["L0"], p["alpha_range"], model=p["model"],
-                          L_att_km=s.l_att_km)
+    pts = negativity_scan(p["d"], p["alpha_range"], ChannelParams(p["L0"], s.l_att_km),
+                          p["model"])
     return ["alpha", "negativity"], [list(pt) for pt in pts]
 
 
@@ -188,7 +188,7 @@ def _homodyne(p, s):
 def _usd(p, s):
     ch = ChannelParams(p["L0"], s.l_att_km)
     # usd_bound is min_m N_{v_m} / d; both rows print that one value
-    prob = usd_bound(p["d"], p["alpha"], ch.gamma)
+    prob = usd_bound(p["d"], p["alpha"], ch)
     return (["quantity", "value"],
             [["gamma", ch.gamma], ["usd_probability", prob], ["min_norm_constant_over_d", prob]])
 

@@ -178,14 +178,14 @@ def _faddeeva(z) -> np.ndarray:
     return (1.0 / math.sqrt(math.pi) + 2.0 * np.polyval(coefficients, (length + 1j * z) / u) / u) / u
 
 
-def usd_bound(d: int, alpha: float, gamma: float) -> float:
+def usd_bound(d: int, alpha: float, channel: ChannelParams) -> float:
     """Optimal success probability for unambiguously discriminating the
-    d symmetric coherent states at damped amplitude sqrt(gamma) alpha.
+    d symmetric coherent states at the channel's damped amplitude sqrt(gamma) alpha.
 
     For symmetric pure states this is the smallest Gram eigenvalue,
     min_m N_{v_m} / d (Chefles & Barnett, Phys. Lett. A 250, 223 (1998)),
     clamped to [0, 1].
     """
     a = ring_amplitudes(d, alpha)  # checked before gamma = 0 could map it to -0.0
-    n = norm_constants(d, np.sqrt(gamma) * a)
+    n = norm_constants(d, math.sqrt(channel.gamma) * a)
     return float(min(np.min(n) / d, 1.0))

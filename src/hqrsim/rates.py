@@ -21,8 +21,9 @@ Each purification round multiplies the effective per-segment probability by
 P_round * (2 - Q)/(3 - 2Q): a round consumes two pairs (mean waiting is the
 max of two geometrics) and succeeds with probability P_round.
 
-The rate over span 2^n L0 is 1 / (T0 Z_n(Q)) with T0 = 2 L0 / c and
-c = 2e5 km/s in fiber.
+The rate over span 2^n L0 is 1 / (T0 Z_n(Q)) with T0 = 2 L0 / c (c = 2e5 km/s
+in fiber by default); `span_model(chain, config)` reads n, L0 and c from the
+`RepeaterConfig`, whose check is the one place where span / L0 becomes n.
 
 `monte_carlo_waiting` checks this model with a flat, chunked sampler; its
 docstring says which seeded results it keeps.
@@ -101,12 +102,12 @@ class RepeaterConfig:
             raise ValueError("segment length must be finite and positive")
         ratio = self.span_km / self.L0_km
         n = self.n if math.isfinite(ratio) and ratio > 0 else -1
-        if n < 0 or abs(ratio - 2 ** n) > 1e-9 * ratio:
+        if not 0 <= n <= 1023 or abs(ratio - 2 ** n) > 1e-9 * ratio:
             raise ValueError(f"span/L0 = {ratio} is not a power of two")
 
     @property
     def n(self) -> int:
-        return _doublings(self.L0_km, self.span_km)
+        return round(math.log2(self.span_km / self.L0_km))  # span = 2^n L0
 
 
 @dataclass(frozen=True)
@@ -201,7 +202,7 @@ def initial_segment_state(config: RepeaterConfig) -> tuple[float, PhaseMixtureWe
     bound and the loss mixture, or the windows' P_succ and (F_av, rest split equally)."""
     d, ch = config.d, ChannelParams(config.L0_km, config.L_att_km)
     if config.scheme == "usd":
-        return usd_bound(d, config.alpha, ch.gamma), loss_weights(d, config.alpha, ch)
+        return usd_bound(d, config.alpha, ch), loss_weights(d, config.alpha, ch)
     [(*_, p_succ, f_av)] = window_stats(d, config.alpha, ch, config.delta_frac)
     p = np.full(d, (1.0 - f_av) / (d - 1))
     p[0] = f_av
@@ -226,15 +227,10 @@ def purification_chain(p0: float, weights: PhaseMixtureWeights,
     return stats
 
 
-def _doublings(L0_km: float, span_km: float) -> int:
-    return round(math.log2(span_km / L0_km))  # span = 2^n L0
-
-
-def span_model(chain, L0_km: float, span_km: float, speed: float = FIBER_SPEED_KM_S) -> list:
-    """(Z, rate, fidelity bound) of every round of `chain` over 2^n segments:
+def span_model(chain, config: RepeaterConfig) -> list:
+    """(Z, rate, fidelity bound) of every round of `chain` over the config's 2^n segments:
     Z = z_attempts(n, Q), rate = 1 / (T0 Z) with T0 = 2 L0 / c, bound F^(2^n)."""
-    n = _doublings(L0_km, span_km)
-    t0 = 2.0 * L0_km / speed
+    n, t0 = config.n, 2.0 * config.L0_km / config.fiber_speed_km_s
     zs = [z_attempts(n, st.effective_probability) for st in chain]
     return [(z, 1.0 / (t0 * z), st.fidelity ** (2 ** n)) for z, st in zip(zs, chain)]
 
@@ -244,8 +240,7 @@ def predict(config: RepeaterConfig) -> RateResult:
     if p0 <= 0:
         raise ArithmeticError("generation probability is zero for this configuration")
     stats = purification_chain(p0, weights, config.purification_rounds)
-    [(z, rate, bound)] = span_model(stats[-1:], config.L0_km, config.span_km,
-                                    config.fiber_speed_km_s)
+    [(z, rate, bound)] = span_model(stats[-1:], config)
     return RateResult(rounds=tuple(stats), z=z, rate_hz=rate, final_fidelity_bound=bound)
 
 

@@ -13,7 +13,8 @@ Z_d symmetry blocks of the matter-light state, for many amplitudes at once;
 the full d^2 x d^2 density matrix is built only by the test oracle
 `matter_light_mixture` in `tests/oracles.py`.  `loss_weights` and its
 `PhaseMixtureWeights` hold one amplitude's weights or many, shape (..., d):
-the rate chain, the scan and the homodyne window pass share them.
+the rate chain, the scan and the homodyne window pass share them.  The
+segment functions here and in `detection` take (d, alpha(s), ChannelParams).
 
 Two weight models are available for the d=3 mixture (the `model` of
 `coherent.norm_constants`): "closed-form" keeps the benchmark tables
@@ -105,12 +106,12 @@ def loss_weights(d: int, alpha, channel: ChannelParams,
     phase index (d - m) mod d and shift index j with ring state j.
     """
     # checked before damping, which maps a negative amplitude to -0.0 when gamma = 1
-    a_loss = math.sqrt(max(1.0 - channel.gamma, 0.0)) * ring_amplitudes(d, alpha)
+    a_loss = math.sqrt(1.0 - channel.gamma) * ring_amplitudes(d, alpha)
     return PhaseMixtureWeights(d, norm_constants(d, a_loss, model) / d ** 2)
 
 
-def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
-                    L_att_km: float = L_ATT_KM) -> list[tuple[float, float]]:
+def negativity_scan(d: int, alphas, channel: ChannelParams,
+                    model: str = "gram") -> list[tuple[float, float]]:
     """Negativity of the effective matter-light state over an amplitude grid.
 
     Defaults to the Gram-exact weight model: the scan quantifies physical
@@ -137,12 +138,11 @@ def negativity_scan(d: int, L0_km: float, alphas, model: str = "gram",
     """
     if d > SCAN_MAX_D:
         raise ValueError(f"negativity scan supports d <= {SCAN_MAX_D}, got d = {d}")
-    ch = ChannelParams(L0_km, L_att_km)
     a = ring_amplitudes(d, alphas)
     neg = np.empty(len(a))
     step = max(1, SCAN_CHUNK_FLOATS // d ** 3)
     for s in range(0, len(a), step):
-        neg[s:s + step] = _block_negativities(d, a[s:s + step], ch, model)
+        neg[s:s + step] = _block_negativities(d, a[s:s + step], channel, model)
     return [(float(x), float(n)) for x, n in zip(a, neg)]
 
 

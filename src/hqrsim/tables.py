@@ -21,7 +21,7 @@ Statuses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -261,7 +261,7 @@ def reproduce_table(table_id: str) -> list[CellComparison]:
                             delta_frac=TABLE_DELTA_FRAC)
     chain = purification_chain(*initial_segment_state(config), spec["rounds"] - 1)
     # (Z, rate, bound) per round, once per span of either section
-    spans = {span: span_model(chain, L0, span)
+    spans = {span: span_model(chain, replace(config, span_km=span))
              for span in spec["rate_hz"].keys() | spec["fidelity"].keys()}
 
     # (section, span, printed row, computed row); a row has one value per round

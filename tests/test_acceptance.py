@@ -16,6 +16,7 @@ and 0.60 / 0.39 at 10 km).  The criterion is asserted as stated and fails
 on that clause; see the repository notes for the full analysis.
 """
 
+import math
 import time
 
 import numpy as np
@@ -155,7 +156,7 @@ def test_criterion_05_negativity():
     grid = np.linspace(0.0, 2.5, 100)
     maxima = []
     for L0 in (2.0, 5.0, 8.0, 10.0):
-        pts = negativity_scan(3, L0, grid)
+        pts = negativity_scan(3, grid, ChannelParams(L0))
         by_alpha = dict(pts)
         assert by_alpha[0.0] <= 1e-9
         maxima.append(max(n for _, n in pts))
@@ -177,9 +178,9 @@ def test_criterion_06_properties():
     for d in (2, 3, 4, 5):
         for _ in range(10):
             alpha = float(rng.uniform(0.05, 3.0))
-            gamma = float(rng.uniform(0.1, 1.0))
-            lhs = usd_bound(d, alpha, gamma)
-            rhs = float(np.min(norm_constants(d, np.sqrt(gamma) * alpha)) / d)
+            ch = ChannelParams(float(rng.uniform(0.0, 22.0 * math.log(10.0))))  # gamma in [0.1, 1]
+            lhs = usd_bound(d, alpha, ch)
+            rhs = float(np.min(norm_constants(d, np.sqrt(ch.gamma) * alpha)) / d)
             assert abs(lhs - rhs) < 1e-12
 
     # purification law against the circuit oracle

@@ -13,7 +13,9 @@ import hqrsim.cli as cli
 from hqrsim.cli import (ALPHA_RANGE_MAX_COUNT, UsageError, _build_parser, load_config, main,
                         parse, run)
 from hqrsim.coherent import AMPLITUDE_MAX, RING_MAX_D
-from hqrsim.rates import MAX_PURIFICATION_ROUNDS
+from hqrsim.detection import homodyne_report, usd_bound
+from hqrsim.rates import MAX_PURIFICATION_ROUNDS, RepeaterConfig, predict
+from hqrsim.states import ChannelParams, loss_weights, negativity_scan
 from test_cli_golden import CASES, golden_path
 
 
@@ -36,6 +38,40 @@ def rows_of(text):
     lines = text.strip().splitlines()
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]
+
+
+def six_digits(values):
+    """Library values as the CLI prints them, read back as floats."""
+    return [float(f"{float(v):.6g}") for v in values]
+
+
+def rate_values(cfg):
+    """`predict(cfg)` in the rows of `hqrsim rate`."""
+    res = predict(cfg)
+    return [2 ** cfg.n, *(v for st in res.rounds
+                          for v in (st.fidelity, st.success_probability, st.effective_probability)),
+            res.z, res.rate_hz, res.final_fidelity_bound]
+
+
+def homodyne_values(ch):
+    rep = homodyne_report(3, 1.0, ch, 0.2)
+    return [*rep.window_probs, *rep.window_fidelities, rep.p_succ, rep.f_av, rep.offdiag_bound]
+
+
+# argv at L0 = 5 km, and the library's values for its channel, in the order printed
+CHANNEL_CASES = {
+    "entangle": ("entangle --d 3 --L0 5 --alpha 1.2", lambda ch: loss_weights(3, 1.2, ch).p),
+    "negativity-scan": ("negativity-scan --d 3 --L0 5 --alpha-range 0.5:2.5:5",
+                        lambda ch: [n for _, n in negativity_scan(3, [0.5, 1.0, 1.5, 2.0, 2.5],
+                                                                  ch)]),
+    "homodyne": ("homodyne --d 3 --L0 5 --alpha 1.0", homodyne_values),
+    "usd": ("usd --d 3 --L0 5 --alpha 1.2",
+            lambda ch: [ch.gamma, usd_bound(3, 1.2, ch), usd_bound(3, 1.2, ch)]),
+    "rate": ("rate --scheme usd --d 3 --L0 5 --span 20 --alpha 1.2 --rounds 1",
+             lambda ch: rate_values(RepeaterConfig(d=3, L0_km=5, span_km=20, alpha=1.2,
+                                                   scheme="usd", purification_rounds=1,
+                                                   L_att_km=ch.L_att_km))),
+}
 
 
 class TestParse:
@@ -169,6 +205,33 @@ class TestConfig:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unknown key 'positivity_tol'" in captured.err
+
+    @pytest.mark.parametrize("command", CHANNEL_CASES)
+    def test_attenuation_length_reaches_the_model(self, tmp_path, command):
+        argv, library = CHANNEL_CASES[command]
+        cfg = tmp_path / "cfg"
+        cfg.write_text("l_att_km = 11\n")
+        printed = {}
+        for config in ((), ("--config", str(cfg))):
+            status, text = run(parse([*config, *argv.split()]))
+            assert status == 0
+            printed[config] = [float(row[-2 if command == "entangle" else -1])
+                               for row in rows_of(text)[1]]
+        assert printed[("--config", str(cfg))] == six_digits(library(ChannelParams(5.0, 11.0)))
+        assert printed[()] == six_digits(library(ChannelParams(5.0)))
+        assert printed[()] != printed[("--config", str(cfg))]
+
+    def test_fiber_speed_reaches_the_model(self, tmp_path):
+        # T0 = 2 L0 / c: half the speed halves the rate, and the attempts stay
+        cfg = tmp_path / "cfg"
+        cfg.write_text("fiber_speed_km_s = 1e5\n")
+        argv = "rate --scheme usd --d 3 --L0 5 --span 20 --alpha 1.2 --rounds 1".split()
+        default, slow = (dict(rows_of(run(parse([*config, *argv]))[1])[1])
+                         for config in ((), ("--config", str(cfg))))
+        res = predict(RepeaterConfig(d=3, L0_km=5, span_km=20, alpha=1.2, scheme="usd",
+                                     purification_rounds=1))
+        assert slow["z_attempts"] == default["z_attempts"] == f"{res.z:.6g}"
+        assert slow["rate_hz"] == f"{res.rate_hz / 2:.6g}" != default["rate_hz"]
 
     def test_config_keeps_benchmark_rates(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -344,6 +407,8 @@ class TestMainProcess:
         "homodyne --d 3 --L0 5 --alpha -1",
         "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --span 10 --delta-frac 5",
         "rate --scheme usd --d 3 --L0 -5 --alpha 1.2 --span 10",
+        # span/L0 = 1.7e308 rounds to n = 1024; 2 ** n overflowed a float and exited 1
+        "rate --scheme usd --d 3 --L0 1e-300 --alpha 1.2 --span 1.7e8",
         "purify --weights 0.5,0.5 --rounds -1",
         "rate --scheme usd --d 3 --L0 5 --alpha 1.2 --span 10 --rounds -1",
         "mc --n -1 --p 0.5 --trials 10 --seed 1",
@@ -444,6 +509,14 @@ class TestMainProcess:
             assert captured.err == ("hqrsim: invalid input: ring dimension must lie in "
                                     f"[2, {RING_MAX_D}], got {d}\n")
         assert main(argv.format(d=RING_MAX_D).split()) == 0
+
+    def test_numerical_failure_is_one(self):
+        # alpha = 0 passes every input check, and the USD probability is then 0
+        cp = run_cli(*"rate --scheme usd --d 3 --L0 5 --span 10 --alpha 0".split())
+        assert cp.returncode == 1
+        assert cp.stdout == ""
+        assert cp.stderr == ("hqrsim: numerical failure: generation probability is zero "
+                             "for this configuration\n")
 
     def test_largest_span_has_finite_attempts(self, capsys):
         # n = 255: H_S's tail formed s ** 4 as an int and exited 1 with

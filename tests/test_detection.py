@@ -515,11 +515,11 @@ class TestLargeAmplitude:
 
 class TestUsdBound:
     def test_zero_amplitude(self):
-        assert usd_bound(3, 0.0, 0.9) == 0.0
+        assert usd_bound(3, 0.0, ChannelParams(2.0)) == 0.0
 
     def test_benchmark_values(self):
-        assert usd_bound(3, 0.5, np.exp(-20 / 22)) == pytest.approx(0.0137597, abs=5e-8)
-        p = usd_bound(3, 1.2, np.exp(-5 / 22))
+        assert usd_bound(3, 0.5, ChannelParams(20.0)) == pytest.approx(0.0137597, abs=5e-8)
+        p = usd_bound(3, 1.2, ChannelParams(5.0))
         assert p == pytest.approx(0.6427, abs=5e-5)
         assert round(p, 2) == 0.64
 
@@ -528,17 +528,19 @@ class TestUsdBound:
         for d in (2, 3, 4, 5):
             for _ in range(5):
                 alpha = rng.uniform(0.1, 3.0)
-                gamma = rng.uniform(0.2, 1.0)
-                direct = usd_bound(d, alpha, gamma)
-                via_norms = np.min(norm_constants(d, np.sqrt(gamma) * alpha)) / d
+                # gamma = exp(-L0 / 22) in [0.2, 1]
+                ch = ChannelParams(rng.uniform(0.0, 22.0 * math.log(5.0)))
+                direct = usd_bound(d, alpha, ch)
+                via_norms = np.min(norm_constants(d, np.sqrt(ch.gamma) * alpha)) / d
                 assert abs(direct - via_norms) < 1e-12
                 # independent oracle: smallest Gram eigenvalue (Chefles-Barnett)
-                assert abs(direct - np.linalg.eigvalsh(gram_matrix(d, np.sqrt(gamma) * alpha))[0]) < 1e-12
+                gram = gram_matrix(d, np.sqrt(ch.gamma) * alpha)
+                assert abs(direct - np.linalg.eigvalsh(gram)[0]) < 1e-12
 
     def test_monotone_in_amplitude(self):
         for d in (2, 3, 4):
-            vals = [usd_bound(d, a, 0.8) for a in np.linspace(0.0, 4.0, 81)]
+            vals = [usd_bound(d, a, ChannelParams(5.0)) for a in np.linspace(0.0, 4.0, 81)]
             assert all(x <= y + 1e-12 for x, y in zip(vals, vals[1:]))
 
     def test_clamped(self):
-        assert 0.0 <= usd_bound(2, 8.0, 1.0) <= 1.0
+        assert 0.0 <= usd_bound(2, 8.0, ChannelParams(0.0)) <= 1.0

@@ -1,5 +1,6 @@
-"""Modules of the package share only public names, and the model never
-imports the benchmark tables or the CLI."""
+"""Modules of the package share only public names, the model never
+imports the benchmark tables or the CLI, and public functions take the
+channel and the repeater span whole."""
 
 import ast
 from pathlib import Path
@@ -10,6 +11,9 @@ PACKAGE = Path(hqrsim.__file__).parent
 
 # the repeater model; `tables` and `cli` build on it, never the reverse
 MODEL_MODULES = ("coherent", "states", "detection", "logic", "numerics", "rates")
+
+# fields of ChannelParams and RepeaterConfig, and the transmittance they give
+CHANNEL_PARAMETERS = ("gamma", "L0_km", "L_att_km", "span_km", "speed", "fiber_speed_km_s")
 
 
 def hqrsim_from_imports(path: Path):
@@ -45,3 +49,19 @@ def test_model_imports_neither_tables_nor_cli():
     assert [f"{name} imports {module}" for name in MODEL_MODULES
             for module in imported_modules(PACKAGE / f"{name}.py")
             if module in ("tables", "cli")] == []
+
+
+def loose_channel_parameters(path: Path):
+    """`name(parameter)` for every public function of one source file that takes a
+    channel or span quantity as its own parameter."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            args = node.args
+            yield from (f"{path.name}: {node.name}({arg.arg})"
+                        for arg in (*args.posonlyargs, *args.args, *args.kwonlyargs)
+                        if arg.arg in CHANNEL_PARAMETERS)
+
+
+def test_public_functions_take_channel_and_config():
+    assert [line for path in sorted(PACKAGE.glob("*.py"))
+            for line in loose_channel_parameters(path)] == []

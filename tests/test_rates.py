@@ -242,6 +242,15 @@ class TestRepeaterConfig:
         cfg = RepeaterConfig(d=3, L0_km=5, span_km=40, alpha=1.0, scheme="usd")
         assert cfg.n == 3
 
+    def test_segment_count_range(self):
+        # a ratio near 2^1024 rounds to n = 1024, whose 2 ** n overflows a float
+        with pytest.raises(ValueError, match="not a power of two"):
+            RepeaterConfig(d=3, L0_km=1e-300, span_km=1.7e8, alpha=1.2, scheme="usd")
+        cfg = RepeaterConfig(d=3, L0_km=1e-300, span_km=math.ldexp(1e-300, 1023), alpha=1.2,
+                             scheme="usd")
+        assert cfg.n == 1023
+        assert math.isfinite(predict(cfg).z)
+
 
 class TestPredict:
     def test_usd_two_rounds_benchmark(self):

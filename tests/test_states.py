@@ -187,22 +187,22 @@ def entangle_rows(d, alpha, L0):
 
 class TestNegativityScan:
     def test_zero_amplitude_is_product(self):
-        (_, n0), = negativity_scan(3, 5.0, [0.0])
+        (_, n0), = negativity_scan(3, [0.0], ChannelParams(5.0))
         assert n0 <= 1e-9
 
     def test_lossless_large_amplitude_maximally_entangled(self):
-        (_, n), = negativity_scan(3, 0.0, [6.0])
+        (_, n), = negativity_scan(3, [6.0], ChannelParams(0.0))
         assert abs(n - 1.0) < 1e-3
 
     def test_ten_km_beats_qubit_bell(self):
-        pts = negativity_scan(3, 10.0, np.linspace(0.0, 2.5, 100))
+        pts = negativity_scan(3, np.linspace(0.0, 2.5, 100), ChannelParams(10.0))
         assert max(n for _, n in pts) > 0.5
 
     def test_monotone_in_distance(self):
         alphas = [0.5, 1.0, 1.5]
         prev = None
         for L0 in (2.0, 5.0, 10.0, 20.0):
-            ns = np.array([n for _, n in negativity_scan(3, L0, alphas)])
+            ns = np.array([n for _, n in negativity_scan(3, alphas, ChannelParams(L0))])
             if prev is not None:
                 assert np.all(ns <= prev + 1e-9)
             prev = ns
@@ -210,7 +210,7 @@ class TestNegativityScan:
     def test_matches_direct_negativity(self):
         ch = ChannelParams(5.0)
         dm, _ = matter_light_mixture(3, 1.0, ch, model="gram")
-        (_, n), = negativity_scan(3, 5.0, [1.0])
+        (_, n), = negativity_scan(3, [1.0], ch)
         assert abs(n - negativity(dm)) < 1e-12
 
     @pytest.mark.parametrize("model", ["gram", "closed-form"])
@@ -219,7 +219,7 @@ class TestNegativityScan:
         alphas = np.linspace(0.0, 3.0, 13)
         for L0 in (0.0, 1.0, 5.0, 10.0, 25.0):
             ch = ChannelParams(L0)
-            pts = negativity_scan(d, L0, alphas, model=model)
+            pts = negativity_scan(d, alphas, ch, model)
             assert [a for a, _ in pts] == list(alphas)
             for a, n in pts:
                 dm, _ = matter_light_mixture(d, a, ch, model=model)
@@ -229,7 +229,7 @@ class TestNegativityScan:
     @given(d=st.integers(2, 8), alpha=st.floats(0.0, 4.0), L0=st.floats(0.0, 60.0),
            model=st.sampled_from(["gram", "closed-form"]))
     def test_random_points_match_oracle(self, d, alpha, L0, model):
-        (a, n), = negativity_scan(d, L0, [alpha], model=model)
+        (a, n), = negativity_scan(d, [alpha], ChannelParams(L0), model)
         # the scan checks only the trace; the oracle state also passes the
         # Hermiticity test and, beyond eigvalsh rounding, has no negative
         # eigenvalue (positivity_tol = 0)
@@ -240,13 +240,13 @@ class TestNegativityScan:
         assert abs(n - negativity(dm)) < 1e-12
 
     def test_empty_grid(self):
-        assert negativity_scan(4, 5.0, []) == []
+        assert negativity_scan(4, [], ChannelParams(5.0)) == []
 
     def test_batches_do_not_change_results(self, monkeypatch):
         alphas = np.linspace(0.0, 3.0, 30)
-        whole = negativity_scan(6, 10.0, alphas)
+        whole = negativity_scan(6, alphas, ChannelParams(10.0))
         monkeypatch.setattr(states, "SCAN_CHUNK_FLOATS", 7 * 6 ** 3)
-        assert negativity_scan(6, 10.0, alphas) == whole
+        assert negativity_scan(6, alphas, ChannelParams(10.0)) == whole
 
     def test_chunk_holds_at_least_one_point(self, monkeypatch):
         # a budget below d^3 still takes one point per batch, and every point's
@@ -256,38 +256,38 @@ class TestNegativityScan:
         alphas = np.linspace(0.0, 3.0, 5)
         for d in (2, 3, 4, 7, 16):
             monkeypatch.setattr(states, "SCAN_CHUNK_FLOATS", 5 * d ** 3)
-            whole = np.array(negativity_scan(d, 10.0, alphas))
+            whole = np.array(negativity_scan(d, alphas, ChannelParams(10.0)))
             monkeypatch.setattr(states, "SCAN_CHUNK_FLOATS", 1)
-            single = np.array(negativity_scan(d, 10.0, alphas))
+            single = np.array(negativity_scan(d, alphas, ChannelParams(10.0)))
             assert np.array_equal(single[:, 0], alphas)
             assert np.array_equal(single, whole), d
 
     def test_largest_d_scans_and_next_is_refused_at_once(self):
         d = states.SCAN_MAX_D
         assert d >= 8
-        (_, n), = negativity_scan(d, 5.0, [1.0])
+        (_, n), = negativity_scan(d, [1.0], ChannelParams(5.0))
         assert n > 0.0
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"d = {d + 1}"):
-            negativity_scan(d + 1, 5.0, np.linspace(0.0, 3.0, 10 ** 5))
+            negativity_scan(d + 1, np.linspace(0.0, 3.0, 10 ** 5), ChannelParams(5.0))
         assert time.perf_counter() - start < 0.1
 
     @pytest.mark.parametrize("bad", [-0.5, np.nan, np.inf])
     def test_rejects_bad_amplitude(self, bad):
         for L0 in (0.0, 5.0):
             with pytest.raises(ValueError, match="amplitude"):
-                negativity_scan(3, L0, [0.5, bad, 1.0])
+                negativity_scan(3, [0.5, bad, 1.0], ChannelParams(L0))
 
     def test_rejects_unknown_model(self):
         with pytest.raises(ValueError, match="model"):
-            negativity_scan(3, 5.0, [1.0], model="bogus")
+            negativity_scan(3, [1.0], ChannelParams(5.0), model="bogus")
 
     def test_keeps_density_matrix_trace_test(self, monkeypatch):
         def inflated(d, amplitudes):
             return 1.01 * basis_amplitudes(d, amplitudes)
         monkeypatch.setattr(states, "basis_amplitudes", inflated)
         with pytest.raises(ValueError, match="trace"):
-            negativity_scan(3, 5.0, [0.5, 1.0])
+            negativity_scan(3, [0.5, 1.0], ChannelParams(5.0))
 
     def test_keeps_weight_conditions(self, monkeypatch):
         real = states.norm_constants
@@ -298,4 +298,4 @@ class TestNegativityScan:
             return n
         monkeypatch.setattr(states, "norm_constants", shifted)
         with pytest.raises(ValueError, match="sum to 1"):
-            negativity_scan(3, 5.0, [0.5, 1.0])
+            negativity_scan(3, [0.5, 1.0], ChannelParams(5.0))
