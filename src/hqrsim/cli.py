@@ -6,10 +6,11 @@ buffered and written atomically (temp file + rename for --out, single
 print for stdout), so error paths never leave partial documents behind.
 
 Each subcommand is one `COMMANDS` entry: its help, its arguments and a
-function (params, settings) -> (columns, rows).  Those functions look the
-library up through this module's globals at call time, so whatever rebinds
-a name here (a tracer, a monkeypatch) sees every call.  The library checks
-every input; the parser keeps only the checks whose messages name a flag.
+function params -> (columns, rows) of one mapping, the parsed arguments and
+the `CONFIG_DEFAULTS` keys.  Those functions look the library up through
+this module's globals at call time, so whatever rebinds a name here (a
+tracer, a monkeypatch) sees every call.  The library checks every input;
+the parser keeps only the checks whose messages name a flag.
 
 The argparse tree is built once per process (`_build_parser` is cached) and
 reused by every `parse`/`main` call, so it must hold no per-call state: no
@@ -29,7 +30,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, NamedTuple
 
@@ -43,29 +44,24 @@ from .states import (L_ATT_KM, SCAN_MAX_D, ChannelParams, PhaseMixtureWeights, W
                      loss_weights, negativity_scan)
 from .tables import reproduce_table
 
-__all__ = ["Settings", "RunSpec", "load_config", "parse", "run", "main"]
+__all__ = ["RunSpec", "load_config", "parse", "run", "main"]
 
 # largest --alpha-range COUNT: a d=8 scan of 10^5 points takes about 6 s and
 # peaks at about 56 MB on a 2-vCPU machine, 10^6 points about 63 s and 277 MB
 ALPHA_RANGE_MAX_COUNT = 10 ** 5
 
 
-@dataclass
-class Settings:
-    l_att_km: float = L_ATT_KM
-    fiber_speed_km_s: float = FIBER_SPEED_KM_S
-
-
-CONFIG_KEYS = tuple(f.name for f in fields(Settings))
+# the keys a --config file may set, at their library defaults; `run` lays the
+# params over them, so a RunSpec without these keys runs at the defaults
+CONFIG_DEFAULTS = {"l_att_km": L_ATT_KM, "fiber_speed_km_s": FIBER_SPEED_KM_S}
 
 
 @dataclass
 class RunSpec:
     command: str
-    params: dict = field(default_factory=dict)
+    params: dict = field(default_factory=dict)  # arguments and --config overrides
     out: str | None = None
     format: str = "csv"
-    settings: Settings = field(default_factory=Settings)
 
 
 class UsageError(ValueError):
@@ -88,7 +84,7 @@ def load_config(path: str) -> dict:
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in CONFIG_DEFAULTS:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
             overrides[key] = float(value)
@@ -141,70 +137,61 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_global_flags(p, suppress_defaults: bool):
-    # the subcommand copies must not re-apply defaults over values already
-    # parsed by the main parser
-    kw = {"default": argparse.SUPPRESS} if suppress_defaults else {}
-    p.add_argument("--format", choices=("csv", "json"),
-                   **(kw or {"default": "csv"}))
-    p.add_argument("--out", metavar="PATH", **(kw or {"default": None}))
-    p.add_argument("--config", metavar="PATH", **(kw or {"default": None}))
+def _add_global_flags(p):
+    # defaults come from `parse`, so no subparser overwrites a flag given before it
+    p.add_argument("--format", choices=("csv", "json"), default=argparse.SUPPRESS)
+    p.add_argument("--out", metavar="PATH", default=argparse.SUPPRESS)
+    p.add_argument("--config", metavar="PATH", default=argparse.SUPPRESS)
 
 
-def _make_subparser(**kwargs) -> "_Parser":
-    p = _Parser(**kwargs)
-    _add_global_flags(p, suppress_defaults=True)
-    return p
-
-
-def _constants(p, s):
+def _constants(p):
     vals = norm_constants(p["d"], p["alpha"], p["model"])
     return (["m", "norm_constant", "weight_fraction"],
             [[m, float(v), float(v) / p["d"] ** 2] for m, v in enumerate(vals)])
 
 
-def _entangle(p, s):
+def _entangle(p):
     d = p["d"]
-    w = loss_weights(d, p["alpha"], ChannelParams(p["L0"], s.l_att_km), p["model"])
+    w = loss_weights(d, p["alpha"], ChannelParams(p["L0"], p["l_att_km"]), p["model"])
     # component m pairs the Bell state with phase index (d - m) mod d
     return (["component", "weight", "bell_phase_index"],
             [[m, float(x), (d - m) % d] for m, x in enumerate(w.p)])
 
 
-def _negativity_scan(p, s):
-    pts = negativity_scan(p["d"], p["alpha_range"], ChannelParams(p["L0"], s.l_att_km),
+def _negativity_scan(p):
+    pts = negativity_scan(p["d"], p["alpha_range"], ChannelParams(p["L0"], p["l_att_km"]),
                           p["model"])
     return ["alpha", "negativity"], [list(pt) for pt in pts]
 
 
-def _homodyne(p, s):
-    rep = homodyne_report(p["d"], p["alpha"], ChannelParams(p["L0"], s.l_att_km), p["delta_frac"])
+def _homodyne(p):
+    rep = homodyne_report(p["d"], p["alpha"], ChannelParams(p["L0"], p["l_att_km"]),
+                          p["delta_frac"])
     rows = [["p_w%d" % i, v] for i, v in enumerate(rep.window_probs)]
     rows += [["F_w%d" % i, v] for i, v in enumerate(rep.window_fidelities)]
     rows += [["P_succ", rep.p_succ], ["F_av", rep.f_av], ["offdiag_bound", rep.offdiag_bound]]
     return ["quantity", "value"], rows
 
 
-def _usd(p, s):
-    ch = ChannelParams(p["L0"], s.l_att_km)
+def _usd(p):
+    ch = ChannelParams(p["L0"], p["l_att_km"])
     # usd_bound is min_m N_{v_m} / d; both rows print that one value
     prob = usd_bound(p["d"], p["alpha"], ch)
     return (["quantity", "value"],
             [["gamma", ch.gamma], ["usd_probability", prob], ["min_norm_constant_over_d", prob]])
 
 
-def _purify(p, s):
+def _purify(p):
     w = PhaseMixtureWeights(len(p["weights"]), p["weights"])
     cols = ["round", "success_probability", "leading_weight"] + [f"w{j}" for j in range(w.d)]
     return cols, [[st.round, st.success_probability, st.fidelity] + st.weights.p.tolist()
                   for st in purification_chain(1.0, w, p["rounds"])]
 
 
-def _rate(p, s):
+def _rate(p):
     cfg = RepeaterConfig(d=p["d"], L0_km=p["L0"], span_km=p["span"], alpha=p["alpha"],
-                         scheme=p["scheme"], delta_frac=p["delta_frac"],
-                         purification_rounds=p["rounds"], L_att_km=s.l_att_km,
-                         fiber_speed_km_s=s.fiber_speed_km_s)
+                         scheme=p["scheme"], delta_frac=p["delta_frac"], L_att_km=p["l_att_km"],
+                         purification_rounds=p["rounds"], fiber_speed_km_s=p["fiber_speed_km_s"])
     res = predict(cfg)
     rows = [["segments", 2 ** cfg.n]]
     for st in res.rounds:
@@ -216,7 +203,7 @@ def _rate(p, s):
     return ["quantity", "value"], rows
 
 
-def _mc(p, s):
+def _mc(p):
     mean, stderr = monte_carlo_waiting(p["n"], p["p"], tuple(p["round_p"]), trials=p["trials"],
                                        seed=p["seed"])
     rows = [["mean_attempts", mean], ["standard_error", stderr], ["trials", p["trials"]]]
@@ -225,7 +212,7 @@ def _mc(p, s):
     return ["quantity", "value"], rows
 
 
-def _table(p, s):
+def _table(p):
     rows = [[c.section, "" if c.span_km is None else c.span_km, c.round_label,
              c.printed, c.computed, c.status] for c in reproduce_table(p["id"])]
     return ["section", "span_km", "rounds", "printed", "computed", "status"], rows
@@ -234,7 +221,7 @@ def _table(p, s):
 class Command(NamedTuple):
     help: str
     args: tuple  # (flag, add_argument keywords) per argument, in help order
-    run: Callable  # (params, settings) -> (columns, rows)
+    run: Callable  # params -> (columns, rows)
 
 
 _D, _D_SCAN, _D_HOMODYNE, _D_RATE = (
@@ -284,27 +271,22 @@ COMMANDS = {
 def _build_parser() -> _Parser:
     # global flags are accepted both before and after the subcommand
     parser = _Parser(prog="hqrsim", description="Qudit hybrid-repeater analysis")
-    _add_global_flags(parser, suppress_defaults=False)
-    sub = parser.add_subparsers(dest="command", required=True,
-                                parser_class=_make_subparser)
+    _add_global_flags(parser)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     for name, command in COMMANDS.items():
         p = sub.add_parser(name, help=command.help)
+        _add_global_flags(p)
         for flag, kwargs in command.args:
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def parse(argv) -> RunSpec:
-    parser = _build_parser()
-    ns = parser.parse_args(list(argv))
-    settings = Settings()
-    if ns.config is not None:
-        for key, value in load_config(ns.config).items():
-            setattr(settings, key, value)
-    params = {k: v for k, v in vars(ns).items()
-              if k not in ("command", "format", "out", "config")}
-    return RunSpec(command=ns.command, params=params, out=ns.out,
-                   format=ns.format, settings=settings)
+    params = vars(_build_parser().parse_args(list(argv)))
+    if (config := params.pop("config", None)) is not None:
+        params.update(load_config(config))
+    return RunSpec(command=params.pop("command"), out=params.pop("out", None),
+                   format=params.pop("format", "csv"), params=params)
 
 
 def _six_digits(value) -> str | None:
@@ -330,7 +312,7 @@ def _emit(columns, rows, fmt: str) -> str:
 def run(spec: RunSpec) -> tuple[int, str]:
     """Execute a parsed run; returns (exit status, document text)."""
     try:
-        columns, rows = COMMANDS[spec.command].run(spec.params, spec.settings)
+        columns, rows = COMMANDS[spec.command].run({**CONFIG_DEFAULTS, **spec.params})
     except ValueError as exc:
         return 2, f"hqrsim: invalid input: {exc}\n"
     except ArithmeticError as exc:
@@ -354,9 +336,8 @@ def _write_atomic(path: str, text: str):
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:
-        spec = parse(argv)
+        spec = parse(sys.argv[1:] if argv is None else argv)
         status, text = run(spec)
     except UsageError as exc:
         print(f"hqrsim: error: {exc}", file=sys.stderr)

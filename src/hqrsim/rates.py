@@ -100,6 +100,9 @@ class RepeaterConfig:
             raise ValueError("delta_frac must lie in (0, 1]")
         if not (math.isfinite(self.L0_km) and self.L0_km > 0):
             raise ValueError("segment length must be finite and positive")
+        t0 = 2.0 * self.L0_km / self.fiber_speed_km_s  # as in span_model
+        if not (math.isfinite(t0) and t0 > 0):
+            raise ValueError(f"segment time T0 = 2 L0 / c = {t0} is not finite and positive")
         ratio = self.span_km / self.L0_km
         n = self.n if math.isfinite(ratio) and ratio > 0 else -1
         if not 0 <= n <= 1023 or abs(ratio - 2 ** n) > 1e-9 * ratio:

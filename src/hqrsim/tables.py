@@ -213,11 +213,13 @@ class CellComparison:
 
 
 def print_resolution(printed: float) -> float:
-    """One unit in the last printed digit (integers: 1).
+    """One unit in the last digit of `repr(printed)` (integers: 1).
 
     A full unit rather than half: several benchmark cells are truncated
     instead of rounded (0.0994 prints as 0.09), so the printed text only
-    pins the value to within one last-digit step.
+    pins the value to within one last-digit step.  The repr has lost the
+    printed trailing zeros: 0.430 gets the 0.01 of "0.43", and one grade
+    rests on that (README, "Known benchmark inconsistencies").
     """
     text = repr(float(printed))
     decimals = len(text.split(".")[1]) if "." in text else 0

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -75,12 +76,33 @@ CHANNEL_CASES = {
 
 
 class TestParse:
-    def test_defaults(self):
+    def test_defaults(self, monkeypatch):
         spec = parse(["homodyne", "--d", "3", "--L0", "5", "--alpha", "1.0"])
         assert spec.format == "csv"
+        assert spec.out is None
         assert spec.params["delta_frac"] == 0.2
-        assert spec.settings.l_att_km == 22.0
-        assert spec.settings.fiber_speed_km_s == 2.0e5
+        # without --config the command sees the library's channel constants
+        seen = {}
+        command = cli.COMMANDS["homodyne"]
+        monkeypatch.setitem(cli.COMMANDS, "homodyne",
+                            command._replace(run=lambda p: seen.update(p) or command.run(p)))
+        assert run(spec)[0] == 0
+        assert seen["l_att_km"] == 22.0
+        assert seen["fiber_speed_km_s"] == 2.0e5
+
+    def test_config_keys_are_no_argument_dests(self):
+        # --config overrides join the parsed arguments in one mapping
+        parser = _build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        assert set(sub.choices) == set(cli.COMMANDS)
+        dests = {a.dest for p in (parser, *sub.choices.values()) for a in p._actions}
+        assert {"d", "L0", "alpha_range", "format", "config"} <= dests
+        assert dests.isdisjoint(cli.CONFIG_DEFAULTS)
+
+    def test_hand_built_spec_runs_at_the_defaults(self, capsys):
+        assert main(["usd", "--d", "3", "--L0", "20", "--alpha", "0.5"]) == 0
+        printed = capsys.readouterr().out
+        assert run(cli.RunSpec("usd", {"d": 3, "L0": 20.0, "alpha": 0.5})) == (0, printed)
 
     def test_negativity_range(self):
         spec = parse(["negativity-scan", "--d", "3", "--L0", "5",
@@ -160,6 +182,40 @@ class TestParserReuse:
         assert _build_parser.cache_info().misses == 1
 
 
+class TestGlobalFlagPlacement:
+    # README: the global flags go before or after the subcommand; given on
+    # both sides, the later one wins
+    ARGV = CASES["usd"].split()
+
+    @pytest.mark.parametrize("placement", ["before", "after", "both"])
+    @pytest.mark.parametrize("flag", ["--format", "--out", "--config"])
+    def test_placement_gives_the_same_document(self, tmp_path, capsys, flag, placement):
+        (tmp_path / "long.cfg").write_text("l_att_km = 11\n")
+        (tmp_path / "short.cfg").write_text("l_att_km = 5\n")
+        value, earlier = {
+            "--format": ("json", "csv"),
+            "--out": (str(tmp_path / "doc.csv"), str(tmp_path / "earlier.csv")),
+            "--config": (str(tmp_path / "long.cfg"), str(tmp_path / "short.cfg")),
+        }[flag]
+        argv = {"before": [flag, value, *self.ARGV], "after": [*self.ARGV, flag, value],
+                "both": [flag, earlier, *self.ARGV, flag, value]}[placement]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        golden = golden_path("usd").read_text(encoding="utf-8")
+        if flag == "--format":
+            doc = [{"quantity": q, "value": float(v)} for q, v in rows_of(golden)[1]]
+            assert out == json.dumps(doc, indent=2) + "\n"
+        elif flag == "--out":
+            assert out == ""
+            assert (tmp_path / "doc.csv").read_text(encoding="utf-8") == golden
+            assert not (tmp_path / "earlier.csv").exists()
+        else:
+            ch = ChannelParams(20.0, 11.0)
+            prob = usd_bound(3, 0.5, ch)
+            assert out == (f"quantity,value\ngamma,{ch.gamma:.6g}\nusd_probability,{prob:.6g}\n"
+                           f"min_norm_constant_over_d,{prob:.6g}\n")
+
+
 class TestConfig:
     def test_roundtrip_defaults(self, tmp_path):
         cfg = tmp_path / "cfg"
@@ -232,6 +288,19 @@ class TestConfig:
                                      purification_rounds=1))
         assert slow["z_attempts"] == default["z_attempts"] == f"{res.z:.6g}"
         assert slow["rate_hz"] == f"{res.rate_hz / 2:.6g}" != default["rate_hz"]
+
+    @pytest.mark.parametrize("speed, segment", [("1e308", "--L0 1e-300 --span 1e-300"),
+                                                ("1e-320", "--L0 5 --span 10")])
+    def test_segment_time_must_be_finite_and_positive(self, tmp_path, capsys, speed, segment):
+        # T0 = 2 L0 / c underflowed to 0 (exit 1, "float division by zero") or
+        # overflowed to inf (rate_hz printed 0, where the model gives about 5.1e-322)
+        cfg = tmp_path / "cfg"
+        cfg.write_text(f"fiber_speed_km_s = {speed}\n")
+        assert main(["--config", str(cfg), "rate", "--scheme", "usd", "--d", "3",
+                     "--alpha", "1.2", *segment.split()]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("hqrsim: invalid input: segment time T0 = 2 L0 / c = ")
 
     def test_config_keeps_benchmark_rates(self, tmp_path):
         cfg = tmp_path / "cfg"

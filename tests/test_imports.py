@@ -1,8 +1,12 @@
 """Modules of the package share only public names, the model never
-imports the benchmark tables or the CLI, and public functions take the
-channel and the repeater span whole."""
+imports the benchmark tables or the CLI, public functions take the
+channel and the repeater span whole, and `import hqrsim` leaves the
+test oracles' `numerics` unloaded."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import hqrsim
@@ -65,3 +69,13 @@ def loose_channel_parameters(path: Path):
 def test_public_functions_take_channel_and_config():
     assert [line for path in sorted(PACKAGE.glob("*.py"))
             for line in loose_channel_parameters(path)] == []
+
+
+def test_import_leaves_numerics_unloaded():
+    # DensityMatrix is the test oracles' density matrix; no package module needs it
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
+    cp = subprocess.run([sys.executable, "-c",
+                         "import sys, hqrsim; print('hqrsim.numerics' in sys.modules)"],
+                        capture_output=True, text=True, env=env)
+    assert (cp.returncode, cp.stdout, cp.stderr) == (0, "False\n", "")
