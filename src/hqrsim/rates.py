@@ -63,11 +63,11 @@ EULER_GAMMA = 0.5772156649015329
 MAX_PURIFICATION_ROUNDS = 64
 
 # expected geometric(p0) waits per monte_carlo_waiting chunk, whatever the rounds
-# and trials; seeded results with rounds depend on it, so it stays at 2^15
-MC_CHUNK = 2 ** 15
+# and trials; seeded results with rounds depend on it; 2^17 was the fastest in process
+MC_CHUNK = 2 ** 17
 
 # largest expected number of geometric(p0) waits monte_carlo_waiting accepts for
-# min(trials, max(1, 2^14 / 2^n)) trials; a chunk that large peaks near 0.9 GB (README)
+# min(trials, max(1, 2^14 / 2^n)) trials; a chunk that large peaks near 0.45 GB (README)
 MC_MAX_WAITS = 2 ** 25
 
 # smallest p0 monte_carlo_waiting accepts: a wait, at most about 37 / p0, stays
@@ -100,9 +100,8 @@ class RepeaterConfig:
             raise ValueError("delta_frac must lie in (0, 1]")
         if not (math.isfinite(self.L0_km) and self.L0_km > 0):
             raise ValueError("segment length must be finite and positive")
-        t0 = 2.0 * self.L0_km / self.fiber_speed_km_s  # as in span_model
-        if not (math.isfinite(t0) and t0 > 0):
-            raise ValueError(f"segment time T0 = 2 L0 / c = {t0} is not finite and positive")
+        if not (math.isfinite(self.t0) and self.t0 > 0):
+            raise ValueError(f"segment time T0 = 2 L0 / c = {self.t0} is not finite and positive")
         ratio = self.span_km / self.L0_km
         n = self.n if math.isfinite(ratio) and ratio > 0 else -1
         if not 0 <= n <= 1023 or abs(ratio - 2 ** n) > 1e-9 * ratio:
@@ -111,6 +110,10 @@ class RepeaterConfig:
     @property
     def n(self) -> int:
         return round(math.log2(self.span_km / self.L0_km))  # span = 2^n L0
+
+    @property
+    def t0(self) -> float:
+        return 2.0 * self.L0_km / self.fiber_speed_km_s  # segment time T0 = 2 L0 / c
 
 
 @dataclass(frozen=True)
@@ -233,7 +236,7 @@ def purification_chain(p0: float, weights: PhaseMixtureWeights,
 def span_model(chain, config: RepeaterConfig) -> list:
     """(Z, rate, fidelity bound) of every round of `chain` over the config's 2^n segments:
     Z = z_attempts(n, Q), rate = 1 / (T0 Z) with T0 = 2 L0 / c, bound F^(2^n)."""
-    n, t0 = config.n, 2.0 * config.L0_km / config.fiber_speed_km_s
+    n, t0 = config.n, config.t0
     zs = [z_attempts(n, st.effective_probability) for st in chain]
     return [(z, 1.0 / (t0 * z), st.fidelity ** (2 ** n)) for z, st in zip(zs, chain)]
 
@@ -255,17 +258,15 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     pairs (max of two independent waits) and repeats on failure (probability 1 - p_round).
 
     Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected geometric(p0) waits, and
-    a chunk holds max(1, MC_CHUNK // w) trials.  Draw the attempt counts K ~ geometric(p_round)
-    of rounds R..1 top-down, each element's id repeated K times as the owner of its attempts
-    (depth d - 1 has 2 K.sum() elements), then each depth-1 attempt, the maximum of two
-    geometric(p0) waits, by inversion from one uniform u: M = max(1, ceil(log(1 - sqrt(u)) /
-    log q)).  Sum bottom-up with `np.bincount` over the owners and pair maxima, up to each
-    trial's maximum.  Draws are floats (`_geometric`) in a per-call pool; owners and sums are
-    new arrays.  Raises ValueError before any draw for p0 < MC_MIN_P0 or work above
-    MC_MAX_WAITS.  Sums are exact integers below 2^53; above, bincount adds in turn (README).
-    A fixed seed gives identical results.  Without rounds the draws are one geometric(p0)
-    stream for any chunking, so seeded results equal those of the recursive sampler this
-    replaced; with rounds (`mc --round-p`) they have its distribution but other values.
+    a chunk holds max(1, MC_CHUNK // w) trials.  Going down rounds R..1, `_retries` draws only
+    the retried elements and their extra attempts; a depth holds each element's first attempt
+    at its index, then the extras by id.  A depth-1 attempt, the maximum of two geometric(p0)
+    waits, is max(1, ceil(log(1 - sqrt(u)) / log q)) of one uniform u.  Going up, a retried
+    element adds the sum of its extras (`np.add.reduceat`, in turn; exact below 2^53, README)
+    to its first attempt; pair maxima form the attempts above and each trial's maximum, in two
+    pooled arrays.  Raises ValueError before any draw for p0 < MC_MIN_P0 or work above
+    MC_MAX_WAITS.  Without rounds the draws are one geometric(p0) stream for any chunking, so
+    seeded results equal the replaced recursive sampler's; with rounds only the distribution does.
     """
     for name, value, low in (("n", n, 0), ("trials", trials, 1), ("seed", seed, 0)):
         # the range first: int() of inf overflows and int() of nan names no argument
@@ -294,18 +295,16 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
             pool[key] = np.zeros(size + size // 8)
         return pool[key][:size]
 
-    ids = np.arange(0)  # 0, 1, 2, ...: element ids, grown like the pool
     sum_x = sum_x2 = 0.0
     rng = np.random.default_rng([int(seed), 0])  # [seed, 0], not seed: same seeded results
     for done in range(0, trials, per_chunk):
         count = min(per_chunk, trials - done) * segments
-        owners = []  # every depth's attempt owners, top first; K >= 1, so every id occurs
+        retries = []  # per round, top first: element count, retried ids, bounds of their extras
         for p_round in reversed(round_probs):
-            ids = ids if ids.size >= count else np.arange(count + count // 8)
-            k = _geometric(rng, p_round, buffer("k", count))
-            owners.append(np.repeat(ids[:count], k.astype(np.intp)))
-            count = 2 * owners[-1].size
-        spare = buffer("k", count // 2)  # the K draws are dead once the owners exist
+            ids, bounds = _retries(rng, p_round, count)
+            retries.append((count, ids, bounds))
+            count = 2 * (count + int(bounds[-1]))  # two pairs per attempt
+        spare = buffer("spare", count // 2)
         if round_probs:  # depth-1 attempts: 1 - sqrt(u) = (1 - u) / (1 + sqrt(u)), and 1 - u > 0
             waits = rng.random(out=buffer("u", count // 2))
             np.add(np.sqrt(waits, out=spare), 1.0, out=spare)
@@ -313,11 +312,12 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
             np.maximum(np.ceil(np.divide(waits, log_q, out=waits), out=waits), 1.0, out=waits)
         else:
             waits = _geometric(rng, p0, buffer("u", count))
-        for depth, owner in enumerate(reversed(owners)):
+        for depth, (elements, ids, bounds) in enumerate(reversed(retries)):
             if depth:  # pair maxima go to the free buffer, which then holds the old waits
                 waits, spare = np.maximum(waits[0::2], waits[1::2],
                                           out=spare[:waits.size // 2]), waits
-            waits, spare = np.bincount(owner, waits), waits
+            waits[ids] += np.add.reduceat(waits[elements:], bounds[:-1])
+            waits = waits[:elements]
         for _ in range(n):
             waits, spare = np.maximum(waits[0::2], waits[1::2], out=spare[:waits.size // 2]), waits
         sum_x += float(waits.sum())
@@ -326,6 +326,21 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     mean = sum_x / trials
     var = max(sum_x2 - trials * mean ** 2, 0.0) / (trials - 1) if trials > 1 else math.nan
     return mean, math.sqrt(var / trials)
+
+
+def _retries(rng, p: float, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Ids of the `count` elements that retry a round of success probability p, and the
+    [0, cumsum(E)] bounds of their extra attempts E ~ geometric(p), both intp."""
+    found, last = [np.empty(0)], -1.0  # ids: running sums of geometric(1 - p) gaps, minus 1
+    while p < 1 and last < count - 1:  # batches of the expected number of retries plus 4 sd
+        expected = (count - 1 - last) * (1 - p)
+        ids = _geometric(rng, 1 - p, np.empty(int(expected + 4 * math.sqrt(expected)) + 1))
+        ids[0] += last
+        last = np.cumsum(ids, out=ids)[-1]
+        found.append(ids[:np.searchsorted(ids, count)])
+    ids = np.concatenate(found).astype(np.intp)
+    extras = _geometric(rng, p, np.empty(ids.size))
+    return ids, np.concatenate(([0.0], np.cumsum(extras, out=extras))).astype(np.intp)
 
 
 def _geometric(rng, p: float, out: np.ndarray) -> np.ndarray:

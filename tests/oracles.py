@@ -487,14 +487,17 @@ def monte_carlo_attempts(config: RepeaterConfig, trials: int, seed: int) -> tupl
     return monte_carlo_waiting(config.n, p0, round_probs, trials, seed)
 
 
-def monte_carlo_waiting_reduceat(n: int, p0: float, round_probs, trials: int,
-                                 seed: int) -> tuple[float, float]:
-    """`monte_carlo_waiting` with its attempt sums taken the earlier way.
+def monte_carlo_waiting_reduceat(n: int, p0: float, round_probs, trials: int, seed: int,
+                                 retries: bool = False) -> tuple[float, float]:
+    """`monte_carlo_waiting` with each element's attempts laid out together and summed
+    with `np.add.reduceat` between the int64 `[0, cumsum(K)]` bounds, into fresh arrays.
 
-    Same stream, chunks and draws (`rates._geometric`, `rates.MC_CHUNK`), but
-    each depth's attempts are summed with `np.add.reduceat` between the int64
-    `[0, cumsum(K)]` bounds instead of `np.bincount` over owner ids, into
-    fresh arrays.  Takes valid arguments only: no checks and no work cap.
+    By default every element draws its attempt count K ~ geometric(p_round), as the
+    sampler did before it drew only the retries: the same distribution, other seeded
+    values with rounds.  With `retries` the counts come from `rates._retries`, the
+    sampler's own draws, and the attempts are gathered from its layout (first attempts,
+    then the extras by id), so seeded results are equal below 2^53.  Same stream and
+    chunks (`rates.MC_CHUNK`).  Takes valid arguments only: no checks and no work cap.
     """
     segments = 2 ** n
     round_log2 = sum(math.log2(2 / p) for p in round_probs)
@@ -504,9 +507,17 @@ def monte_carlo_waiting_reduceat(n: int, p0: float, round_probs, trials: int,
     rng = np.random.default_rng([int(seed), 0])
     for done in range(0, trials, per_chunk):
         count = min(per_chunk, trials - done) * segments
-        bounds = []
+        bounds, orders = [], []
         for p_round in reversed(round_probs):
-            k = rates._geometric(rng, p_round, np.empty(count))
+            if retries:
+                ids, extra = rates._retries(rng, p_round, count)
+                k = np.ones(count)
+                k[ids] += np.diff(extra)
+                owner = np.concatenate((np.arange(count), np.repeat(ids, np.diff(extra))))
+                orders.append(np.argsort(owner, kind="stable"))  # first attempt first
+            else:
+                k = rates._geometric(rng, p_round, np.empty(count))
+                orders.append(slice(None))
             bounds.append(np.concatenate(([0], np.cumsum(k, dtype=np.int64))))
             count = 2 * int(bounds[-1][-1])
         if round_probs:  # the maximum of two geometric(p0) waits from one uniform
@@ -514,10 +525,10 @@ def monte_carlo_waiting_reduceat(n: int, p0: float, round_probs, trials: int,
             waits = np.maximum(np.ceil(np.log((1.0 - u) / (1.0 + np.sqrt(u))) / log_q), 1.0)
         else:
             waits = rates._geometric(rng, p0, np.empty(count))
-        for depth, bound in enumerate(reversed(bounds)):
+        for depth, (bound, order) in enumerate(zip(reversed(bounds), reversed(orders))):
             if depth:
                 waits = np.maximum(waits[0::2], waits[1::2])
-            waits = np.add.reduceat(waits, bound[:-1])
+            waits = np.add.reduceat(waits[order], bound[:-1])
         for _ in range(n):
             waits = np.maximum(waits[0::2], waits[1::2])
         sum_x += float(waits.sum())

@@ -242,6 +242,14 @@ class TestRepeaterConfig:
         cfg = RepeaterConfig(d=3, L0_km=5, span_km=40, alpha=1.0, scheme="usd")
         assert cfg.n == 3
 
+    def test_segment_time_sets_the_rate(self):
+        # T0 = 2 L0 / c, and predict's rate is 1 / (T0 Z)
+        cfg = RepeaterConfig(d=3, L0_km=5, span_km=40, alpha=1.0, scheme="usd",
+                             fiber_speed_km_s=1.6e5)
+        assert cfg.t0 == 2 * 5 / 1.6e5
+        result = predict(cfg)
+        assert result.rate_hz == 1 / (cfg.t0 * result.z)
+
     def test_segment_count_range(self):
         # a ratio near 2^1024 rounds to n = 1024, whose 2 ** n overflows a float
         with pytest.raises(ValueError, match="not a power of two"):
@@ -464,9 +472,10 @@ def _sum_sweep(count):
 
 
 class TestOwnerIdSums:
-    # the attempt sums (np.bincount over owner ids) against the earlier
-    # np.add.reduceat over int64 [0, cumsum(K)] bounds: below 2^53 every sum is
-    # an exact integer in any order, so seeded results are equal
+    # the sampler's draws summed two ways: its first attempts plus np.add.reduceat
+    # of each retried id's extras, against every element's attempts gathered
+    # together and summed with np.add.reduceat over int64 [0, cumsum(K)] bounds;
+    # below 2^53 every sum is an exact integer in any order, so results are equal
     @pytest.mark.parametrize("args", [
         (n, p0, round_probs, 100_000, seed)  # the waiting workload's mc shapes
         for n, p0, round_probs in ((2, 0.3, ()), (2, 0.4, (0.82,)), (1, 0.4, (0.8, 0.85)),
@@ -477,17 +486,73 @@ class TestOwnerIdSums:
         (2, 0.25, (0.3, 0.9), 20_000, 5),  # golden mc_rounds2_exponential
     ] + _sum_sweep(48))
     def test_equals_reduceat(self, args):
-        assert monte_carlo_waiting(*args) == monte_carlo_waiting_reduceat(*args)
+        assert monte_carlo_waiting(*args) == monte_carlo_waiting_reduceat(*args, retries=True)
 
     def test_sums_past_2_53(self):
-        # at p0 = 1e-13 an attempt is about 1.5e13 and round p 0.002 sums about
-        # 500 of them, past 2^53, where a sum rounds: bincount adds each
-        # element's attempts in turn and reduceat in another order, so the last
-        # bits differ (here by 4e-16 and 8e-16 relative) and == cannot hold
-        args = (0, 1e-13, (0.002,), 50, 1)
-        got, want = monte_carlo_waiting(*args), monte_carlo_waiting_reduceat(*args)
+        # at p0 = 1e-13 an attempt is about 1.5e13 and round p 0.001 sums about
+        # 1,000 of them, past 2^53, where a sum rounds: the sampler adds each
+        # retried element's extras in turn and then its first attempt, the
+        # gathered sum adds them all in turn, so the last bits may differ
+        args = (0, 1e-13, (0.001,), 50, 1)
+        got = monte_carlo_waiting(*args)
+        want = monte_carlo_waiting_reduceat(*args, retries=True)
         assert got == pytest.approx(want, rel=1e-14, abs=0)
         assert want[0] > 2 ** 53
+
+
+class TestRetriedAttempts:
+    """Drawing only the retried attempts against drawing K for every element.
+
+    Without rounds both are one geometric(p0) stream, so seeded results are
+    equal; with rounds the seeded values differ and the means agree within
+    4 combined standard errors.
+    """
+
+    @pytest.mark.parametrize("n, p0, round_probs, trials", [
+        (2, 0.3, (), 100_000),  # the waiting workload's mc shapes
+        (2, 0.4, (0.82,), 100_000),
+        (1, 0.4, (0.8, 0.85), 100_000),
+        (1, 0.4, (0.8, 0.85, 0.8), 100_000),  # and golden mc_rounds3 at seed 3
+        (2, 0.25, (0.3, 0.9), 20_000),  # golden mc_rounds2_exponential at seed 5
+        (0, 0.4, (0.3,), 50_000),
+        (1, 0.3, (0.5, 0.5), 50_000),
+        (0, 0.4, (0.3, 0.3, 0.3), 20_000),
+    ])
+    @pytest.mark.parametrize("seed", [3, 5, 41])
+    def test_matches_every_element_draw(self, n, p0, round_probs, trials, seed):
+        got = monte_carlo_waiting(n, p0, round_probs, trials, seed)
+        want = monte_carlo_waiting_reduceat(n, p0, round_probs, trials, seed)
+        if not round_probs:
+            assert got == want
+        assert abs(got[0] - want[0]) <= 4 * math.hypot(got[1], want[1]), (got, want)
+
+    @pytest.mark.parametrize("p", [0.3, 0.82, 1.0])
+    def test_each_element_retries_alike(self, p):
+        # TestOwnerIdSums shares these draws with its reference, so check them
+        # here: every element retries with probability 1 - p, the first and the
+        # last too, and a retried element draws 1/p extra attempts on average
+        rng, count, draws = np.random.default_rng(8), 5, 20_000
+        hits, extras = np.zeros(count), []
+        for _ in range(draws):
+            ids, bounds = rates._retries(rng, p, count)
+            assert ids.dtype == bounds.dtype == np.intp and bounds[0] == 0
+            assert np.all(np.diff(ids) > 0) and np.all((0 <= ids) & (ids < count))
+            hits[ids] += 1
+            extras.append(np.diff(bounds))
+        assert np.all(np.abs(hits / draws - (1 - p)) <= 4 * math.sqrt(p * (1 - p) / draws))
+        extras = np.concatenate(extras)
+        assert extras.size == hits.sum() and np.all(extras >= 1)
+        if p < 1:
+            assert abs(extras.mean() - 1 / p) <= 4 * extras.std() / math.sqrt(extras.size)
+
+    @pytest.mark.parametrize("sampler", [monte_carlo_waiting, monte_carlo_waiting_reduceat])
+    @pytest.mark.parametrize("p0, p1", [(0.4, 0.3), (0.25, 0.5), (0.4, 0.82)])
+    def test_one_round_mean(self, sampler, p0, p1):
+        # n = 0, one round: an attempt is the maximum M of two geometric(p0) waits,
+        # E[M] = 2/p0 - 1/(1 - q0^2), and the round takes geometric(p1) attempts
+        q0 = 1 - p0
+        mean, se = sampler(0, p0, (p1,), 100_000, 11)
+        assert abs(mean - (2 / p0 - 1 / (1 - q0 * q0)) / p1) <= 4 * se
 
 
 class TestGeometricDraws:
