@@ -6,6 +6,12 @@ from .logic import purify_step
 from .rates import (RateResult, RepeaterConfig, effective_probability,
                     monte_carlo_waiting, predict, purification_chain, z_attempts)
 from .states import ChannelParams, PhaseMixtureWeights, loss_weights, negativity_scan
-from .tables import reproduce_table
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):  # PEP 562: the benchmark tables load on first use, uncached
+    if name == "reproduce_table":
+        from .tables import reproduce_table
+        return reproduce_table
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -7,10 +7,10 @@ print for stdout), so error paths never leave partial documents behind.
 
 Each subcommand is one `COMMANDS` entry: its help, its arguments and a
 function params -> (columns, rows) of one mapping, the parsed arguments and
-the `CONFIG_DEFAULTS` keys.  Those functions look the library up through
-this module's globals at call time, so whatever rebinds a name here (a
-tracer, a monkeypatch) sees every call.  The library checks every input;
-the parser keeps only the checks whose messages name a flag.
+the `CONFIG_DEFAULTS` keys.  They look the library up at call time (`table`
+imports `tables` as it runs), so whatever rebinds a library name (a tracer,
+a monkeypatch) sees every call.  The library checks every input; the parser
+keeps only the checks whose messages name a flag.
 
 The argparse tree is built once per process (`_build_parser` is cached) and
 reused by every `parse`/`main` call, so it must hold no per-call state: no
@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import errno
 import io
-import json
 import math
 import os
 import sys
@@ -42,7 +41,6 @@ from .rates import (FIBER_SPEED_KM_S, SCHEMES, RepeaterConfig, monte_carlo_waiti
                     purification_chain, z_attempts)
 from .states import (L_ATT_KM, SCAN_MAX_D, ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL,
                      loss_weights, negativity_scan)
-from .tables import reproduce_table
 
 __all__ = ["RunSpec", "load_config", "parse", "run", "main"]
 
@@ -213,6 +211,7 @@ def _mc(p):
 
 
 def _table(p):
+    from .tables import reproduce_table  # the benchmark tables load only for `table`
     rows = [[c.section, "" if c.span_km is None else c.span_km, c.round_label,
              c.printed, c.computed, c.status] for c in reproduce_table(p["id"])]
     return ["section", "span_km", "rounds", "printed", "computed", "status"], rows
@@ -298,6 +297,7 @@ def _six_digits(value) -> str | None:
 
 def _emit(columns, rows, fmt: str) -> str:
     if fmt == "json":
+        import json  # only JSON output loads it
         doc = [{c: v if (text := _six_digits(v)) is None else float(text)
                 for c, v in zip(columns, row)} for row in rows]
         return json.dumps(doc, indent=2) + "\n"

@@ -25,8 +25,8 @@ latter at a complex centre, through the Faddeeva function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,8 +51,7 @@ EDGE_CLIP = 27.0
 FADDEEVA_TERMS = 40
 
 
-@dataclass(frozen=True)
-class DetectionReport:
+class DetectionReport(NamedTuple):
     window_probs: tuple[float, ...]
     window_fidelities: tuple[float, ...]
     p_succ: float

@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -69,6 +70,8 @@ MC_CHUNK = 2 ** 17
 # largest expected number of geometric(p0) waits monte_carlo_waiting accepts for
 # min(trials, max(1, 2^14 / 2^n)) trials; a chunk that large peaks near 0.45 GB (README)
 MC_MAX_WAITS = 2 ** 25
+# and over all trials of one call; 2^32 waits take 20-41 s of CPU (README)
+MC_MAX_TOTAL_WAITS = 2 ** 32
 
 # smallest p0 monte_carlo_waiting accepts: a wait, at most about 37 / p0, stays
 # below 2^53, so every draw is an exact integer as a float
@@ -116,8 +119,7 @@ class RepeaterConfig:
         return 2.0 * self.L0_km / self.fiber_speed_km_s  # segment time T0 = 2 L0 / c
 
 
-@dataclass(frozen=True)
-class RoundStats:
+class RoundStats(NamedTuple):
     round: int
     weights: PhaseMixtureWeights
     success_probability: float  # P_k; P_0 is the generation probability
@@ -128,8 +130,7 @@ class RoundStats:
         return float(self.weights.p[0])
 
 
-@dataclass(frozen=True)
-class RateResult:
+class RateResult(NamedTuple):
     rounds: tuple[RoundStats, ...]
     z: float
     rate_hz: float
@@ -265,8 +266,9 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     element adds the sum of its extras (`np.add.reduceat`, in turn; exact below 2^53, README)
     to its first attempt; pair maxima form the attempts above and each trial's maximum, in two
     pooled arrays.  Raises ValueError before any draw for p0 < MC_MIN_P0 or work above
-    MC_MAX_WAITS.  Without rounds the draws are one geometric(p0) stream for any chunking, so
-    seeded results equal the replaced recursive sampler's; with rounds only the distribution does.
+    MC_MAX_WAITS per chunk or MC_MAX_TOTAL_WAITS in all.  Without rounds the draws are one
+    geometric(p0) stream for any chunking, so seeded results equal the replaced recursive
+    sampler's; with rounds only the distribution does.
     """
     for name, value, low in (("n", n, 0), ("trials", trials, 1), ("seed", seed, 0)):
         # the range first: int() of inf overflows and int() of nan names no argument
@@ -285,6 +287,9 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
         raise ValueError(f"one chunk would draw about 2^{waits_log2:.1f} waits, above "
                          f"MC_MAX_WAITS = {MC_MAX_WAITS}: lower n or raise the round "
                          "probabilities")
+    if (total_log2 := n + math.log2(trials) + round_log2) > math.log2(MC_MAX_TOTAL_WAITS):
+        raise ValueError(f"the run would draw about 2^{total_log2:.1f} waits, above "
+                         f"MC_MAX_TOTAL_WAITS = {MC_MAX_TOTAL_WAITS}: lower trials or n")
     segments = 2 ** n
     per_chunk = min(max(1, int(MC_CHUNK / 2 ** (n + round_log2))), trials)
     log_q = math.log1p(-p0) if p0 < 1 else -math.inf

@@ -21,7 +21,8 @@ Statuses:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -201,8 +202,7 @@ UNRESOLVED = (
 )
 
 
-@dataclass(frozen=True)
-class CellComparison:
+class CellComparison(NamedTuple):
     table: str
     section: str  # initial_fidelity | effective_probability | rate_hz | fidelity
     span_km: float | None

@@ -14,6 +14,7 @@ import hqrsim.cli as cli
 from hqrsim.cli import (ALPHA_RANGE_MAX_COUNT, UsageError, _build_parser, load_config, main,
                         parse, run)
 from hqrsim.coherent import AMPLITUDE_MAX, RING_MAX_D
+from hqrsim import rates
 from hqrsim.detection import homodyne_report, usd_bound
 from hqrsim.rates import MAX_PURIFICATION_ROUNDS, RepeaterConfig, predict
 from hqrsim.states import ChannelParams, loss_weights, negativity_scan
@@ -629,6 +630,18 @@ class TestMainProcess:
         captured = capsys.readouterr()
         assert captured.err.startswith("hqrsim: invalid input:")
         assert "MC_MAX_WAITS" in captured.err
+        assert captured.out == ""
+
+    def test_mc_total_work_cap_is_two(self, capsys, monkeypatch):
+        # each 10^18-trial chunk fits MC_MAX_WAITS, but the whole run would take centuries;
+        # a draw would fail the test at once instead of running
+        monkeypatch.setattr(rates, "_geometric", None)
+        start = time.perf_counter()
+        assert main("mc --n 0 --p 0.5 --trials 1000000000000000000 --seed 1".split()) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hqrsim: invalid input:")
+        assert "MC_MAX_TOTAL_WAITS" in captured.err
         assert captured.out == ""
 
     @pytest.mark.filterwarnings("error")

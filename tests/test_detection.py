@@ -1,6 +1,5 @@
 import math
 import warnings
-from dataclasses import astuple
 from typing import NamedTuple
 
 import mpmath
@@ -199,7 +198,7 @@ class TestWindowStats:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_report_is_scalar_row(self, d):
         rep = homodyne_report(d, 1.3, ChannelParams(7.0), 0.3)
-        assert Row(*astuple(rep)[:4]) == window_row(d, 1.3, ChannelParams(7.0), 0.3)
+        assert Row(*tuple(rep)[:4]) == window_row(d, 1.3, ChannelParams(7.0), 0.3)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_probabilities_are_window_mass_sums(self, d):

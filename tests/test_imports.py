@@ -1,13 +1,16 @@
 """Modules of the package share only public names, the model never
 imports the benchmark tables or the CLI, public functions take the
-channel and the repeater span whole, and `import hqrsim` leaves the
-test oracles' `numerics` unloaded."""
+channel and the repeater span whole, and a fresh process loads neither
+the test oracles' `numerics` nor, unless its run uses them, the benchmark
+`tables` and `json`."""
 
 import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hqrsim
 
@@ -71,11 +74,47 @@ def test_public_functions_take_channel_and_config():
             for line in loose_channel_parameters(path)] == []
 
 
-def test_import_leaves_numerics_unloaded():
-    # DensityMatrix is the test oracles' density matrix; no package module needs it
+def fresh_python(*args):
+    """`python -X importtime ARGS` from this checkout's src/: exit status, stdout, the
+    other stderr lines and the names of the modules it imported."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(PACKAGE.parent), os.environ.get("PYTHONPATH"))))}
-    cp = subprocess.run([sys.executable, "-c",
-                         "import sys, hqrsim; print('hqrsim.numerics' in sys.modules)"],
+    cp = subprocess.run([sys.executable, "-X", "importtime", *args],
                         capture_output=True, text=True, env=env)
-    assert (cp.returncode, cp.stdout, cp.stderr) == (0, "False\n", "")
+    lines, timed = cp.stderr.splitlines(), "import time:"
+    return (cp.returncode, cp.stdout, [line for line in lines if not line.startswith(timed)],
+            {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith(timed)})
+
+
+def test_import_leaves_numerics_unloaded():
+    # DensityMatrix is the test oracles' density matrix; no package module needs it.
+    # The benchmark tables and json load only in the runs that read them.
+    usd = ["usd", "--d", "3", "--L0", "10", "--alpha", "0.8"]
+    runs = {"import": ["-c", "import hqrsim"],
+            "usd": ["-m", "hqrsim", *usd],
+            "json usd": ["-m", "hqrsim", "--format", "json", *usd],
+            "table V": ["-m", "hqrsim", "table", "--id", "V"]}
+    # every run loads rates, so an empty import log cannot pass
+    watched = ("hqrsim.rates", "hqrsim.numerics", "hqrsim.tables", "json")
+    loaded = {}
+    for name, args in runs.items():
+        status, _, errors, modules = fresh_python(*args)
+        loaded[name] = (status, errors, [m for m in watched if m in modules])
+    assert loaded == {"import": (0, [], ["hqrsim.rates"]), "usd": (0, [], ["hqrsim.rates"]),
+                      "json usd": (0, [], ["hqrsim.rates", "json"]),
+                      "table V": (0, [], ["hqrsim.rates", "hqrsim.tables"])}
+    # the first access loads the tables and returns their function
+    assert fresh_python("-c", "import sys, hqrsim; f = hqrsim.reproduce_table; "
+                        "print(f is sys.modules['hqrsim.tables'].reproduce_table)")[:3] == (
+        0, "True\n", [])
+
+
+def test_package_reproduce_table_is_looked_up_on_every_access(monkeypatch):
+    # nothing is cached in the package, so a rebinding in `tables` (a tracer) shows there
+    from hqrsim import reproduce_table, tables
+    assert reproduce_table is hqrsim.reproduce_table is tables.reproduce_table
+    assert "reproduce_table" not in vars(hqrsim)
+    monkeypatch.setattr(tables, "reproduce_table", stand_in := object())
+    assert hqrsim.reproduce_table is stand_in
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hqrsim.no_such_name

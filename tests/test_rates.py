@@ -392,6 +392,26 @@ class TestMonteCarlo:
         mean, _ = monte_carlo_waiting(0, 1.0, (0.01, 0.01), trials=1, seed=0)
         assert mean >= 1.0
 
+    def test_total_work_cap(self):
+        # every chunk fits, but 10^18 waits at several ns each would take centuries;
+        # refused before any draw, in log2, however large trials is
+        start = time.perf_counter()
+        with mock.patch.object(rates, "_geometric", side_effect=AssertionError("drew")):
+            for n, round_probs, trials in ((0, (), 10 ** 18), (0, (), 2 ** 32 + 1),
+                                           (10, (0.5,), 2 ** 21), (1, (0.01,), 10 ** 300)):
+                with pytest.raises(ValueError, match="MC_MAX_TOTAL_WAITS"):
+                    monte_carlo_waiting(n, 0.5, round_probs, trials=trials, seed=0)
+        assert time.perf_counter() - start < 0.1
+
+    # perfbench's mc shapes, at their lowest round probability; the golden argv run in
+    # test_cli_golden.py
+    @pytest.mark.parametrize("n, round_probs, trials", [
+        (1, (), 10 ** 4), (2, (), 10 ** 5), (2, (0.75,), 10 ** 5), (1, (0.75,) * 2, 10 ** 5),
+        (1, (0.75,) * 3, 10 ** 5)])
+    def test_total_work_cap_accepts_workload_shapes(self, n, round_probs, trials):
+        mean, se = monte_carlo_waiting(n, 0.5, round_probs, trials=trials, seed=1)
+        assert mean >= 1.0 and 0 < se < mean
+
     @pytest.mark.parametrize("p0, round_probs", [
         (0.3, (0.7,)),
         (0.05, (0.8,)),
@@ -677,3 +697,22 @@ class TestReproduceTable:
             cells = reproduce_table(tid)
             frac = sum(c.status == "match" for c in cells) / len(cells)
             assert frac >= minimum, (tid, frac)
+
+
+@pytest.mark.parametrize("record, fields", [
+    (lambda: predict(RepeaterConfig(d=3, L0_km=5, span_km=20, alpha=1.2, scheme="usd",
+                                    purification_rounds=1)).rounds[1],
+     ("round", "weights", "success_probability", "effective_probability")),
+    (lambda: predict(RepeaterConfig(d=3, L0_km=5, span_km=20, alpha=1.2, scheme="usd")),
+     ("rounds", "z", "rate_hz", "final_fidelity_bound")),
+    (lambda: detection.homodyne_report(3, 1.0, ChannelParams(5.0), 0.2),
+     ("window_probs", "window_fidelities", "p_succ", "f_av", "offdiag_bound")),
+    (lambda: reproduce_table("I")[0],
+     ("table", "section", "span_km", "round_label", "printed", "computed", "status")),
+])
+def test_result_records_are_read_only(record, fields):
+    rec = record()
+    assert tuple(getattr(rec, f) for f in fields) == tuple(rec)  # every field, by name
+    for attr in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(rec, attr, None)
