@@ -7,13 +7,15 @@ print for stdout), so error paths never leave partial documents behind.
 
 Each subcommand is one `COMMANDS` entry: its help, its arguments and a
 function params -> (columns, rows) of one mapping, the parsed arguments and
-the `CONFIG_DEFAULTS` keys.  They look the library up at call time (`table`
-imports `tables` as it runs), so whatever rebinds a library name (a tracer,
-a monkeypatch) sees every call.  The library checks every input; the parser
-keeps only the checks whose messages name a flag.
+the `CONFIG_DEFAULTS` keys.  Both load the library as they run, so a fresh
+process loads only what its subcommand uses, and whatever rebinds a library
+name (a tracer, a monkeypatch) sees every call.  The library checks every
+input; the parser keeps only the checks whose messages name a flag.
 
-The argparse tree is built once per process (`_build_parser` is cached) and
-reused by every `parse`/`main` call, so it must hold no per-call state: no
+One parser per command: `parse` builds a tree of only the subcommand argv
+names, or of all nine for help before the command and for every error text.
+Each tree is built once per process (`_build_parser` is cached) and reused
+by every `parse`/`main` call, so it must hold no per-call state: no
 mutable defaults, and a failed parse or `--help` leaves it as it was.
 
 Exit status: 0 success, 1 numerical failure, 2 malformed input (also a
@@ -29,18 +31,13 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .coherent import RING_MAX_D, WEIGHT_MODELS, norm_constants
-from .detection import HOMODYNE_DIMS, homodyne_report, usd_bound
-from .rates import (FIBER_SPEED_KM_S, SCHEMES, RepeaterConfig, monte_carlo_waiting, predict,
-                    purification_chain, z_attempts)
-from .states import (L_ATT_KM, SCAN_MAX_D, ChannelParams, PhaseMixtureWeights, WEIGHT_SUM_TOL,
-                     loss_weights, negativity_scan)
+from .coherent import RING_MAX_D, WEIGHT_MODELS
+from .states import FIBER_SPEED_KM_S, L_ATT_KM, SCAN_MAX_D, WEIGHT_SUM_TOL
 
 __all__ = ["RunSpec", "load_config", "parse", "run", "main"]
 
@@ -54,10 +51,9 @@ ALPHA_RANGE_MAX_COUNT = 10 ** 5
 CONFIG_DEFAULTS = {"l_att_km": L_ATT_KM, "fiber_speed_km_s": FIBER_SPEED_KM_S}
 
 
-@dataclass
-class RunSpec:
+class RunSpec(NamedTuple):
     command: str
-    params: dict = field(default_factory=dict)  # arguments and --config overrides
+    params: dict  # arguments and --config overrides
     out: str | None = None
     format: str = "csv"
 
@@ -115,6 +111,8 @@ def _numbers(text: str):
 
 def _weights(text: str):
     w = _numbers(text)
+    if len(w) < 2:  # d >= 2, as every other subcommand requires
+        raise argparse.ArgumentTypeError("expected at least two weights")
     if any(not x >= 0 for x in w) or abs(sum(w) - 1.0) > WEIGHT_SUM_TOL:
         raise argparse.ArgumentTypeError("must be nonnegative and sum to 1")
     return w
@@ -143,12 +141,14 @@ def _add_global_flags(p):
 
 
 def _constants(p):
+    from .coherent import norm_constants
     vals = norm_constants(p["d"], p["alpha"], p["model"])
     return (["m", "norm_constant", "weight_fraction"],
             [[m, float(v), float(v) / p["d"] ** 2] for m, v in enumerate(vals)])
 
 
 def _entangle(p):
+    from .states import ChannelParams, loss_weights
     d = p["d"]
     w = loss_weights(d, p["alpha"], ChannelParams(p["L0"], p["l_att_km"]), p["model"])
     # component m pairs the Bell state with phase index (d - m) mod d
@@ -157,12 +157,15 @@ def _entangle(p):
 
 
 def _negativity_scan(p):
+    from .states import ChannelParams, negativity_scan
     pts = negativity_scan(p["d"], p["alpha_range"], ChannelParams(p["L0"], p["l_att_km"]),
                           p["model"])
     return ["alpha", "negativity"], [list(pt) for pt in pts]
 
 
 def _homodyne(p):
+    from .detection import homodyne_report
+    from .states import ChannelParams
     rep = homodyne_report(p["d"], p["alpha"], ChannelParams(p["L0"], p["l_att_km"]),
                           p["delta_frac"])
     rows = [["p_w%d" % i, v] for i, v in enumerate(rep.window_probs)]
@@ -172,6 +175,8 @@ def _homodyne(p):
 
 
 def _usd(p):
+    from .detection import usd_bound
+    from .states import ChannelParams
     ch = ChannelParams(p["L0"], p["l_att_km"])
     # usd_bound is min_m N_{v_m} / d; both rows print that one value
     prob = usd_bound(p["d"], p["alpha"], ch)
@@ -180,6 +185,8 @@ def _usd(p):
 
 
 def _purify(p):
+    from .rates import purification_chain
+    from .states import PhaseMixtureWeights
     w = PhaseMixtureWeights(len(p["weights"]), p["weights"])
     cols = ["round", "success_probability", "leading_weight"] + [f"w{j}" for j in range(w.d)]
     return cols, [[st.round, st.success_probability, st.fidelity] + st.weights.p.tolist()
@@ -187,6 +194,7 @@ def _purify(p):
 
 
 def _rate(p):
+    from .rates import RepeaterConfig, predict
     cfg = RepeaterConfig(d=p["d"], L0_km=p["L0"], span_km=p["span"], alpha=p["alpha"],
                          scheme=p["scheme"], delta_frac=p["delta_frac"], L_att_km=p["l_att_km"],
                          purification_rounds=p["rounds"], fiber_speed_km_s=p["fiber_speed_km_s"])
@@ -202,6 +210,7 @@ def _rate(p):
 
 
 def _mc(p):
+    from .rates import monte_carlo_waiting, z_attempts
     mean, stderr = monte_carlo_waiting(p["n"], p["p"], tuple(p["round_p"]), trials=p["trials"],
                                        seed=p["seed"])
     rows = [["mean_attempts", mean], ["standard_error", stderr], ["trials", p["trials"]]]
@@ -211,7 +220,7 @@ def _mc(p):
 
 
 def _table(p):
-    from .tables import reproduce_table  # the benchmark tables load only for `table`
+    from .tables import reproduce_table
     rows = [[c.section, "" if c.span_km is None else c.span_km, c.round_label,
              c.printed, c.computed, c.status] for c in reproduce_table(p["id"])]
     return ["section", "span_km", "rounds", "printed", "computed", "status"], rows
@@ -219,14 +228,15 @@ def _table(p):
 
 class Command(NamedTuple):
     help: str
-    args: tuple  # (flag, add_argument keywords) per argument, in help order
+    args: Callable  # () -> (flag, add_argument keywords) per argument, in help order
     run: Callable  # params -> (columns, rows)
 
 
-_D, _D_SCAN, _D_HOMODYNE, _D_RATE = (
-    ("--d", {"type": _int_at_least(2), "required": True, "help": f"qudit dimension {dims}"})
-    for dims in (f"2 to {RING_MAX_D}", f"2 to {SCAN_MAX_D}", f"in {HOMODYNE_DIMS}",
-                 f"2 to {RING_MAX_D}, or in {HOMODYNE_DIMS} with --scheme homodyne"))
+def _d(dims: str):
+    return "--d", {"type": _int_at_least(2), "required": True, "help": f"qudit dimension {dims}"}
+
+
+_D, _D_SCAN = _d(f"2 to {RING_MAX_D}"), _d(f"2 to {SCAN_MAX_D}")
 _L0 = ("--L0", {"type": float, "required": True})
 _ALPHA = ("--alpha", {"type": float, "required": True})
 _ALPHA_RANGE = ("--alpha-range", {"type": _alpha_range, "required": True, "metavar": "A:B:N"})
@@ -237,51 +247,63 @@ def _model(default):
     return ("--model", {"choices": WEIGHT_MODELS, "default": default})
 
 
+def _lib(module: str, name: str):  # loaded on first use, as `__init__.__getattr__` does
+    return getattr(__import__(f"{__package__}.{module}", fromlist=[name]), name)
+
+
 COMMANDS = {
     "constants": Command("orthonormal-basis normalization constants",
-                         (_D, _ALPHA, _model("gram")), _constants),
+                         lambda: (_D, _ALPHA, _model("gram")), _constants),
     "entangle": Command("matter-matter mixture components",
-                        (_D, _L0, _ALPHA, _model("closed-form")), _entangle),
-    "negativity-scan": Command("entanglement negativity over an amplitude grid",
-                               (_D_SCAN, _L0, _ALPHA_RANGE, _model("gram")), _negativity_scan),
-    "homodyne": Command("windowed homodyne probabilities and fidelities",
-                        (_D_HOMODYNE, _L0, _ALPHA, _DELTA_FRAC), _homodyne),
-    "usd": Command("unambiguous-discrimination success bound", (_D, _L0, _ALPHA), _usd),
-    "purify": Command("iterate two-copy purification on a weight vector",
-                      (("--weights", {"type": _weights, "required": True, "metavar": "W0,W1,..."}),
-                       ("--rounds", {"type": _int_at_least(0), "default": 1})), _purify),
-    "rate": Command("repeater rate and fidelity prediction",
-                    (_D_RATE, ("--scheme", {"choices": SCHEMES, "required": True}),
-                     _L0, _ALPHA, ("--span", {"type": float, "required": True}),
-                     ("--rounds", {"type": int, "default": 0}), _DELTA_FRAC), _rate),
-    "mc": Command("Monte Carlo waiting-time validation",
-                  (("--n", {"type": int, "required": True, "help": "log2 of the segment count"}),
-                   ("--p", {"type": float, "required": True}),
-                   ("--round-p", {"type": _numbers, "default": (), "metavar": "P1,P2,..."}),
-                   ("--trials", {"type": _int_at_least(2), "required": True}),
-                   ("--seed", {"type": int, "required": True})), _mc),
-    "table": Command("benchmark-table reproduction with per-cell status",
-                     (("--id", {"choices": ("I", "II", "III", "IV", "V"), "required": True}),),
-                     _table),
+                        lambda: (_D, _L0, _ALPHA, _model("closed-form")), _entangle),
+    "negativity-scan": Command("entanglement negativity over an amplitude grid", lambda: (
+        _D_SCAN, _L0, _ALPHA_RANGE, _model("gram")), _negativity_scan),
+    "homodyne": Command("windowed homodyne probabilities and fidelities", lambda: (
+        _d(f"in {_lib('detection', 'HOMODYNE_DIMS')}"), _L0, _ALPHA, _DELTA_FRAC), _homodyne),
+    "usd": Command("unambiguous-discrimination success bound", lambda: (_D, _L0, _ALPHA), _usd),
+    "purify": Command("iterate two-copy purification on a weight vector", lambda: (
+        ("--weights", {"type": _weights, "required": True, "metavar": "W0,W1,..."}),
+        ("--rounds", {"type": _int_at_least(0), "default": 1})), _purify),
+    "rate": Command("repeater rate and fidelity prediction", lambda: (
+        _d(f"2 to {RING_MAX_D}, or in {_lib('detection', 'HOMODYNE_DIMS')} "
+           "with --scheme homodyne"),
+        ("--scheme", {"choices": _lib("rates", "SCHEMES"), "required": True}),
+        _L0, _ALPHA, ("--span", {"type": float, "required": True}),
+        ("--rounds", {"type": int, "default": 0}), _DELTA_FRAC), _rate),
+    "mc": Command("Monte Carlo waiting-time validation", lambda: (
+        ("--n", {"type": int, "required": True, "help": "log2 of the segment count"}),
+        ("--p", {"type": float, "required": True}),
+        ("--round-p", {"type": _numbers, "default": (), "metavar": "P1,P2,..."}),
+        ("--trials", {"type": _int_at_least(2), "required": True}),
+        ("--seed", {"type": int, "required": True})), _mc),
+    "table": Command("benchmark-table reproduction with per-cell status", lambda: (
+        ("--id", {"choices": ("I", "II", "III", "IV", "V"), "required": True}),), _table),
 }
 
 
 @cache
-def _build_parser() -> _Parser:
+def _build_parser(names: tuple) -> _Parser:
     # global flags are accepted both before and after the subcommand
     parser = _Parser(prog="hqrsim", description="Qudit hybrid-repeater analysis")
     _add_global_flags(parser)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
+    for name in names:
+        p = sub.add_parser(name, help=COMMANDS[name].help)
         _add_global_flags(p)
-        for flag, kwargs in command.args:
+        for flag, kwargs in COMMANDS[name].args():
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def parse(argv) -> RunSpec:
-    params = vars(_build_parser().parse_args(list(argv)))
+    argv, i = list(argv), 0
+    while i < len(argv) and argv[i].startswith("--") and not argv[i].startswith("--h"):
+        i += 1 if "=" in argv[i] else 2  # a global flag, and its value unless joined by =
+    named = (argv[i],) if i < len(argv) and argv[i] in COMMANDS else tuple(COMMANDS)
+    try:  # the named command's tree; all nine for help before it or no command named
+        params = vars(_build_parser(named).parse_args(argv))
+    except UsageError:  # raised again in the full tree's words
+        params = vars(_build_parser(tuple(COMMANDS)).parse_args(argv))
     if (config := params.pop("config", None)) is not None:
         params.update(load_config(config))
     return RunSpec(command=params.pop("command"), out=params.pop("out", None),

@@ -32,7 +32,6 @@ docstring says which seeded results it keeps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -40,10 +39,9 @@ import numpy as np
 
 from .detection import usd_bound, window_stats
 from .logic import purify_step
-from .states import L_ATT_KM, ChannelParams, PhaseMixtureWeights, loss_weights
+from .states import FIBER_SPEED_KM_S, L_ATT_KM, ChannelParams, PhaseMixtureWeights, loss_weights
 
 __all__ = [
-    "FIBER_SPEED_KM_S",
     "RepeaterConfig",
     "RoundStats",
     "RateResult",
@@ -56,7 +54,6 @@ __all__ = [
     "monte_carlo_waiting",
 ]
 
-FIBER_SPEED_KM_S = 2.0e5
 EULER_GAMMA = 0.5772156649015329
 
 # most rounds purification_chain runs, at about 70 us each; from Q_0 = 1 (`purify`)
@@ -80,19 +77,18 @@ MC_MIN_P0 = 1e-13
 SCHEMES = ("usd", "homodyne")
 
 
-@dataclass(frozen=True)
 class RepeaterConfig:
-    d: int
-    L0_km: float
-    span_km: float
-    alpha: float
-    scheme: str
-    delta_frac: float = 0.2
-    purification_rounds: int = 0
-    L_att_km: float = L_ATT_KM
-    fiber_speed_km_s: float = FIBER_SPEED_KM_S
+    """A span of 2^n segments of L0; immutable: assigning to a field raises AttributeError."""
 
-    def __post_init__(self):
+    __slots__ = ("d", "L0_km", "span_km", "alpha", "scheme", "delta_frac",
+                 "purification_rounds", "L_att_km", "fiber_speed_km_s")
+
+    def __init__(self, d: int, L0_km: float, span_km: float, alpha: float, scheme: str,
+                 delta_frac: float = 0.2, purification_rounds: int = 0,
+                 L_att_km: float = L_ATT_KM, fiber_speed_km_s: float = FIBER_SPEED_KM_S):
+        fields = locals()
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
         if self.d < 2:
             raise ValueError("d must be >= 2")
         if self.scheme not in SCHEMES:
@@ -109,6 +105,9 @@ class RepeaterConfig:
         n = self.n if math.isfinite(ratio) and ratio > 0 else -1
         if not 0 <= n <= 1023 or abs(ratio - 2 ** n) > 1e-9 * ratio:
             raise ValueError(f"span/L0 = {ratio} is not a power of two")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def n(self) -> int:

@@ -26,7 +26,6 @@ which probes the physical entanglement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +38,9 @@ __all__ = [
     "negativity_scan",
 ]
 
-# attenuation length of telecom fiber, the default of every channel
+# attenuation length of telecom fiber, the default of every channel; light's speed in it
 L_ATT_KM = 22.0
+FIBER_SPEED_KM_S = 2.0e5
 
 # largest |sum - 1| a phase-mixture weight vector may have
 WEIGHT_SUM_TOL = 1e-10
@@ -57,18 +57,22 @@ SCAN_CHUNK_FLOATS = 256 * 8 ** 3
 SCAN_MAX_D = 16
 
 
-@dataclass(frozen=True)
 class ChannelParams:
-    """Fiber segment of length L0 with attenuation length L_att (telecom ~22 km)."""
+    """Fiber segment of length L0 with attenuation length L_att (telecom ~22 km);
+    immutable: assigning to a field raises AttributeError."""
 
-    L0_km: float
-    L_att_km: float = L_ATT_KM
+    __slots__ = ("L0_km", "L_att_km")
 
-    def __post_init__(self):
+    def __init__(self, L0_km: float, L_att_km: float = L_ATT_KM):
+        object.__setattr__(self, "L0_km", L0_km)
+        object.__setattr__(self, "L_att_km", L_att_km)
         if not (math.isfinite(self.L0_km) and self.L0_km >= 0):
             raise ValueError("segment length must be finite and nonnegative")
         if not (math.isfinite(self.L_att_km) and self.L_att_km > 0):
             raise ValueError("attenuation length must be finite and positive")
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     @property
     def gamma(self) -> float:

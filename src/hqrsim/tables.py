@@ -21,7 +21,7 @@ Statuses:
 
 from __future__ import annotations
 
-from dataclasses import replace
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -259,11 +259,11 @@ def reproduce_table(table_id: str) -> list[CellComparison]:
     L0 = spec["L0_km"]
     alpha = (spec["alpha"] if spec["scheme"] == "usd"
              else _homodyne_table_alpha(L0, spec["initial_fidelity"][0]))
-    config = RepeaterConfig(d=3, L0_km=L0, span_km=L0, alpha=alpha, scheme=spec["scheme"],
-                            delta_frac=TABLE_DELTA_FRAC)
-    chain = purification_chain(*initial_segment_state(config), spec["rounds"] - 1)
-    # (Z, rate, bound) per round, once per span of either section
-    spans = {span: span_model(chain, replace(config, span_km=span))
+    at_span = partial(RepeaterConfig, d=3, L0_km=L0, alpha=alpha, scheme=spec["scheme"],
+                      delta_frac=TABLE_DELTA_FRAC)
+    chain = purification_chain(*initial_segment_state(at_span(span_km=L0)), spec["rounds"] - 1)
+    # (Z, rate, bound) per round, once per span of either section, each config checked
+    spans = {span: span_model(chain, at_span(span_km=span))
              for span in spec["rate_hz"].keys() | spec["fidelity"].keys()}
 
     # (section, span, printed row, computed row); a row has one value per round

@@ -1,13 +1,10 @@
 import argparse
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 import warnings
-from pathlib import Path
 
+import numpy as np
 import pytest
 
 import hqrsim.cli as cli
@@ -18,18 +15,7 @@ from hqrsim import rates
 from hqrsim.detection import homodyne_report, usd_bound
 from hqrsim.rates import MAX_PURIFICATION_ROUNDS, RepeaterConfig, predict
 from hqrsim.states import ChannelParams, loss_weights, negativity_scan
-from test_cli_golden import CASES, golden_path
-
-
-SRC = str(Path(__file__).resolve().parents[1] / "src")
-
-
-def run_python(*args, cwd=None):
-    """A fresh interpreter that imports hqrsim from this checkout's src/."""
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
-                          cwd=cwd)
+from test_cli_golden import CASES, golden_path, run_python
 
 
 def run_cli(*args, cwd=None):
@@ -93,7 +79,7 @@ class TestParse:
 
     def test_config_keys_are_no_argument_dests(self):
         # --config overrides join the parsed arguments in one mapping
-        parser = _build_parser()
+        parser = _build_parser(tuple(cli.COMMANDS))
         [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
         assert set(sub.choices) == set(cli.COMMANDS)
         dests = {a.dest for p in (parser, *sub.choices.values()) for a in p._actions}
@@ -138,6 +124,12 @@ class TestParse:
             with pytest.raises(UsageError, match="--weights: must be nonnegative"):
                 parse(["purify", "--weights", text])
 
+    def test_purify_needs_two_weights(self, capsys):
+        # one weight is a d = 1 chain, which every other subcommand refuses; it printed one
+        assert main(["purify", "--weights", "1"]) == 2
+        assert capsys.readouterr() == (
+            "", "hqrsim: error: argument --weights: expected at least two weights\n")
+
     def test_round_p_default_is_not_shared(self):
         # the parser outlives each call, so a mutable default would be shared
         argv = ["mc", "--n", "1", "--p", "0.5", "--trials", "10", "--seed", "1"]
@@ -163,24 +155,97 @@ class TestParse:
         assert f"qudit dimension {dims}" in " ".join(capsys.readouterr().out.split())
 
 
-class TestParserReuse:
+# argv that the parser refuses, from the tests of this file
+USAGE_ERRORS = [
+    "usd --d 3 --L0 5 --alpha 1 --bogus 1", "usd --d 1 --L0 5 --alpha 1",
+    "usd --d 3 --L0 20 --alpha 0.5 --nope", "purify --weights 0.5,0.4",
+    "purify --weights 0.5,0.5000000005", "purify --weights nan,1", "purify --weights 1,nan",
+    "purify --weights 1", "mc --n 1 --p 0.5 --round-p x",
+    "mc --n 1 --p 0.5 --trials 10 --seed 1 --shards 2",
+    *(f"--format json mc --n 1 --p 0.5 --trials {t} --seed 1" for t in ("1", "0", "-5")),
+    *(f"negativity-scan --d 3 --L0 5 --alpha-range={grid}"
+      for grid in ("-1:2:10", "nan:1:5", "0:inf:5", "0:1:1",
+                   f"0:1:{ALPHA_RANGE_MAX_COUNT + 1}", "0:1:10000000000000")),
+    # and argv that name no command, or name it where argparse does not look
+    "", "--format json", "bogus --d 3", "--out", "--out usd", "--format xml usd --d 3",
+    "--bogus usd usd --d 3 --L0 5 --alpha 1", "-- usd --d 3 --L0 5 --alpha 1",
+    "-x usd --d 3 --L0 5 --alpha 1", "-- constants usd --d 3 --L0 5 --alpha 1", "usd",
+    "usd --d 3 --L0 5 --alpha 1 constants",
+]
+USD = CASES["usd"]
+# global flags before and after the command, abbreviated, joined by =, and a
+# flag value that is a command name
+FLAG_PLACEMENTS = [
+    f"--format json {USD}", f"{USD} --format json", f"--form json {USD}",
+    f"--format=json {USD}", f"--out usd {USD}", f"--out=usd {USD} --out table",
+    f"--format json --format csv {USD} --format json", f"--config usd {USD}",
+]
+
+
+def parsed(argv: list):
+    """`parse(argv)` as comparable data, or the text of its usage error."""
+    try:
+        spec = parse(argv)
+    except UsageError as exc:
+        return str(exc)
+    return spec._replace(params={k: v.tolist() if isinstance(v, np.ndarray) else v
+                                 for k, v in spec.params.items()})
+
+
+class TestParserTrees:
     # one golden argv per subcommand
     SUBCOMMAND_CASES = ("constants", "entangle", "negativity_scan_d8_gram", "homodyne",
                         "usd", "purify", "rate", "mc", "table_I")
 
-    def test_parser_built_once_per_process(self, capsys):
+    def test_each_tree_built_once_per_process(self, capsys):
+        # the nine one-command trees, and the full tree for errors and help
         _build_parser.cache_clear()
-        assert main(["usd", "--d", "3", "--L0", "20", "--alpha", "0.5", "--nope"]) == 2
-        assert main(["mc", "--n", "1", "--p", "0.5", "--round-p", "x"]) == 2
-        assert capsys.readouterr().out == ""
+        for _ in range(2):
+            assert main(["usd", "--d", "3", "--L0", "20", "--alpha", "0.5", "--nope"]) == 2
+            assert main(["mc", "--n", "1", "--p", "0.5", "--round-p", "x"]) == 2
+            assert capsys.readouterr().out == ""
+            with pytest.raises(SystemExit) as exc:
+                main(["--help"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.startswith("usage: hqrsim")
+            for name in self.SUBCOMMAND_CASES:
+                assert main(CASES[name].split()) == 0, name
+                assert (capsys.readouterr().out
+                        == golden_path(name).read_text(encoding="utf-8")), name
+        assert _build_parser.cache_info().misses == len(cli.COMMANDS) + 1
+
+    @pytest.mark.parametrize("argv", [*CASES.values(), *USAGE_ERRORS, *FLAG_PLACEMENTS])
+    def test_one_command_tree_parses_as_the_full_tree(self, monkeypatch, tmp_path, argv):
+        # --config usd reads ./usd: a missing file, the same usage error on both trees
+        monkeypatch.chdir(tmp_path)
+        _build_parser.cache_clear()
+        got = parsed(argv.split())
+        if not isinstance(got, str):  # parsed by its command's tree, the only one built
+            _build_parser((got.command,))
+            assert _build_parser.cache_info()[:2] == (1, 1)  # hits, misses
+        full = _build_parser(tuple(cli.COMMANDS))
+        monkeypatch.setattr(cli, "_build_parser", lambda names: full)
+        assert got == parsed(argv.split())
+
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    def test_command_help_is_the_full_tree_help(self, capsys, command):
         with pytest.raises(SystemExit) as exc:
-            main(["--help"])
+            main([command, "--help"])
         assert exc.value.code == 0
-        assert capsys.readouterr().out.startswith("usage: hqrsim")
-        for name in self.SUBCOMMAND_CASES:
-            assert main(CASES[name].split()) == 0, name
-            assert capsys.readouterr().out == golden_path(name).read_text(encoding="utf-8"), name
-        assert _build_parser.cache_info().misses == 1
+        one = capsys.readouterr().out
+        [sub] = [a for a in _build_parser(tuple(cli.COMMANDS))._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        assert one == sub.choices[command].format_help()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["-h", "usd"], ["--he", "usd", "--d", "3"],
+                                      ["--format", "json", "-h", "usd"], ["--he", "usd", "usd"]])
+    def test_help_before_the_command_lists_every_command(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out == _build_parser(tuple(cli.COMMANDS)).format_help()
+        assert "{" + ",".join(cli.COMMANDS) + "}" in out
 
 
 class TestGlobalFlagPlacement:

@@ -1,5 +1,6 @@
 """Golden CLI outputs: the README command lines, tables I-V and high-d
-negativity scans, run in-process.
+negativity scans, run in-process and as fresh `python -m hqrsim` processes
+(which import the library as the subcommand runs).
 
 Each case's stdout must match its file under `tests/golden/` cell by cell.
 Cells compare as strings, except that two numbers both below 1e-12 in
@@ -10,13 +11,17 @@ intended output change.
 """
 
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from hqrsim.cli import main
 
 GOLDEN = pathlib.Path(__file__).with_name("golden")
+SRC = str(pathlib.Path(__file__).resolve().parents[1] / "src")
 NOISE = 1e-12
 
 CASES = {
@@ -77,6 +82,14 @@ def same_cell(a, b) -> bool:
         return False
 
 
+def run_python(*args, cwd=None):
+    """A fresh interpreter that imports hqrsim from this checkout's src/."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env,
+                          cwd=cwd)
+
+
 def run_case(argv: str, capsys) -> str:
     assert main(argv.split()) == 0
     return capsys.readouterr().out
@@ -84,7 +97,20 @@ def run_case(argv: str, capsys) -> str:
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_matches_golden(name, capsys):
-    got = cells(name, run_case(CASES[name], capsys))
+    assert_matches_golden(name, run_case(CASES[name], capsys))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_fresh_process_matches_golden(name):
+    # a fresh process takes code paths the in-process runs do not: the imports
+    # its subcommand makes as it runs
+    cp = run_python("-W", "error::RuntimeWarning", "-m", "hqrsim", *CASES[name].split())
+    assert (cp.returncode, cp.stderr) == (0, "")
+    assert_matches_golden(name, cp.stdout)
+
+
+def assert_matches_golden(name: str, text: str):
+    got = cells(name, text)
     want = cells(name, golden_path(name).read_text(encoding="utf-8"))
     assert [len(r) for r in got] == [len(r) for r in want]
     diffs = [(i, a, b) for i, (ra, rb) in enumerate(zip(got, want))

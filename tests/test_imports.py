@@ -1,10 +1,12 @@
 """Modules of the package share only public names, the model never
 imports the benchmark tables or the CLI, public functions take the
-channel and the repeater span whole, and a fresh process loads neither
-the test oracles' `numerics` nor, unless its run uses them, the benchmark
-`tables` and `json`."""
+channel and the repeater span whole, and a fresh process loads only the
+modules its run uses: never the test oracles' `numerics` nor `dataclasses`,
+and `detection`, `logic`, `rates`, `tables` and `json` only where its
+subcommand and format call them."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -86,35 +88,89 @@ def fresh_python(*args):
             {line.rsplit("|", 1)[-1].strip() for line in lines if line.startswith(timed)})
 
 
+# the names `from hqrsim import ...` gave when `import hqrsim` imported every
+# model module, and the module each comes from
+PACKAGE_NAMES = {
+    "coherent": ("NEGLIGIBLE_NORM", "norm_constants", "ring_states"),
+    "states": ("ChannelParams", "PhaseMixtureWeights", "loss_weights", "negativity_scan"),
+    "detection": ("DetectionReport", "homodyne_report", "usd_bound"),
+    "logic": ("purify_step",),
+    "rates": ("RateResult", "RepeaterConfig", "effective_probability", "monte_carlo_waiting",
+              "predict", "purification_chain", "z_attempts"),
+    "tables": ("reproduce_table",),
+}
+OWNER = {name: module for module, names in PACKAGE_NAMES.items() for name in names}
+
+
 def test_import_leaves_numerics_unloaded():
-    # DensityMatrix is the test oracles' density matrix; no package module needs it.
-    # The benchmark tables and json load only in the runs that read them.
-    usd = ["usd", "--d", "3", "--L0", "10", "--alpha", "0.8"]
-    runs = {"import": ["-c", "import hqrsim"],
-            "usd": ["-m", "hqrsim", *usd],
-            "json usd": ["-m", "hqrsim", "--format", "json", *usd],
-            "table V": ["-m", "hqrsim", "table", "--id", "V"]}
-    # every run loads rates, so an empty import log cannot pass
-    watched = ("hqrsim.rates", "hqrsim.numerics", "hqrsim.tables", "json")
-    loaded = {}
-    for name, args in runs.items():
-        status, _, errors, modules = fresh_python(*args)
-        loaded[name] = (status, errors, [m for m in watched if m in modules])
-    assert loaded == {"import": (0, [], ["hqrsim.rates"]), "usd": (0, [], ["hqrsim.rates"]),
-                      "json usd": (0, [], ["hqrsim.rates", "json"]),
-                      "table V": (0, [], ["hqrsim.rates", "hqrsim.tables"])}
+    # DensityMatrix is the test oracles' density matrix; no package module needs it,
+    # and `import hqrsim` loads only the core
+    status, _, errors, modules = fresh_python("-c", "import hqrsim")
+    assert (status, errors) == (0, [])
+    assert {m for m in modules if m.startswith("hqrsim")} == {
+        "hqrsim", "hqrsim.coherent", "hqrsim.states"}
     # the first access loads the tables and returns their function
     assert fresh_python("-c", "import sys, hqrsim; f = hqrsim.reproduce_table; "
                         "print(f is sys.modules['hqrsim.tables'].reproduce_table)")[:3] == (
         0, "True\n", [])
 
 
-def test_package_reproduce_table_is_looked_up_on_every_access(monkeypatch):
-    # nothing is cached in the package, so a rebinding in `tables` (a tracer) shows there
-    from hqrsim import reproduce_table, tables
-    assert reproduce_table is hqrsim.reproduce_table is tables.reproduce_table
-    assert "reproduce_table" not in vars(hqrsim)
-    monkeypatch.setattr(tables, "reproduce_table", stand_in := object())
-    assert hqrsim.reproduce_table is stand_in
+USD = ["usd", "--d", "3", "--L0", "10", "--alpha", "0.8"]
+# the package modules beyond the core and the cli that each fresh run loads
+RUNS = {
+    "constants": (["constants", "--d", "3", "--alpha", "0.8"], []),
+    "entangle": (["entangle", "--d", "3", "--L0", "20", "--alpha", "0.5"], []),
+    "negativity-scan": (["negativity-scan", "--d", "3", "--L0", "5", "--alpha-range",
+                         "0:2.5:10"], []),
+    "usd": (USD, ["detection"]),
+    "json usd": (["--format", "json", *USD], ["detection", "json"]),
+    "homodyne": (["homodyne", "--d", "2", "--L0", "5", "--alpha", "1.0"], ["detection"]),
+    "purify": (["purify", "--weights", "0.7,0.2,0.1"], ["detection", "logic", "rates"]),
+    "rate": (["rate", "--scheme", "usd", "--d", "3", "--L0", "5", "--alpha", "1.2",
+              "--span", "10"], ["detection", "logic", "rates"]),
+    "mc": (["mc", "--n", "1", "--p", "0.6", "--trials", "100", "--seed", "7"],
+           ["detection", "logic", "rates"]),
+    "table V": (["table", "--id", "V"], ["detection", "logic", "rates", "tables"]),
+    "usd help": (["usd", "--help"], []),
+    "rate help": (["rate", "--help"], ["detection", "logic", "rates"]),
+    # an error is worded by the tree of all nine, whose homodyne and rate load their modules
+    "usage error": (["usd", "--d", "1", "--L0", "5", "--alpha", "1"],
+                    ["detection", "logic", "rates"]),
+}
+WATCHED = ("detection", "logic", "rates", "tables", "numerics", "json")
+
+
+@pytest.fixture(scope="module")
+def numpy_loads_dataclasses():
+    return "dataclasses" in fresh_python("-c", "import numpy")[3]
+
+
+@pytest.mark.parametrize("run", RUNS)
+def test_fresh_run_loads_only_its_modules(run, numpy_loads_dataclasses):
+    argv, expected = RUNS[run]
+    status, _, errors, modules = fresh_python("-m", "hqrsim", *argv)
+    assert (status, errors == []) == ((2, False) if run == "usage error" else (0, True))
+    assert [m for m in WATCHED if m in modules or f"hqrsim.{m}" in modules] == expected
+    assert "dataclasses" not in modules or numpy_loads_dataclasses
+
+
+def test_every_package_name_still_resolves():
+    # in a fresh process, so that no earlier test has loaded the modules; then the modules
+    code = "\n".join(["import importlib, hqrsim"] + [
+        f"from hqrsim import {name}\n"
+        f"assert {name} is importlib.import_module('hqrsim.{module}').{name}, {name!r}"
+        for module, names in PACKAGE_NAMES.items() for name in names] + [
+        f"from hqrsim import {', '.join(PACKAGE_NAMES)}, numerics, cli"])
+    assert fresh_python("-c", code)[:3] == (0, "", [])
+
+
+@pytest.mark.parametrize("name", [n for n, m in OWNER.items() if m not in ("coherent", "states")])
+def test_package_lazy_name_is_looked_up_on_every_access(monkeypatch, name):
+    # nothing is cached in the package, so a rebinding in the module (a tracer) shows there
+    module = importlib.import_module(f"hqrsim.{OWNER[name]}")
+    assert getattr(hqrsim, name) is getattr(module, name)
+    assert name not in vars(hqrsim)
+    monkeypatch.setattr(module, name, stand_in := object())
+    assert getattr(hqrsim, name) is stand_in
     with pytest.raises(AttributeError, match="no_such_name"):
         hqrsim.no_such_name

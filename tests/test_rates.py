@@ -242,6 +242,14 @@ class TestRepeaterConfig:
         cfg = RepeaterConfig(d=3, L0_km=5, span_km=40, alpha=1.0, scheme="usd")
         assert cfg.n == 3
 
+    def test_fields_cannot_be_assigned(self):
+        # span_km = 15 would fail the power-of-two check
+        cfg = RepeaterConfig(d=3, L0_km=5, span_km=40, alpha=1.0, scheme="usd")
+        for name, value in (("span_km", 15.0), ("d", 1), ("scheme", "heterodyne")):
+            with pytest.raises(AttributeError):
+                setattr(cfg, name, value)
+        assert (cfg.span_km, cfg.n, cfg.L_att_km, cfg.fiber_speed_km_s) == (40, 3, 22.0, 2.0e5)
+
     def test_segment_time_sets_the_rate(self):
         # T0 = 2 L0 / c, and predict's rate is 1 / (T0 Z)
         cfg = RepeaterConfig(d=3, L0_km=5, span_km=40, alpha=1.0, scheme="usd",

@@ -24,6 +24,14 @@ class TestChannelParams:
         with pytest.raises(ValueError):
             ChannelParams(5.0, L_att_km=0.0)
 
+    def test_fields_cannot_be_assigned(self):
+        # a checked channel stays checked
+        ch = ChannelParams(5.0)
+        for name, value in (("L0_km", -1.0), ("L_att_km", 0.0), ("gamma", 2.0), ("other", 1)):
+            with pytest.raises(AttributeError):
+                setattr(ch, name, value)
+        assert (ch.L0_km, ch.L_att_km) == (5.0, 22.0)
+
 
 class TestPhaseMixtureWeights:
     def test_validation(self):
