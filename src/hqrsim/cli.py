@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import errno
-import io
 import math
 import os
 import sys
@@ -158,9 +157,8 @@ def _entangle(p):
 
 def _negativity_scan(p):
     from .states import ChannelParams, negativity_scan
-    pts = negativity_scan(p["d"], p["alpha_range"], ChannelParams(p["L0"], p["l_att_km"]),
-                          p["model"])
-    return ["alpha", "negativity"], [list(pt) for pt in pts]
+    return ["alpha", "negativity"], negativity_scan(
+        p["d"], p["alpha_range"], ChannelParams(p["L0"], p["l_att_km"]), p["model"])
 
 
 def _homodyne(p):
@@ -312,9 +310,7 @@ def parse(argv) -> RunSpec:
 
 def _six_digits(value) -> str | None:
     """A float's six-significant-digit text (CSV prints it, JSON rounds to it); else None."""
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return f"{float(value):.6g}"
-    return None
+    return f"{float(value):.6g}" if isinstance(value, (float, np.floating)) else None
 
 
 def _emit(columns, rows, fmt: str) -> str:
@@ -323,12 +319,10 @@ def _emit(columns, rows, fmt: str) -> str:
         doc = [{c: v if (text := _six_digits(v)) is None else float(text)
                 for c, v in zip(columns, row)} for row in rows]
         return json.dumps(doc, indent=2) + "\n"
-    buf = io.StringIO()
-    buf.write(",".join(columns) + "\n")
-    for row in rows:
-        buf.write(",".join(str(v) if (text := _six_digits(v)) is None else text
-                           for v in row) + "\n")
-    return buf.getvalue()
+    cols = [map("{:.6g}".format, col) if (kinds := set(map(type, col))) == {float}
+            else col if kinds == {str} else [_six_digits(v) or str(v) for v in col]
+            for col in zip(*rows)]
+    return "".join(",".join(row) + "\n" for row in (columns, *zip(*cols)))
 
 
 def run(spec: RunSpec) -> tuple[int, str]:

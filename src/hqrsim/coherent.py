@@ -13,6 +13,8 @@ ring states are nearly parallel).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -21,6 +23,7 @@ __all__ = [
     "ring_amplitudes",
     "ring_states",
     "basis_amplitudes",
+    "basis_from_norms",
     "NEGLIGIBLE_NORM",
 ]
 
@@ -64,7 +67,7 @@ def norm_constants(d: int, amplitudes, model: str = "gram") -> np.ndarray:
     """Normalization constants N_{v_m} for every amplitude at once: shape
     amplitudes.shape + (d,).
 
-    "gram" evaluates the DFT of the ring-state overlaps,
+    "gram" evaluates the DFT of the ring-state overlaps (factors cached per d),
 
         N_{v_m} = d * sum_j e^{2 pi i j m / d} exp(alpha^2 (e^{2 pi i j / d} - 1)),
 
@@ -94,20 +97,26 @@ def norm_constants(d: int, amplitudes, model: str = "gram") -> np.ndarray:
             3.0 - e * (3.0 * np.cos(th) + np.sqrt(3.0) * np.sin(th)),
             3.0 - e * (3.0 * np.cos(th) - np.sqrt(3.0) * np.sin(th)),
         ], axis=-1)
-    j = np.arange(d)
-    g = np.exp(a[..., None] ** 2 * (np.exp(2j * np.pi * j / d) - 1.0))
-    m = np.arange(d)[:, None]
-    vals = d * (np.exp(2j * np.pi * j[None, :] * m / d) * g[..., None, :]).sum(axis=-1)
+    ring, dft = _dft_factors(d)
+    vals = d * (dft * np.exp(a[..., None] ** 2 * ring)[..., None, :]).sum(axis=-1)
     if np.abs(vals.imag).max(initial=0.0) > 1e-9:
         raise ArithmeticError("norm constants have a non-real residue")
     return np.clip(vals.real, 0.0, None)
 
 
-def basis_amplitudes(d: int, amplitudes) -> np.ndarray:
-    """c_m = sqrt(N_{v_m}) / d for every amplitude: shape amplitudes.shape + (d,).
+@lru_cache(maxsize=16)  # read-only ring factors e^{2 pi i j/d} - 1 and DFT e^{2 pi i jm/d}[m, j]
+def _dft_factors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    j = np.arange(d)
+    ring, dft = np.exp(2j * np.pi * j / d) - 1.0, np.exp(2j * np.pi * j[None, :] * j[:, None] / d)
+    ring.flags.writeable = dft.flags.writeable = False
+    return ring, dft
 
-    Directions with N_{v_m} < NEGLIGIBLE_NORM are dropped (c_m exactly zero).
-    """
-    n = norm_constants(d, amplitudes)
-    n = np.where(n < NEGLIGIBLE_NORM, 0.0, n)
-    return np.sqrt(n) / d
+
+def basis_amplitudes(d: int, amplitudes) -> np.ndarray:
+    """c_m = sqrt(N_{v_m}) / d for every amplitude: shape amplitudes.shape + (d,)."""
+    return basis_from_norms(d, norm_constants(d, amplitudes))
+
+
+def basis_from_norms(d: int, n: np.ndarray) -> np.ndarray:
+    """c_m = sqrt(N_{v_m}) / d of constants n, exactly 0 where N_{v_m} < NEGLIGIBLE_NORM."""
+    return np.sqrt(np.where(n < NEGLIGIBLE_NORM, 0.0, n)) / d

@@ -26,10 +26,11 @@ which probes the physical entanglement.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
-from .coherent import basis_amplitudes, norm_constants, ring_amplitudes
+from .coherent import basis_amplitudes, basis_from_norms, norm_constants, ring_amplitudes
 
 __all__ = [
     "ChannelParams",
@@ -111,7 +112,11 @@ def loss_weights(d: int, alpha, channel: ChannelParams,
     """
     # checked before damping, which maps a negative amplitude to -0.0 when gamma = 1
     a_loss = math.sqrt(1.0 - channel.gamma) * ring_amplitudes(d, alpha)
-    return PhaseMixtureWeights(d, norm_constants(d, a_loss, model) / d ** 2)
+    return _weights_from_norms(d, norm_constants(d, a_loss, model))
+
+
+def _weights_from_norms(d: int, n: np.ndarray) -> PhaseMixtureWeights:
+    return PhaseMixtureWeights(d, n / d ** 2)
 
 
 def negativity_scan(d: int, alphas, channel: ChannelParams,
@@ -131,8 +136,8 @@ def negativity_scan(d: int, alphas, channel: ChannelParams,
     blocks P_k[r, r'] = w_{(k-r-r') mod d} c_r c_r'.  A transpose in another
     local basis is unitarily equivalent, so these blocks carry the
     negativity of the full matrix, which stays the test oracle.
-    The grid goes through one batched eigvalsh per SCAN_CHUNK_FLOATS // d^3
-    points, and d is at most SCAN_MAX_D.
+    Each chunk of SCAN_CHUNK_FLOATS // d^3 points takes one norm-constant pass
+    (two for the d=3 closed form) and one batched eigvalsh; d <= SCAN_MAX_D.
     Every grid point passes `ring_amplitudes`' check, the
     PhaseMixtureWeights conditions and DensityMatrix's trace test (on the
     blocks w_m c c^T, same tolerance).  The blocks are Hermitian and
@@ -147,21 +152,28 @@ def negativity_scan(d: int, alphas, channel: ChannelParams,
     step = max(1, SCAN_CHUNK_FLOATS // d ** 3)
     for s in range(0, len(a), step):
         neg[s:s + step] = _block_negativities(d, a[s:s + step], channel, model)
-    return [(float(x), float(n)) for x, n in zip(a, neg)]
+    return list(zip(a.tolist(), neg.tolist()))
 
 
 def _block_negativities(d: int, a: np.ndarray, ch: ChannelParams, model: str) -> np.ndarray:
     """Negativity at every amplitude of a, from one batched eigvalsh of all P_k blocks."""
-    w = loss_weights(d, a, ch, model).p
-    c = basis_amplitudes(d, np.sqrt(ch.gamma) * a)
+    if d == 3 and model == "closed-form":  # the weights' own constants
+        w, c = loss_weights(d, a, ch, model).p, basis_amplitudes(d, math.sqrt(ch.gamma) * a)
+    else:  # one DFT pass for the lossy and the kept amplitudes
+        n = norm_constants(d, np.outer([math.sqrt(1.0 - ch.gamma), math.sqrt(ch.gamma)], a), model)
+        w, c = _weights_from_norms(d, n[0]).p, basis_from_norms(d, n[1])
     tr = w.sum(axis=1) * (c * c).sum(axis=1)  # trace of (+)_m w_m c c^T
     bad = tr[abs(tr - 1.0) > TRACE_TOL]
     if bad.size:
         raise ValueError(f"density matrix trace {bad[0]} is not 1 within tolerance")
-    idx = (np.arange(d)[:, None, None] - np.arange(d)[:, None] - np.arange(d)) % d
-    blocks = w[:, idx]
+    blocks = w[:, _hankel_index(d)]
     blocks *= c[:, None, :, None] * c[:, None, None, :]
     ev = np.linalg.eigvalsh(blocks)
     # each point's d^2 terms summed as one contiguous row: a sum over axes
     # (1, 2) rounds differently with the number of points in the batch
     return np.where(ev < 0, -ev, 0.0).reshape(len(a), -1).sum(axis=1)
+
+
+@lru_cache(maxsize=SCAN_MAX_D)  # [k, r, r'] = (k - r - r') mod d, the index into w of P_k[r, r']
+def _hankel_index(d: int) -> np.ndarray:
+    return (np.arange(d)[:, None, None] - np.arange(d)[:, None] - np.arange(d)) % d

@@ -19,6 +19,8 @@ Qudit conventions (documented because several sign choices are free):
 
 from __future__ import annotations
 
+import io
+import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -62,6 +64,57 @@ def ring_to_orthonormal(d: int, alpha: float) -> np.ndarray:
     k = np.arange(d)[:, None]
     m = np.arange(d)
     return basis_amplitudes(d, alpha) * np.exp(-2j * np.pi * k * m / d)
+
+
+def norm_constants_uncached(d: int, amplitudes) -> np.ndarray:
+    """The "gram" constants N_{v_m} of `coherent.norm_constants` with both DFT
+    factors built on every call: the reference that its per-d cache of the
+    factors must reproduce bit for bit, residue check and clip included."""
+    a = np.asarray(amplitudes, dtype=float)
+    j = np.arange(d)
+    g = np.exp(a[..., None] ** 2 * (np.exp(2j * np.pi * j / d) - 1.0))
+    m = np.arange(d)[:, None]
+    vals = d * (np.exp(2j * np.pi * j[None, :] * m / d) * g[..., None, :]).sum(axis=-1)
+    if np.abs(vals.imag).max(initial=0.0) > 1e-9:
+        raise ArithmeticError("norm constants have a non-real residue")
+    return np.clip(vals.real, 0.0, None)
+
+
+def negativity_scan_whole(d: int, alphas, channel: ChannelParams,
+                          model: str) -> list[tuple[float, float]]:
+    """`states.negativity_scan` in one batch from the public `loss_weights`,
+    `basis_amplitudes` and `np.linalg.eigvalsh`: two norm-constant calls and no
+    chunks, the operations of the scan's P_k blocks in the same order."""
+    a = np.asarray(alphas, dtype=float)
+    w = loss_weights(d, a, channel, model).p
+    c = basis_amplitudes(d, np.sqrt(channel.gamma) * a)
+    idx = (np.arange(d)[:, None, None] - np.arange(d)[:, None] - np.arange(d)) % d
+    blocks = w[:, idx]
+    blocks *= c[:, None, :, None] * c[:, None, None, :]
+    ev = np.linalg.eigvalsh(blocks)
+    neg = np.where(ev < 0, -ev, 0.0).reshape(len(a), -1).sum(axis=1)
+    return [(float(x), float(n)) for x, n in zip(a, neg)]
+
+
+def emit_per_cell(columns, rows, fmt: str) -> str:
+    """The CLI's document text with every cell formatted on its own: floats
+    (numpy's too) at six significant digits, every other value by str().  The
+    reference for `cli._emit`, which formats CSV a column at a time."""
+    def six_digits(value):
+        if isinstance(value, float) or isinstance(value, np.floating):
+            return f"{float(value):.6g}"
+        return None
+
+    if fmt == "json":
+        doc = [{c: v if (text := six_digits(v)) is None else float(text)
+                for c, v in zip(columns, row)} for row in rows]
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.write(",".join(columns) + "\n")
+    for row in rows:
+        buf.write(",".join(str(v) if (text := six_digits(v)) is None else text
+                           for v in row) + "\n")
+    return buf.getvalue()
 
 
 def partial_transpose(rho: DensityMatrix) -> np.ndarray:

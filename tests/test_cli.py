@@ -15,6 +15,7 @@ from hqrsim import rates
 from hqrsim.detection import homodyne_report, usd_bound
 from hqrsim.rates import MAX_PURIFICATION_ROUNDS, RepeaterConfig, predict
 from hqrsim.states import ChannelParams, loss_weights, negativity_scan
+from oracles import emit_per_cell
 from test_cli_golden import CASES, golden_path, run_python
 
 
@@ -488,6 +489,45 @@ class TestRun:
         for row in rows:
             for cell in (row[3], row[4]):
                 assert f"{float(cell):.6g}" == cell
+
+
+def command_rows(argv: str):
+    """(columns, rows) that `run` hands to `_emit` for one argv."""
+    spec = parse(argv.split())
+    return cli.COMMANDS[spec.command].run({**cli.CONFIG_DEFAULTS, **spec.params})
+
+
+EDGE_TABLES = {
+    "numpy_floats_among_floats": (["a", "b"], [[np.float64(0.5), 1.0], [1.25, np.float64(-2.5)]]),
+    "float_ints_bools_blanks": (["x", "n", "flag", "span"],
+                                [[0.1, 1, True, ""], [0.2, 2, False, 10.0],
+                                 [np.float32(0.3), 3, True, ""]]),
+    "special_floats": (["v", "w"], [[-0.0, 1e-300], [math.nan, -math.inf], [math.inf, 5e-324],
+                                    [np.float64(-0.0), np.float64(math.nan)]]),
+    "mixed_columns": (["q", "v"], [["gamma", 0.4], [3, "text"], [np.float64(2.0), None],
+                                   [True, 7]]),
+    "all_ints_and_all_strings": (["m", "s"], [[0, "a"], [1, "b,c"], [2, ""]]),
+    "tuples": (["alpha", "negativity"], [(0.0, 0.0), (0.1, 1.0 / 3.0)]),
+    "zero_rows": (["alpha", "negativity"], []),
+    "one_column": (["v"], [[1.0], [2.5e-7]]),
+}
+
+
+class TestEmitByColumn:
+    """`_emit` formats CSV a column at a time; the text is that of the per-cell
+    reference in CSV and JSON."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_golden_rows(self, name):
+        columns, rows = command_rows(CASES[name])
+        for fmt in ("csv", "json"):
+            assert cli._emit(columns, rows, fmt) == emit_per_cell(columns, rows, fmt)
+
+    @pytest.mark.parametrize("name", sorted(EDGE_TABLES))
+    def test_edge_rows(self, name):
+        columns, rows = EDGE_TABLES[name]
+        for fmt in ("csv", "json"):
+            assert cli._emit(columns, rows, fmt) == emit_per_cell(columns, rows, fmt)
 
 
 class TestMainProcess:

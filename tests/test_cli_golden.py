@@ -39,6 +39,11 @@ CASES = {
         "negativity-scan --d 8 --L0 10 --alpha-range 0.1:2.9:100 --model closed-form",
     "negativity_scan_d4_closed_form":
         "negativity-scan --d 4 --L0 5 --alpha-range 0:2.5:50 --model closed-form",
+    "negativity_scan_d2_gram":
+        "negativity-scan --d 2 --L0 5 --alpha-range 0:2.5:100 --model gram",
+    # 100 points at d = 16 fill four scan chunks of 32 points
+    "negativity_scan_d16_gram":
+        "negativity-scan --d 16 --L0 10 --alpha-range 0.1:2.9:100 --model gram",
     "homodyne": "homodyne --d 3 --L0 5 --alpha 1.0 --delta-frac 0.2",
     "homodyne_d2": "homodyne --d 2 --L0 5 --alpha 1.0 --delta-frac 0.2",
     "homodyne_d4": "homodyne --d 4 --L0 10 --alpha 1.3 --delta-frac 0.3",

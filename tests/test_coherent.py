@@ -9,7 +9,8 @@ from scipy.integrate import quad
 
 from hqrsim import coherent
 from hqrsim.coherent import RING_MAX_D, WEIGHT_MODELS, norm_constants, ring_states
-from oracles import gram_matrix, overlap, quadrature_wavefunction, ring_to_orthonormal
+from oracles import (gram_matrix, norm_constants_uncached, overlap, quadrature_wavefunction,
+                     ring_to_orthonormal)
 
 
 def gram_sum_oracle(d, alpha, m):
@@ -228,6 +229,42 @@ class TestArrayCalls:
         grid = ring_states(4, [0.5, 1.0])
         assert grid.shape == (2, 4)
         assert np.array_equal(grid[1], ring_states(4, 1.0))
+
+
+class TestDftFactorCache:
+    def test_matches_uncached_oracle_bit_for_bit(self):
+        # most calls at d <= 8, where the cache hits, a fifth over the whole
+        # range, where it mostly misses and evicts
+        rng = np.random.default_rng(31)
+        for _ in range(5000):
+            d = int(rng.integers(2, RING_MAX_D + 1 if rng.random() < 0.2 else 9))
+            size = int(rng.integers(1, 4))
+            alphas = np.exp(rng.uniform(np.log(1e-6), np.log(40.0), size))
+            alphas[rng.random(size) < 0.1] = 0.0
+            call = float(alphas[0]) if size == 1 else alphas
+            try:
+                want = norm_constants_uncached(d, call)
+            except ArithmeticError as exc:
+                with pytest.raises(ArithmeticError, match=str(exc)):
+                    norm_constants(d, call)
+                continue
+            got = norm_constants(d, call)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (d, call)
+        info = coherent._dft_factors.cache_info()
+        assert info.maxsize == 16 and info.currsize <= 16 and info.hits > 0
+
+    def test_cached_factors_refuse_writes(self):
+        ring, dft = coherent._dft_factors(5)
+        for factor, index in ((ring, 1), (dft, (1, 1))):
+            with pytest.raises(ValueError, match="read-only"):
+                factor[index] = 0.0
+        assert np.array_equal(norm_constants(5, 0.7), norm_constants_uncached(5, 0.7))
+
+    def test_residue_check_sees_a_patched_twiddle(self, monkeypatch):
+        ring, dft = coherent._dft_factors(3)
+        monkeypatch.setattr(coherent, "_dft_factors", lambda d: (ring + 1e-3j, dft))
+        with pytest.raises(ArithmeticError, match="non-real residue"):
+            norm_constants(3, 1.0)
 
 
 class TestValidation:

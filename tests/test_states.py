@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 import hqrsim.states as states
 from hqrsim.cli import parse, run
-from hqrsim.coherent import basis_amplitudes, norm_constants
+from hqrsim.coherent import basis_amplitudes, basis_from_norms, norm_constants
 from hqrsim.states import ChannelParams, PhaseMixtureWeights, loss_weights, negativity_scan
-from oracles import matter_light_mixture, matter_light_pure, negativity
+from oracles import matter_light_mixture, matter_light_pure, negativity, negativity_scan_whole
 
 
 class TestChannelParams:
@@ -291,11 +291,20 @@ class TestNegativityScan:
             negativity_scan(3, [1.0], ChannelParams(5.0), model="bogus")
 
     def test_keeps_density_matrix_trace_test(self, monkeypatch):
+        def inflated(d, norms):
+            return 1.01 * basis_from_norms(d, norms)
+        monkeypatch.setattr(states, "basis_from_norms", inflated)
+        with pytest.raises(ValueError, match="trace"):
+            negativity_scan(3, [0.5, 1.0], ChannelParams(5.0))
+
+    def test_keeps_density_matrix_trace_test_closed_form(self, monkeypatch):
+        # the d=3 closed-form weights take their own norm-constant call, and the
+        # basis amplitudes theirs
         def inflated(d, amplitudes):
             return 1.01 * basis_amplitudes(d, amplitudes)
         monkeypatch.setattr(states, "basis_amplitudes", inflated)
         with pytest.raises(ValueError, match="trace"):
-            negativity_scan(3, [0.5, 1.0], ChannelParams(5.0))
+            negativity_scan(3, [0.5, 1.0], ChannelParams(5.0), "closed-form")
 
     def test_keeps_weight_conditions(self, monkeypatch):
         real = states.norm_constants
@@ -307,3 +316,38 @@ class TestNegativityScan:
         monkeypatch.setattr(states, "norm_constants", shifted)
         with pytest.raises(ValueError, match="sum to 1"):
             negativity_scan(3, [0.5, 1.0], ChannelParams(5.0))
+
+
+class TestOnePassPerChunk:
+    """The scan's one norm-constant pass per chunk for the lossy and the kept
+    amplitudes changes nothing against the public functions it fuses."""
+
+    @pytest.mark.parametrize("model", ["gram", "closed-form"])
+    @pytest.mark.parametrize("d", range(2, states.SCAN_MAX_D + 1))
+    def test_matches_public_function_oracle_bit_for_bit(self, monkeypatch, d, model):
+        # 0 and 1e-6 lead a log grid of 40 points; chunks of 16 points, and
+        # where it holds at most 300 points also the scan's own chunk, plus two
+        step = max(1, states.SCAN_CHUNK_FLOATS // d ** 3)
+        grids = [np.concatenate([[0.0, 1e-6], np.geomspace(1e-4, 3.5, 38)])]
+        if step <= 300:
+            grids.append(np.linspace(0.0, 3.0, step + 2))
+        for L0 in (0.0, 5.0, 25.0, 1000.0):
+            ch = ChannelParams(L0)
+            for alphas in grids:
+                want = negativity_scan_whole(d, alphas, ch, model)
+                got = negativity_scan(d, alphas, ch, model)
+                assert all(type(x) is float for pt in got for x in pt)
+                assert np.array(got).tobytes() == np.array(want).tobytes(), (L0, len(alphas))
+            with monkeypatch.context() as m:
+                m.setattr(states, "SCAN_CHUNK_FLOATS", 16 * d ** 3)
+                got = negativity_scan(d, grids[0], ch, model)
+            assert np.array(got).tobytes() == np.array(
+                negativity_scan_whole(d, grids[0], ch, model)).tobytes(), L0
+
+    @pytest.mark.parametrize("model", ["gram", "closed-form"])
+    @pytest.mark.parametrize("bad", [np.nan, -0.5, 1e200])
+    def test_error_text_names_the_first_bad_amplitude(self, bad, model):
+        for L0 in (0.0, 5.0):
+            with pytest.raises(ValueError) as info:
+                negativity_scan(3, [0.5, bad, -1.0, 1.0], ChannelParams(L0), model)
+            assert str(info.value) == f"amplitude must lie in [0, 3.35195e+153], got {bad}"
