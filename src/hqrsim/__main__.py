@@ -1,6 +1,5 @@
-import sys
-
-from .cli import main
+"""`python -m hqrsim ARGS`: one CLI run as a whole process, through `cli.process_main`."""
+from .cli import process_main
 
 if __name__ == "__main__":
-    sys.exit(main())
+    raise SystemExit(process_main())

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import gc
 import math
 import os
 import sys
@@ -38,7 +39,7 @@ import numpy as np
 from .coherent import RING_MAX_D, WEIGHT_MODELS
 from .states import FIBER_SPEED_KM_S, L_ATT_KM, SCAN_MAX_D, WEIGHT_SUM_TOL
 
-__all__ = ["RunSpec", "load_config", "parse", "run", "main"]
+__all__ = ["RunSpec", "load_config", "parse", "run", "main", "process_main"]
 
 # largest --alpha-range COUNT: a d=8 scan of 10^5 points takes about 6 s and
 # peaks at about 56 MB on a 2-vCPU machine, 10^6 points about 63 s and 277 MB
@@ -140,10 +141,10 @@ def _add_global_flags(p):
 
 
 def _constants(p):
-    from .coherent import norm_constants
-    vals = norm_constants(p["d"], p["alpha"], p["model"])
+    from .coherent import norm_constants, weights_from_norms
+    d, vals = p["d"], norm_constants(p["d"], p["alpha"], p["model"])
     return (["m", "norm_constant", "weight_fraction"],
-            [[m, float(v), float(v) / p["d"] ** 2] for m, v in enumerate(vals)])
+            list(zip(range(d), vals.tolist(), weights_from_norms(d, vals).tolist())))
 
 
 def _entangle(p):
@@ -373,5 +374,13 @@ def main(argv=None) -> int:
     return 0
 
 
+def process_main() -> int:
+    """`main()` as a whole process, then `gc.freeze()`: the exit-time collection skips the heap."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":  # pragma: no cover
-    sys.exit(main())
+    sys.exit(process_main())

@@ -120,3 +120,8 @@ def basis_amplitudes(d: int, amplitudes) -> np.ndarray:
 def basis_from_norms(d: int, n: np.ndarray) -> np.ndarray:
     """c_m = sqrt(N_{v_m}) / d of constants n, exactly 0 where N_{v_m} < NEGLIGIBLE_NORM."""
     return np.sqrt(np.where(n < NEGLIGIBLE_NORM, 0.0, n)) / d
+
+
+def weights_from_norms(d: int, n: np.ndarray) -> np.ndarray:
+    """w_m = N_{v_m} / d^2 of constants n, unchecked (`states.PhaseMixtureWeights` checks)."""
+    return n / d ** 2

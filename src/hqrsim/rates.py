@@ -56,7 +56,7 @@ __all__ = [
 
 EULER_GAMMA = 0.5772156649015329
 
-# most rounds purification_chain runs, at about 70 us each; from Q_0 = 1 (`purify`)
+# most rounds purification_chain runs, at about 14 us each; from Q_0 = 1 (`purify`)
 # Q_k >= (2 / 3d)^k stays a positive float for d up to about 7e4
 MAX_PURIFICATION_ROUNDS = 64
 

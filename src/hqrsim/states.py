@@ -30,7 +30,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .coherent import basis_amplitudes, basis_from_norms, norm_constants, ring_amplitudes
+from .coherent import (basis_amplitudes, basis_from_norms, norm_constants, ring_amplitudes,
+                       weights_from_norms)
 
 __all__ = [
     "ChannelParams",
@@ -112,11 +113,7 @@ def loss_weights(d: int, alpha, channel: ChannelParams,
     """
     # checked before damping, which maps a negative amplitude to -0.0 when gamma = 1
     a_loss = math.sqrt(1.0 - channel.gamma) * ring_amplitudes(d, alpha)
-    return _weights_from_norms(d, norm_constants(d, a_loss, model))
-
-
-def _weights_from_norms(d: int, n: np.ndarray) -> PhaseMixtureWeights:
-    return PhaseMixtureWeights(d, n / d ** 2)
+    return PhaseMixtureWeights(d, weights_from_norms(d, norm_constants(d, a_loss, model)))
 
 
 def negativity_scan(d: int, alphas, channel: ChannelParams,
@@ -161,7 +158,7 @@ def _block_negativities(d: int, a: np.ndarray, ch: ChannelParams, model: str) ->
         w, c = loss_weights(d, a, ch, model).p, basis_amplitudes(d, math.sqrt(ch.gamma) * a)
     else:  # one DFT pass for the lossy and the kept amplitudes
         n = norm_constants(d, np.outer([math.sqrt(1.0 - ch.gamma), math.sqrt(ch.gamma)], a), model)
-        w, c = _weights_from_norms(d, n[0]).p, basis_from_norms(d, n[1])
+        w, c = PhaseMixtureWeights(d, weights_from_norms(d, n[0])).p, basis_from_norms(d, n[1])
     tr = w.sum(axis=1) * (c * c).sum(axis=1)  # trace of (+)_m w_m c c^T
     bad = tr[abs(tr - 1.0) > TRACE_TOL]
     if bad.size:

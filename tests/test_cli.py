@@ -10,7 +10,8 @@ import pytest
 import hqrsim.cli as cli
 from hqrsim.cli import (ALPHA_RANGE_MAX_COUNT, UsageError, _build_parser, load_config, main,
                         parse, run)
-from hqrsim.coherent import AMPLITUDE_MAX, RING_MAX_D
+from hqrsim.coherent import (AMPLITUDE_MAX, RING_MAX_D, WEIGHT_MODELS, norm_constants,
+                             weights_from_norms)
 from hqrsim import rates
 from hqrsim.detection import homodyne_report, usd_bound
 from hqrsim.rates import MAX_PURIFICATION_ROUNDS, RepeaterConfig, predict
@@ -411,6 +412,29 @@ class TestRun:
                                "--model", "closed-form"]))
         assert "0.287" in gram  # Gram-derived m=1 constant
         assert "0.84797" in closed  # trig-variant m=1 constant
+
+    @pytest.mark.parametrize("name", ["constants", "constants_closed_form",
+                                      "constants_d2_closed_form", "constants_d5"])
+    def test_constants_weight_fraction_is_the_weights_formula(self, name):
+        # the printed fractions are the weights' N / d^2, unchecked and unclipped, at the
+        # golden amplitude and at amplitudes where the constants are rounding noise
+        argv = CASES[name].split()
+        d = int(argv[argv.index("--d") + 1])
+        assert run(parse(argv)) == (0, golden_path(name).read_text(encoding="utf-8"))
+        for model in WEIGHT_MODELS:
+            for alpha in (0.0, 1.16e-8, 1e-5, float(argv[argv.index("--alpha") + 1])):
+                n = norm_constants(d, alpha, model)
+                w = weights_from_norms(d, n)
+                assert w.tolist() == [float(v) / d ** 2 for v in n]
+                ch = ChannelParams(L0_km=5.0)
+                assert np.array_equal(
+                    loss_weights(d, alpha, ch, model).p,
+                    weights_from_norms(d, norm_constants(d, math.sqrt(1 - ch.gamma) * alpha,
+                                                         model)))
+                status, text = run(parse(["constants", "--d", str(d), "--alpha", str(alpha),
+                                          "--model", model]))
+                assert status == 0
+                assert [row[2] for row in rows_of(text)[1]] == [f"{x:.6g}" for x in w]
 
     def test_entangle_weights(self):
         status, text = run(parse(["entangle", "--d", "3", "--L0", "20",

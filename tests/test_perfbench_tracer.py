@@ -87,7 +87,7 @@ def test_exported_names_have_a_caller_in_the_package():
 
 
 # defaulted parameters that no caller in the package sets: `main`'s argv is for
-# tests and embedding (the console entry point passes none), and DensityMatrix
+# tests and embedding (the process entry `process_main` passes none), and DensityMatrix
 # has no caller at all (TRACER_ONLY)
 UNSET_BY_DESIGN = {("cli", "main", "argv")} | {
     ("numerics", "DensityMatrix", name)
