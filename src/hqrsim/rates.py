@@ -64,8 +64,8 @@ MAX_PURIFICATION_ROUNDS = 64
 # and trials; seeded results with rounds depend on it; 2^17 was the fastest in process
 MC_CHUNK = 2 ** 17
 
-# largest expected number of geometric(p0) waits monte_carlo_waiting accepts for
-# min(trials, max(1, 2^14 / 2^n)) trials; a chunk that large peaks near 0.45 GB (README)
+# largest w, a trial's expected geometric(p0) waits, monte_carlo_waiting accepts; a chunk
+# draws at most max(MC_CHUNK, w), which at 2^25 waits peaks near 0.45 GB (README)
 MC_MAX_WAITS = 2 ** 25
 # and over all trials of one call; 2^32 waits take 20-41 s of CPU (README)
 MC_MAX_TOTAL_WAITS = 2 ** 32
@@ -258,16 +258,17 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     pairs (max of two independent waits) and repeats on failure (probability 1 - p_round).
 
     Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected geometric(p0) waits, and
-    a chunk holds max(1, MC_CHUNK // w) trials.  Going down rounds R..1, `_retries` draws only
-    the retried elements and their extra attempts; a depth holds each element's first attempt
-    at its index, then the extras by id.  A depth-1 attempt, the maximum of two geometric(p0)
-    waits, is max(1, ceil(log(1 - sqrt(u)) / log q)) of one uniform u.  Going up, a retried
-    element adds the sum of its extras (`np.add.reduceat`, in turn; exact below 2^53, README)
-    to its first attempt; pair maxima form the attempts above and each trial's maximum, in two
-    pooled arrays.  Raises ValueError before any draw for p0 < MC_MIN_P0 or work above
-    MC_MAX_WAITS per chunk or MC_MAX_TOTAL_WAITS in all.  Without rounds the draws are one
-    geometric(p0) stream for any chunking, so seeded results equal the replaced recursive
-    sampler's; with rounds only the distribution does.
+    a chunk holds max(1, MC_CHUNK // w) trials, so it draws at most max(MC_CHUNK, w).  Going
+    down rounds R..1, `_retries` draws only the retried elements and their extra attempts; a
+    depth holds each element's first attempt at its index, then the extras by id.  A depth-1
+    attempt, the maximum of two geometric(p0) waits, is max(1, ceil(log(1 - sqrt(u)) / log q))
+    of one uniform u.  Going up, a retried element adds the sum of its extras
+    (`np.add.reduceat`, in turn; exact below 2^53, README) to its first attempt; pair maxima
+    form the attempts above and each trial's maximum, in two pooled arrays.  Raises ValueError
+    before any draw for p0 < MC_MIN_P0, w above MC_MAX_WAITS or trials * w above
+    MC_MAX_TOTAL_WAITS.  Without rounds the draws are one geometric(p0) stream for any
+    chunking, so seeded results equal the replaced recursive sampler's; with rounds only the
+    distribution does.
     """
     for name, value, low in (("n", n, 0), ("trials", trials, 1), ("seed", seed, 0)):
         # the range first: int() of inf overflows and int() of nan names no argument
@@ -279,18 +280,17 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     for p in round_probs:
         if not 0 < p <= 1:
             raise ValueError("round probabilities must lie in (0, 1]")
-    round_log2 = sum(math.log2(2 / p) for p in round_probs)  # log2 waits per segment
-    # work cap, in log2 and checked before 2 ** n exists, so a huge n costs nothing
-    waits_log2 = min(max(n, 14), n + math.log2(trials)) + round_log2
-    if waits_log2 > math.log2(MC_MAX_WAITS):
-        raise ValueError(f"one chunk would draw about 2^{waits_log2:.1f} waits, above "
-                         f"MC_MAX_WAITS = {MC_MAX_WAITS}: lower n or raise the round "
-                         "probabilities")
-    if (total_log2 := n + math.log2(trials) + round_log2) > math.log2(MC_MAX_TOTAL_WAITS):
+    # log2 w, with n clamped before it is a float (any n > 25 is refused): a huge n costs nothing
+    log2_w = min(n, 64) + sum(math.log2(2 / p) for p in round_probs)
+    if log2_w > math.log2(MC_MAX_WAITS):
+        raise ValueError(f"one trial would draw {'over' if n > 64 else 'about'} 2^{log2_w:.1f} "
+                         f"waits, above MC_MAX_WAITS = {MC_MAX_WAITS}: lower n or raise the "
+                         "round probabilities")
+    if (total_log2 := log2_w + math.log2(trials)) > math.log2(MC_MAX_TOTAL_WAITS):
         raise ValueError(f"the run would draw about 2^{total_log2:.1f} waits, above "
                          f"MC_MAX_TOTAL_WAITS = {MC_MAX_TOTAL_WAITS}: lower trials or n")
     segments = 2 ** n
-    per_chunk = min(max(1, int(MC_CHUNK / 2 ** (n + round_log2))), trials)
+    per_chunk = min(max(1, int(MC_CHUNK / 2 ** log2_w)), trials)
     log_q = math.log1p(-p0) if p0 < 1 else -math.inf
     pool = {}  # zeroed chunk arrays by key, allocated only when a chunk needs more
 

@@ -44,11 +44,10 @@ __all__ = [
 ROUNDS = ("no", "one", "two", "three")
 TABLE_DELTA_FRAC = 0.001  # delta / delta_max of every table; only homodyne ones read it
 
-# Each table: caption metadata, header rows (per purification round), and
-# the rate/fidelity grids keyed by total span in km.
+# Each table: caption metadata, then rows of one value per round, grids keyed by span in km.
 TABLES = {
     "I": {
-        "scheme": "usd", "L0_km": 5.0, "alpha": 1.2, "rounds": 4,
+        "scheme": "usd", "L0_km": 5.0, "alpha": 1.2,
         "initial_fidelity": (0.75, 0.94393, 0.997854, 0.999996),
         "effective_probability": (0.64, 0.302641, 0.19154, 0.1318),
         "rate_hz": {
@@ -74,7 +73,7 @@ TABLES = {
         # Caption says alpha = 1.2, but every printed cell reproduces at
         # alpha = 1.1 (initial fidelity 0.652 and probability 0.414 match
         # to all printed digits); reproduction therefore runs at 1.1.
-        "scheme": "usd", "L0_km": 10.0, "alpha": 1.1, "rounds": 4,
+        "scheme": "usd", "L0_km": 10.0, "alpha": 1.1,
         "initial_fidelity": (0.652, 0.87, 0.987, 0.999),
         "effective_probability": (0.414, 0.147, 0.078, 0.05),
         "rate_hz": {
@@ -97,7 +96,7 @@ TABLES = {
         },
     },
     "III": {
-        "scheme": "homodyne", "L0_km": 5.0, "alpha": None, "rounds": 4,
+        "scheme": "homodyne", "L0_km": 5.0, "alpha": None,
         "initial_fidelity": (0.73, 0.93, 0.997, 0.999997),
         "effective_probability": (0.38, 0.15, 0.09, 0.0619534),
         "rate_hz": {
@@ -120,7 +119,7 @@ TABLES = {
         },
     },
     "IV": {
-        "scheme": "homodyne", "L0_km": 10.0, "alpha": None, "rounds": 4,
+        "scheme": "homodyne", "L0_km": 10.0, "alpha": None,
         "initial_fidelity": (0.6, 0.81, 0.974, 0.9996),
         "effective_probability": (0.39, 0.12, 0.057, 0.037),
         "rate_hz": {
@@ -143,7 +142,7 @@ TABLES = {
         },
     },
     "V": {
-        "scheme": "usd", "L0_km": 20.0, "alpha": 0.5, "rounds": 3,
+        "scheme": "usd", "L0_km": 20.0, "alpha": 0.5,
         "initial_fidelity": (0.861808, 0.986275, 0.999876),
         "effective_probability": (0.0137597, 0.0069238, 0.0044958),
         "rate_hz": {
@@ -261,7 +260,8 @@ def reproduce_table(table_id: str) -> list[CellComparison]:
              else _homodyne_table_alpha(L0, spec["initial_fidelity"][0]))
     at_span = partial(RepeaterConfig, d=3, L0_km=L0, alpha=alpha, scheme=spec["scheme"],
                       delta_frac=TABLE_DELTA_FRAC)
-    chain = purification_chain(*initial_segment_state(at_span(span_km=L0)), spec["rounds"] - 1)
+    chain = purification_chain(*initial_segment_state(at_span(span_km=L0)),
+                               len(spec["initial_fidelity"]) - 1)  # a column per round
     # (Z, rate, bound) per round, once per span of either section, each config checked
     spans = {span: span_model(chain, at_span(span_km=span))
              for span in spec["rate_hz"].keys() | spec["fidelity"].keys()}

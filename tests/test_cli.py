@@ -751,9 +751,9 @@ class TestMainProcess:
         assert "Warning" not in cp.stderr
 
     def test_mc_work_cap_is_two(self, capsys):
-        # the cap counts 2^13 trials here: about 6.6e10 depth-1 attempts
+        # one trial is 2^31.6 expected waits here, above MC_MAX_WAITS = 2^25
         start = time.perf_counter()
-        assert main(["mc", "--n", "1", "--p", "0.5", "--round-p", "0.01,0.01,0.01",
+        assert main(["mc", "--n", "1", "--p", "0.5", "--round-p", "0.01,0.01,0.01,0.01",
                      "--trials", "100000", "--seed", "1"]) == 2
         assert time.perf_counter() - start < 1.0
         captured = capsys.readouterr()
@@ -761,8 +761,30 @@ class TestMainProcess:
         assert "MC_MAX_WAITS" in captured.err
         assert captured.out == ""
 
+    def test_mc_n_beyond_float_range_is_two(self, capsys, monkeypatch):
+        # numerical failure (exit 1) before n was clamped: int too large to convert to float
+        monkeypatch.setattr(rates, "_geometric", None)
+        start = time.perf_counter()
+        assert main(["mc", "--n", str(10 ** 400), "--p", "0.5", "--trials", "10",
+                     "--seed", "1"]) == 2
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert captured.err.startswith("hqrsim: invalid input: one trial would draw over 2^64.0")
+        assert "MC_MAX_WAITS" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("round_p, trials", [("0.3,0.3,0.3,0.3,0.3", "10000"),
+                                                 ("0.25,0.25,0.25,0.25", "16384")])
+    def test_mc_fitting_one_trial_is_zero(self, capsys, round_p, trials):
+        # 2^13.7 and 2^12 waits a trial: refused while the cap counted up to 2^14 trials
+        assert main(["mc", "--n", "0", "--p", "0.5", "--round-p", round_p, "--trials", trials,
+                     "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert f"trials,{trials}\n" in captured.out
+
     def test_mc_total_work_cap_is_two(self, capsys, monkeypatch):
-        # each 10^18-trial chunk fits MC_MAX_WAITS, but the whole run would take centuries;
+        # one trial fits MC_MAX_WAITS, but the whole 10^18-trial run would take centuries;
         # a draw would fail the test at once instead of running
         monkeypatch.setattr(rates, "_geometric", None)
         start = time.perf_counter()

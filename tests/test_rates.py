@@ -385,20 +385,31 @@ class TestMonteCarlo:
         assert 0 < se < mean
 
     def test_work_cap(self):
-        # the cap counts 2^14 trials at round p 0.01, 0.01: about 6.6e8 waits
-        for n, round_probs, trials in ((0, (0.01, 0.01), 2 ** 14), (26, (), 1),
-                                       (2000, (), 1)):
+        # the cap counts one trial's waits, whatever the trials: four rounds at 0.01
+        # are 2^(4 log2 200) = 2^30.6 of them
+        for trials in (2, 10 ** 6):
+            with pytest.raises(ValueError, match=r"^one trial would draw about 2\^30\.6 waits"):
+                monte_carlo_waiting(0, 0.5, (0.01,) * 4, trials=trials, seed=0)
+        for n in (26, 2000):
             with pytest.raises(ValueError, match="MC_MAX_WAITS"):
-                monte_carlo_waiting(n, 0.5, round_probs, trials=trials, seed=0)
+                monte_carlo_waiting(n, 0.5, trials=1, seed=0)
         # the cap is checked before 2 ** n is formed: at n = 1e15 that int
         # would need about 125 TB
         start = time.perf_counter()
         with pytest.raises(ValueError, match="MC_MAX_WAITS"):
             monte_carlo_waiting(10 ** 15, 0.5, trials=2, seed=0)
         assert time.perf_counter() - start < 0.1
-        # the cap counts at most the trials of the call: one trial is about 4e4 waits
+        # one trial at round p 0.01, 0.01 is about 4e4 waits
         mean, _ = monte_carlo_waiting(0, 1.0, (0.01, 0.01), trials=1, seed=0)
         assert mean >= 1.0
+
+    def test_n_beyond_float_range_is_refused(self):
+        # 10^400 is no float: n is clamped before the log2 work figure is formed
+        start = time.perf_counter()
+        with mock.patch.object(rates, "_geometric", side_effect=AssertionError("drew")), \
+                pytest.raises(ValueError, match=r"^one trial would draw over 2\^66\.0 waits"):
+            monte_carlo_waiting(10 ** 400, 0.5, (0.5,), trials=2, seed=0)
+        assert time.perf_counter() - start < 0.1
 
     def test_total_work_cap(self):
         # every chunk fits, but 10^18 waits at several ns each would take centuries;
@@ -669,6 +680,16 @@ class TestHomodyneTableSearch:
 
 
 class TestReproduceTable:
+    @pytest.mark.parametrize("table_id", sorted(TABLES))
+    def test_rows_have_one_value_per_round(self, table_id):
+        # reproduce_table runs len(initial_fidelity) - 1 purification rounds
+        spec = TABLES[table_id]
+        rows = [spec["effective_probability"], *spec["rate_hz"].values(),
+                *spec["fidelity"].values()]
+        assert 2 <= len(spec["initial_fidelity"]) <= len(tables.ROUNDS)
+        assert {len(row) for row in rows} == {len(spec["initial_fidelity"])}
+        assert len({c.round_label for c in reproduce_table(table_id)}) == len(rows[0])
+
     def test_unknown_id(self):
         with pytest.raises(ValueError):
             reproduce_table("VI")
