@@ -70,8 +70,8 @@ MC_MAX_WAITS = 2 ** 25
 # and over all trials of one call; 2^32 waits take 20-41 s of CPU (README)
 MC_MAX_TOTAL_WAITS = 2 ** 32
 
-# smallest p0 monte_carlo_waiting accepts: a wait, at most about 37 / p0, stays
-# below 2^53, so every draw is an exact integer as a float
+# smallest p0 monte_carlo_waiting accepts: from u <= 1 - 2^-53 a wait is at most
+# ceil(37.43 / -log1p(-p0)) (36.74 for m = 1), below 2^53: an exact integer as a float
 MC_MIN_P0 = 1e-13
 
 SCHEMES = ("usd", "homodyne")
@@ -99,8 +99,8 @@ class RepeaterConfig:
             raise ValueError("delta_frac must lie in (0, 1]")
         if not (math.isfinite(self.L0_km) and self.L0_km > 0):
             raise ValueError("segment length must be finite and positive")
-        if not (math.isfinite(self.t0) and self.t0 > 0):
-            raise ValueError(f"segment time T0 = 2 L0 / c = {self.t0} is not finite and positive")
+        if not (0 < self.t0 < math.inf and 1 / self.t0 < math.inf):  # a rate is at most 1 / T0
+            raise ValueError(f"segment time T0 = 2 L0 / c = {self.t0}: T0 and 1/T0 must be finite")
         ratio = self.span_km / self.L0_km
         n = self.n if math.isfinite(ratio) and ratio > 0 else -1
         if not 0 <= n <= 1023 or abs(ratio - 2 ** n) > 1e-9 * ratio:
@@ -260,15 +260,14 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
     Flat sampler: a trial stands for w = 2^n prod_r(2/p_r) expected geometric(p0) waits, and
     a chunk holds max(1, MC_CHUNK // w) trials, so it draws at most max(MC_CHUNK, w).  Going
     down rounds R..1, `_retries` draws only the retried elements and their extra attempts; a
-    depth holds each element's first attempt at its index, then the extras by id.  A depth-1
-    attempt, the maximum of two geometric(p0) waits, is max(1, ceil(log(1 - sqrt(u)) / log q))
-    of one uniform u.  Going up, a retried element adds the sum of its extras
-    (`np.add.reduceat`, in turn; exact below 2^53, README) to its first attempt; pair maxima
-    form the attempts above and each trial's maximum, in two pooled arrays.  Raises ValueError
-    before any draw for p0 < MC_MIN_P0, w above MC_MAX_WAITS or trials * w above
-    MC_MAX_TOTAL_WAITS.  Without rounds the draws are one geometric(p0) stream for any
-    chunking, so seeded results equal the replaced recursive sampler's; with rounds only the
-    distribution does.
+    depth holds each element's first attempt at its index, then the extras by id.  Each wait is
+    `_geometric` of one uniform; a depth-1 attempt, the maximum of two geometric(p0) waits, is
+    one such draw.  Going up, a retried element adds the sum of its extras (`np.add.reduceat`,
+    in turn; exact below 2^53, README) to its first attempt; pair maxima form the attempts
+    above and each trial's maximum, in two pooled arrays.  Raises ValueError before any draw
+    for p0 < MC_MIN_P0, w above MC_MAX_WAITS or trials * w above MC_MAX_TOTAL_WAITS.
+    Without rounds the draws are one uniform stream for any chunking, so seeded results do
+    not depend on MC_CHUNK; with rounds they do.
     """
     for name, value, low in (("n", n, 0), ("trials", trials, 1), ("seed", seed, 0)):
         # the range first: int() of inf overflows and int() of nan names no argument
@@ -291,7 +290,6 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
                          f"MC_MAX_TOTAL_WAITS = {MC_MAX_TOTAL_WAITS}: lower trials or n")
     segments = 2 ** n
     per_chunk = min(max(1, int(MC_CHUNK / 2 ** log2_w)), trials)
-    log_q = math.log1p(-p0) if p0 < 1 else -math.inf
     pool = {}  # zeroed chunk arrays by key, allocated only when a chunk needs more
 
     def buffer(key, size):
@@ -309,11 +307,8 @@ def monte_carlo_waiting(n: int, p0: float, round_probs=(), trials: int = 10 ** 5
             retries.append((count, ids, bounds))
             count = 2 * (count + int(bounds[-1]))  # two pairs per attempt
         spare = buffer("spare", count // 2)
-        if round_probs:  # depth-1 attempts: 1 - sqrt(u) = (1 - u) / (1 + sqrt(u)), and 1 - u > 0
-            waits = rng.random(out=buffer("u", count // 2))
-            np.add(np.sqrt(waits, out=spare), 1.0, out=spare)
-            np.log(np.divide(np.subtract(1.0, waits, out=waits), spare, out=waits), out=waits)
-            np.maximum(np.ceil(np.divide(waits, log_q, out=waits), out=waits), 1.0, out=waits)
+        if round_probs:  # a depth-1 attempt: the maximum of two geometric(p0) waits
+            waits = _geometric(rng, p0, buffer("u", count // 2), spare)
         else:
             waits = _geometric(rng, p0, buffer("u", count))
         for depth, (elements, ids, bounds) in enumerate(reversed(retries)):
@@ -347,13 +342,16 @@ def _retries(rng, p: float, count: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, np.concatenate(([0.0], np.cumsum(extras, out=extras))).astype(np.intp)
 
 
-def _geometric(rng, p: float, out: np.ndarray) -> np.ndarray:
-    """`rng.geometric(p, out.size)` as floats in `out`: numpy's exponential inversion for p < 1/3,
-    else ceil(log1p(-u) / log q) of numpy's one uniform u, which differs from numpy's search on u
-    only where u ties one of the search's rounded partial sums (README)."""
+def _geometric(rng, p: float, out: np.ndarray, pair=None) -> np.ndarray:
+    """The least t >= 1 with (1 - q^t)^m >= u, q = 1 - p, for one uniform u per element, as
+    floats in `out`: max(1, ceil(log(1 - u^(1/m)) / log q)).  m = 1, a geometric(p) wait, takes
+    log1p(-u); m = 2, the maximum of two, takes a `pair` buffer of out's size and forms
+    1 - sqrt(u) as (1 - u) / (1 + sqrt(u)).  u <= 1 - 2^-53, so the log is finite."""
     log_q = math.log1p(-p) if p < 1 else -math.inf
-    if p < 1 / 3:
-        return np.ceil(np.divide(rng.standard_exponential(out=out), -log_q, out=out), out=out)
-    np.divide(np.log1p(np.negative(rng.random(out=out), out=out), out=out), log_q, out=out)
-    return np.maximum(np.ceil(out, out=out), 1.0, out=out)
-
+    u = rng.random(out=out)
+    if pair is None:
+        np.log1p(np.negative(u, out=out), out=out)
+    else:
+        np.add(np.sqrt(u, out=pair), 1.0, out=pair)
+        np.log(np.divide(np.subtract(1.0, u, out=out), pair, out=out), out=out)
+    return np.maximum(np.ceil(np.divide(out, log_q, out=out), out=out), 1.0, out=out)

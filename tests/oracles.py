@@ -555,7 +555,6 @@ def monte_carlo_waiting_reduceat(n: int, p0: float, round_probs, trials: int, se
     segments = 2 ** n
     round_log2 = sum(math.log2(2 / p) for p in round_probs)
     per_chunk = min(max(1, int(rates.MC_CHUNK / 2 ** (n + round_log2))), trials)
-    log_q = math.log1p(-p0) if p0 < 1 else -math.inf
     sum_x = sum_x2 = 0.0
     rng = np.random.default_rng([int(seed), 0])
     for done in range(0, trials, per_chunk):
@@ -574,8 +573,7 @@ def monte_carlo_waiting_reduceat(n: int, p0: float, round_probs, trials: int, se
             bounds.append(np.concatenate(([0], np.cumsum(k, dtype=np.int64))))
             count = 2 * int(bounds[-1][-1])
         if round_probs:  # the maximum of two geometric(p0) waits from one uniform
-            u = rng.random(count // 2)
-            waits = np.maximum(np.ceil(np.log((1.0 - u) / (1.0 + np.sqrt(u))) / log_q), 1.0)
+            waits = rates._geometric(rng, p0, np.empty(count // 2), np.empty(count // 2))
         else:
             waits = rates._geometric(rng, p0, np.empty(count))
         for depth, (bound, order) in enumerate(zip(reversed(bounds), reversed(orders))):

@@ -358,10 +358,13 @@ class TestConfig:
         assert slow["rate_hz"] == f"{res.rate_hz / 2:.6g}" != default["rate_hz"]
 
     @pytest.mark.parametrize("speed, segment", [("1e308", "--L0 1e-300 --span 1e-300"),
-                                                ("1e-320", "--L0 5 --span 10")])
+                                                ("1e-320", "--L0 5 --span 10"),
+                                                ("2e5", "--L0 1e-310 --span 1e-310"),
+                                                ("1e308", "--L0 1e-5 --span 1e-5")])
     def test_segment_time_must_be_finite_and_positive(self, tmp_path, capsys, speed, segment):
-        # T0 = 2 L0 / c underflowed to 0 (exit 1, "float division by zero") or
-        # overflowed to inf (rate_hz printed 0, where the model gives about 5.1e-322)
+        # T0 = 2 L0 / c underflowed to 0 (exit 1, "float division by zero"),
+        # overflowed to inf (rate_hz printed 0, where the model gives about 5.1e-322),
+        # or had an overflowing 1 / T0 (rate_hz printed inf, Infinity in JSON)
         cfg = tmp_path / "cfg"
         cfg.write_text(f"fiber_speed_km_s = {speed}\n")
         assert main(["--config", str(cfg), "rate", "--scheme", "usd", "--d", "3",

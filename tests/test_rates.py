@@ -250,6 +250,13 @@ class TestRepeaterConfig:
                 setattr(cfg, name, value)
         assert (cfg.span_km, cfg.n, cfg.L_att_km, cfg.fiber_speed_km_s) == (40, 3, 22.0, 2.0e5)
 
+    @pytest.mark.parametrize("L0, speed", [(1e-310, 2e5), (1e-5, 1e308)])
+    def test_segment_time_reciprocal_must_be_finite(self, L0, speed):
+        # rate = 1 / (T0 Z) <= 1 / T0 as Z >= 1; an overflowed 1 / T0 printed rate_hz,inf
+        with pytest.raises(ValueError, match="T0 and 1/T0 must be finite"):
+            RepeaterConfig(d=3, L0_km=L0, span_km=L0, alpha=1.2, scheme="usd",
+                           fiber_speed_km_s=speed)
+
     def test_segment_time_sets_the_rate(self):
         # T0 = 2 L0 / c, and predict's rate is 1 / (T0 Z)
         cfg = RepeaterConfig(d=3, L0_km=5, span_km=40, alpha=1.0, scheme="usd",
@@ -416,8 +423,10 @@ class TestMonteCarlo:
         # refused before any draw, in log2, however large trials is
         start = time.perf_counter()
         with mock.patch.object(rates, "_geometric", side_effect=AssertionError("drew")):
+            # round p 1 draws no retries, so only the depth-1 draw could run
             for n, round_probs, trials in ((0, (), 10 ** 18), (0, (), 2 ** 32 + 1),
-                                           (10, (0.5,), 2 ** 21), (1, (0.01,), 10 ** 300)):
+                                           (10, (0.5,), 2 ** 21), (1, (0.01,), 10 ** 300),
+                                           (0, (1.0,), 2 ** 32)):
                 with pytest.raises(ValueError, match="MC_MAX_TOTAL_WAITS"):
                     monte_carlo_waiting(n, 0.5, round_probs, trials=trials, seed=0)
         assert time.perf_counter() - start < 0.1
@@ -594,18 +603,44 @@ class TestRetriedAttempts:
         assert abs(mean - (2 / p0 - 1 / (1 - q0 * q0)) / p1) <= 4 * se
 
 
-class TestGeometricDraws:
-    # numpy inverts a standard exponential for p < 1/3 and searches on one
-    # uniform from 1/3 up; if a numpy release changes either, seeded mc
-    # results change, and this names the cause
-    @pytest.mark.parametrize("p", [1e-6, 0.05, 0.3, float(np.nextafter(1 / 3, 0)), 1 / 3, 0.5,
-                                   0.6427, 0.9, 1.0])
-    def test_equals_numpy_geometric(self, p):
-        ours, numpys = np.random.default_rng([17, 0]), np.random.default_rng([17, 0])
-        got = rates._geometric(ours, p, np.empty(10 ** 5))
-        want = numpys.geometric(p, 10 ** 5)
-        assert got.dtype == float and np.array_equal(got, want)
-        assert ours.random() == numpys.random()  # both streams consumed alike
+class _Uniforms:
+    """A generator stub: `random(out=...)` writes the chosen uniforms."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def random(self, out):
+        out[:] = self.values
+        return out
+
+
+def _draw(p, uniforms, m):
+    """`rates._geometric` of the chosen uniforms, for m = 1 or, with a pair buffer, m = 2."""
+    u = np.array(uniforms, dtype=float)
+    return rates._geometric(_Uniforms(u), p, np.empty(u.size), np.empty(u.size) if m == 2 else None)
+
+
+class TestInversion:
+    # a wait is the least t with F(t) = (1 - q^t)^m >= u: a geometric(p) wait for m = 1 and
+    # the maximum of two for m = 2
+    @pytest.mark.parametrize("q", [0.3, 0.6427, 0.9, 1 - 1e-6])
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_least_t_with_cdf_at_least_u(self, m, q):
+        p, t = 1 - q, np.arange(1, 51)
+        cdf = (-np.expm1(t * math.log1p(-p))) ** m
+        assert np.all(_draw(p, cdf * (1 - 1e-9), m) <= t)
+        above = cdf * (1 + 1e-9)
+        assert np.all(_draw(p, above[above < 1], m) > t[above < 1])
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_certain_success_waits_one(self, m):
+        assert np.all(_draw(1.0, [0.0, 1e-300, 0.5, 1 - 2 ** -53], m) == 1.0)
+
+    @pytest.mark.parametrize("m, log_bound", [(1, 36.74), (2, 37.43)])
+    def test_largest_wait_at_min_p0_is_exact(self, m, log_bound):
+        # numpy's largest uniform is 1 - 2^-53: the longest wait MC_MIN_P0 allows
+        wait = _draw(MC_MIN_P0, [1 - 2 ** -53], m)[0]
+        assert wait <= math.ceil(log_bound / -math.log1p(-MC_MIN_P0)) < 2 ** 53
 
 
 def recursive_waiting(n, p0, round_probs, trials, seed):
